@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConditioningWarning, DomainError, NumericError, RegimeError
 from .params import CaseTag, ThetaParams, case_of, validate_classify
@@ -223,7 +222,7 @@ def _tail_sum(tail_fn) -> tuple[float, bool]:
             ratio = vals[-1] / vals[-2] if vals[-2] > 0.0 else 0.0
             if 0.0 < ratio < 1.0:
                 total += vals[-1] * ratio / (1.0 - ratio)
-            return total, False
+            return float(total), False
     n_sw = float(_N_SWITCH)
     t_half = float(tail_fn(n_sw / 2.0))
     t_full = float(tail_fn(n_sw))
@@ -232,6 +231,8 @@ def _tail_sum(tail_fn) -> tuple[float, bool]:
     beta = math.log2(t_half / t_full)
     if beta <= 1.0 + 1e-6:
         return math.inf, True
+    from scipy.integrate import quad  # imported on first use: it is slow to load
+
     integral, _ = quad(
         lambda u: float(tail_fn(1.0 / u)) / u**2,
         0.0,

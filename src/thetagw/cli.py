@@ -28,7 +28,6 @@ from .errors import (
     NumericError,
     OverflowGuardError,
     RegimeError,
-    SingularPathError,
     ThetaGWError,
     TrivialLawError,
     TruncationError,
@@ -37,8 +36,8 @@ from .errors import (
 )
 from .offspring import pmf as offspring_pmf
 from .params import scalar_summary, serialize, validate_classify
-from .pgf import eval_f, eval_fn
-from .verify import verify_set, verify_suite
+from .pgf import eval_fn
+from .verify import _embed_one_step_err, _embed_quad_residuals, verify_set, verify_suite
 
 _USAGE_EXIT = 2
 _DOMAIN_EXIT = 3
@@ -57,7 +56,6 @@ _NUMERIC_ERRORS = (
     NumericError,
     TruncationError,
     OverflowGuardError,
-    SingularPathError,
 )
 
 _PARAM_KEYS = ("theta", "a", "c", "q", "A")
@@ -177,12 +175,11 @@ _DEFAULTS = {
     "k_max": 50,
     "n": 50.0,
     "s": 0.0,
-    "t": None,
-    "r": None,
     "replicates": 100_000,
     "n_max": 200,
     "z_cap": 10_000_000,
     "workers": 1,
+    "seed": 0,
 }
 
 
@@ -197,26 +194,24 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise DomainError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise DomainError("config file must hold a JSON object")
+    options = {k: v for k, v in vars(args).items() if k not in ("config", "command", "_tabular")}
+    unknown = sorted(set(cfg) - set(options))
+    if unknown:
+        raise DomainError(f"config keys not accepted by {args.command}: {', '.join(unknown)}")
+    env_seed = os.environ.get("THETA_GW_SEED")
     merged = {}
-    for key, flag_val in vars(args).items():
-        if key in ("config", "command", "_tabular"):
-            continue
+    for key, flag_val in options.items():
         if flag_val is not None:
             merged[key] = flag_val
         elif key in cfg:
             merged[key] = cfg[key]
-        elif key == "seed" and os.environ.get("THETA_GW_SEED"):
-            merged[key] = int(os.environ["THETA_GW_SEED"])
-        elif key in _DEFAULTS:
-            merged[key] = _DEFAULTS[key]
-        elif key == "seed":
-            merged[key] = 0
+        elif key == "seed" and env_seed:
+            try:
+                merged[key] = int(env_seed)
+            except ValueError:
+                raise DomainError(f"THETA_GW_SEED must be an integer, got {env_seed!r}") from None
         else:
-            merged[key] = None
-    # config may also carry parameter keys absent from the flag set
-    for key in cfg:
-        if key not in merged or merged[key] is None:
-            merged[key] = cfg[key]
+            merged[key] = _DEFAULTS.get(key)
     return merged
 
 
@@ -381,32 +376,20 @@ def _cmd_gumbel(opts):
 def _cmd_qprocess(opts):
     p, tag = _params_from(opts)
     order = int(opts["k_max"])
-    qf = qprocess.q_function(p)
-    gamma = qf.gamma
-    b = stationary = w = None
-    if not qf.trivial:
+    gamma = qprocess.q_function(p).gamma
+    laws = {}
+    for name, law in (
+        ("b", qprocess.conditional_limit_b),
+        ("stationary", qprocess.stationary_law),
+        ("w", qprocess.critical_limit_w),
+    ):
         try:
-            stationary = list(qprocess.stationary_law(p, order).probs)
-        except (TrivialLawError, DomainError):
-            stationary = None
-        try:
-            b = list(qprocess.conditional_limit_b(p, order).probs)
-        except (TrivialLawError, DomainError):
-            b = None
-    try:
-        w = list(qprocess.critical_limit_w(p, order).probs)
-    except (TrivialLawError, DomainError):
-        w = None
-    payload = {
-        "params": serialize(p),
-        "case": _tag_dict(tag),
-        "gamma": gamma,
-        "b": b,
-        "stationary": stationary,
-        "w": w,
-    }
+            laws[name] = list(law(p, order).probs)
+        except DomainError:  # this law is trivial or undefined for the case
+            laws[name] = None
+    payload = {"params": serialize(p), "case": _tag_dict(tag), "gamma": gamma, **laws}
     text_lines = [f"case {tag.case_id}: gamma={_fmt(gamma) if gamma is not None else 'null'}"]
-    for name, val in (("b", b), ("stationary", stationary), ("w", w)):
+    for name, val in laws.items():
         text_lines.append(
             f"{name}: " + ("null" if val is None else " ".join(_fmt(v) for v in val[:10]))
         )
@@ -419,7 +402,7 @@ def _cmd_embed(opts):
     e = embedding.build_embedding(p)
     st = embedding.h_coeffs(e, order)
     grid = np.linspace(0.0, 1.0, 50)
-    one_step = float(np.max(np.abs(embedding.semigroup_F(e, 1.0, grid) - eval_f(p, grid))))
+    one_step = _embed_one_step_err(e, grid)
     semi = 0.0
     for t1, t2 in ((0.5, 0.5), (1.0, 1.5), (0.25, 2.0)):
         direct = embedding.semigroup_F(e, t1 + t2, grid)
@@ -428,18 +411,7 @@ def _cmd_embed(opts):
     times = [0.5, 1.0, 2.0]
     if opts.get("t") is not None:
         times.append(float(opts["t"]))
-    s_pts = (0.3, 0.6) if p.q == 0.0 else (
-        (0.25, 0.5) if p.q >= 1.0 else (p.q / 2.0, (p.q + 1.0) / 2.0)
-    )
-    residuals = []
-    for t in times:
-        worst = 0.0
-        for s in s_pts:
-            try:
-                worst = max(worst, abs(embedding.integral_residual(e, t, s)))
-            except SingularPathError:
-                continue
-        residuals.append(worst)
+    residuals = _embed_quad_residuals(e, times)
     checks = [
         {"name": "embed_sup_err", "value": one_step, "tol": 1e-10,
          "passed": one_step < 1e-10},

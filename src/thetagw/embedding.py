@@ -30,10 +30,9 @@ positive rate after fixing the sign of ln a per branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericError, SingularPathError
 from .params import CaseTag, ThetaParams, case_of
@@ -59,8 +58,13 @@ class Embedding:
     form: str  # "mu" | "aq" | "log" | "const"
     lam: float
     mu: float  # h'(1), may be inf
-    h_at_1: float  # 1 for proper h, q for the two-point branch
     mu_param: float | None = None  # the mu of the mu form
+    # h(1): 1 for proper h, q for the two-point branch; the A > 1 laws with
+    # q < 1 keep an instantaneous escape mass, so h(1) < 1 there too
+    h_at_1: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "h_at_1", float(h_eval(self, 1.0)))
 
 
 def build_embedding(p: ThetaParams) -> Embedding:
@@ -68,22 +72,22 @@ def build_embedding(p: ThetaParams) -> Embedding:
     theta, a, q, big_a = p.theta, p.a, p.q, p.big_a
     cid = tag.case_id
     if cid == "case6":
-        form, lam, mu, h1, mu_param = "const", math.log(1.0 / a), 0.0, q, None
+        form, lam, mu, mu_param = "const", math.log(1.0 / a), 0.0, None
     elif cid == "case1":
         d = p.d
         mu_param = (1.0 + theta) * d / ((1.0 + theta) * d + 1.0)
         lam = ((1.0 + 1.0 / theta) * d + 1.0 / theta) * math.log(a)
-        form, mu, h1 = "mu", mu_param, 1.0
+        form, mu = "mu", mu_param
     elif cid == "case2":
         mu_param = 1.0
         lam = (1.0 + 1.0 / theta) * p.c
-        form, mu, h1 = "mu", 1.0, 1.0
+        form, mu = "mu", 1.0
     elif cid == "case3":
         mu_param = (1.0 + theta) / ((1.0 + theta) - (1.0 - q) ** theta)
         lam = ((1.0 + 1.0 / theta) * (1.0 - q) ** (-theta) - 1.0 / theta) * math.log(
             1.0 / a
         )
-        form, mu, h1 = "mu", mu_param, 1.0
+        form, mu = "mu", mu_param
     elif theta == 0.0:
         ee = 1.0 + math.log(big_a) - math.log(big_a - q)
         lam = ee * math.log(1.0 / a)
@@ -91,7 +95,7 @@ def build_embedding(p: ThetaParams) -> Embedding:
             mu = math.inf
         else:
             mu = 1.0 + (math.log((big_a - q) / (big_a - 1.0)) - 1.0) / ee
-        form, h1, mu_param = "log", 1.0, None
+        form, mu_param = "log", None
     else:
         lam = (
             (1.0 + 1.0 / theta) * big_a**theta * (big_a - q) ** (-theta) - 1.0 / theta
@@ -101,21 +105,14 @@ def build_embedding(p: ThetaParams) -> Embedding:
         else:
             dd = (1.0 + theta) * big_a**theta - (big_a - q) ** theta
             mu = 1.0 + ((big_a - q) ** theta - (1.0 + theta) * (big_a - 1.0) ** theta) / dd
-        form, h1, mu_param = "aq", 1.0, None
+        form, mu_param = "aq", None
     if not lam > 0.0:
         raise NumericError(f"rate came out nonpositive ({lam}) for {cid}")
     if form == "mu" and not 0.0 < mu_param <= 1.0 + 1.0 / theta:
         raise DomainError(
             f"offspring mean parameter {mu_param} outside (0, 1+1/theta] for {cid}"
         )
-    e = Embedding(
-        params=p, tag=tag, form=form, lam=lam, mu=mu, h_at_1=h1, mu_param=mu_param
-    )
-    # the A > 1 laws with q < 1 keep an instantaneous escape mass: h(1) < 1
-    h1 = float(h_eval(e, 1.0))
-    e = Embedding(
-        params=p, tag=tag, form=form, lam=lam, mu=mu, h_at_1=h1, mu_param=mu_param
-    )
+    e = Embedding(params=p, tag=tag, form=form, lam=lam, mu=mu, mu_param=mu_param)
     hq = h_eval(e, q)
     if abs(hq - q) > 1e-12:
         raise NumericError(f"h({q}) = {hq} != q for {cid}")
@@ -223,6 +220,8 @@ def integral_residual(e: Embedding, t: float, s: float) -> float:
 
     def integrand(x: float) -> float:
         return 1.0 / (h_eval(e, x) - x)
+
+    from scipy.integrate import quad  # imported on first use: it is slow to load
 
     value, _err = quad(integrand, s, upper, epsabs=1e-10, epsrel=1e-10, limit=200)
     return value - target

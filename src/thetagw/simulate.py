@@ -125,10 +125,8 @@ def _run(table: OffspringTable, rng, n_max: int, z_cap: int, sizes=None):
         if p_inf > 0.0 and float(u.min()) < p_inf:
             return Status.EXPLODED, n
         mx = float(u.max())
-        while mx >= table.coverage and table.order < table.k_max:
-            table._rebuild(min(2 * table.order, table.k_max))
-        if mx >= table.coverage:
-            # unresolved draw: a finite count >= order, so T > n is certain
+        if mx >= table.coverage and not table.ensure_coverage(mx):
+            # unresolved draw: a finite count beyond the table cap, so T > n is certain
             return Status.CENSORED_CAP, n
         z = int((np.searchsorted(table.boundaries, u, side="right") - 1).sum())
         if sizes is not None:
@@ -153,17 +151,20 @@ def simulate_trajectory(cfg: SimConfig, replicate_index: int) -> TrajectoryRecor
     return TrajectoryRecord(tuple(sizes), status, censor_n=k)
 
 
-def _chunk_hists(cfg: SimConfig, lo: int, hi: int):
-    table = OffspringTable(cfg.params)
-    hor = cfg.n_max
-    h_ext = np.zeros(hor + 1, dtype=np.int64)
-    h_exp = np.zeros(hor + 1, dtype=np.int64)
-    h_cen = np.zeros(hor + 1, dtype=np.int64)
+def _tally(cfg: SimConfig, lo: int, hi: int, run_one):
+    """Histograms of replicates lo..hi-1 by outcome and bin key.
+
+    run_one maps a replicate's generator to (Status, key). Returns the
+    extinct, exploded and censored histograms, plus the sum and the sum of
+    squares of the certain counts of {T > n} (key + 1 for a censored run).
+    """
+    h_ext = np.zeros(cfg.n_max + 1, dtype=np.int64)
+    h_exp = np.zeros(cfg.n_max + 1, dtype=np.int64)
+    h_cen = np.zeros(cfg.n_max + 1, dtype=np.int64)
     sum_y = 0
     sum_y2 = 0
     for i in range(lo, hi):
-        rng = _replicate_rng(cfg, i)
-        status, k = _run(table, rng, hor, cfg.z_cap)
+        status, k = run_one(_replicate_rng(cfg, i))
         if status is Status.EXTINCT:
             h_ext[k] += 1
             y = k
@@ -176,6 +177,11 @@ def _chunk_hists(cfg: SimConfig, lo: int, hi: int):
         sum_y += y
         sum_y2 += y * y
     return h_ext, h_exp, h_cen, sum_y, sum_y2
+
+
+def _chunk_hists(cfg: SimConfig, lo: int, hi: int):
+    table = OffspringTable(cfg.params)
+    return _tally(cfg, lo, hi, lambda rng: _run(table, rng, cfg.n_max, cfg.z_cap))
 
 
 def _tail_over(hist: np.ndarray) -> np.ndarray:
@@ -275,11 +281,6 @@ def _assemble(cfg: SimConfig, h_ext, h_exp, h_cen, sum_y, sum_y2, dt=None):
     return emp
 
 
-def _chunk_worker(args):
-    cfg, lo, hi = args
-    return _chunk_hists(cfg, lo, hi)
-
-
 def estimate_tails(cfg: SimConfig, workers: int = 1) -> EmpiricalTails:
     """Aggregate all replicates into tail counts; identical for any workers."""
     if workers < 1:
@@ -288,17 +289,10 @@ def estimate_tails(cfg: SimConfig, workers: int = 1) -> EmpiricalTails:
     if workers == 1 or r < 2 * workers:
         parts = [_chunk_hists(cfg, 0, r)]
     else:
-        n_chunks = min(4 * workers, r)
-        edges = np.linspace(0, r, n_chunks + 1, dtype=int)
-        jobs = [(cfg, int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+        edges = np.linspace(0, r, min(4 * workers, r) + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_chunk_worker, jobs))
-    h_ext = sum(p[0] for p in parts)
-    h_exp = sum(p[1] for p in parts)
-    h_cen = sum(p[2] for p in parts)
-    sum_y = sum(p[3] for p in parts)
-    sum_y2 = sum(p[4] for p in parts)
-    return _assemble(cfg, h_ext, h_exp, h_cen, sum_y, sum_y2)
+            parts = list(ex.map(_chunk_hists, [cfg] * (len(edges) - 1), edges[:-1], edges[1:]))
+    return _assemble(cfg, *(sum(col) for col in zip(*parts)))
 
 
 @dataclass(frozen=True)
@@ -342,6 +336,7 @@ def _ct_one(bounds, lam, rng, budget, dt, n_max, z_cap):
     exp_block = rng.random(0)
     uni_block = rng.random(0)
     ei = ui = 0
+    status = Status.CENSORED_CAP  # what leaving the loop unabsorbed means
     for _ in range(_CT_EVENT_CAP):
         if ei >= exp_block.size:
             exp_block = -np.log(rng.random(_CT_BLOCK))
@@ -355,19 +350,22 @@ def _ct_one(bounds, lam, rng, budget, dt, n_max, z_cap):
             ui = 0
         u = uni_block[ui]
         ui += 1
-        key_absorb = min(int(math.ceil(t / dt)), n_max)
-        key_censor = min(max(int(math.ceil(t / dt)) - 1, 0), n_max)
         if u < escape:
-            return Status.EXPLODED, key_absorb
+            status = Status.EXPLODED
+            break
         if u >= top:
-            return Status.CENSORED_CAP, key_censor
+            break
         k = int(np.searchsorted(bounds, u, side="right")) - 1
         z += k - 1
         if z == 0:
-            return Status.EXTINCT, key_absorb
+            status = Status.EXTINCT
+            break
         if z > z_cap:
-            return Status.CENSORED_CAP, key_censor
-    return Status.CENSORED_CAP, min(max(int(math.ceil(t / dt)) - 1, 0), n_max)
+            break
+    key = int(math.ceil(t / dt))
+    if status is Status.CENSORED_CAP:
+        key = max(key - 1, 0)
+    return status, min(key, n_max)
 
 
 def simulate_ct_skeleton(e: Embedding, cfg: SimConfig, dt: float) -> EmpiricalTails:
@@ -382,24 +380,8 @@ def simulate_ct_skeleton(e: Embedding, cfg: SimConfig, dt: float) -> EmpiricalTa
         raise DomainError("dt must be positive")
     bounds = _ct_boundaries(e)
     budget = cfg.n_max * dt
-    hor = cfg.n_max
-    h_ext = np.zeros(hor + 1, dtype=np.int64)
-    h_exp = np.zeros(hor + 1, dtype=np.int64)
-    h_cen = np.zeros(hor + 1, dtype=np.int64)
-    sum_y = 0
-    sum_y2 = 0
-    for i in range(cfg.replicates):
-        rng = _replicate_rng(cfg, i)
-        status, k = _ct_one(bounds, e.lam, rng, budget, dt, hor, cfg.z_cap)
-        if status is Status.EXTINCT:
-            h_ext[k] += 1
-            y = k
-        elif status is Status.EXPLODED:
-            h_exp[k] += 1
-            y = k
-        else:
-            h_cen[k] += 1
-            y = k + 1
-        sum_y += y
-        sum_y2 += y * y
-    return _assemble(cfg, h_ext, h_exp, h_cen, sum_y, sum_y2, dt=dt)
+
+    def run_one(rng):
+        return _ct_one(bounds, e.lam, rng, budget, dt, cfg.n_max, cfg.z_cap)
+
+    return _assemble(cfg, *_tally(cfg, 0, cfg.replicates, run_one), dt=dt)

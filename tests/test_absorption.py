@@ -60,6 +60,10 @@ def test_tail_identities(per_case):
     # at n = 0 nothing is absorbed yet
     assert tails.t_tail(0.0) == pytest.approx(1.0, abs=1e-12)
     assert tails.t0_tail(0.0) == pytest.approx(p.q, abs=1e-12)
+    # the expectation sums hand back Python floats whatever exit they took
+    e = quiet_expected(p)
+    for x in (e.e_t0_given_finite, e.e_t1_given_finite, e.e_t):
+        assert type(x) is float, (name, type(x))
 
 
 def test_tails_regular_vs_explosive(desk):

@@ -126,6 +126,24 @@ def test_env_seed_default():
     assert json.loads(r2.stdout)["seed"] == 9
 
 
+def test_env_seed_must_be_an_integer():
+    r = run_cli("simulate", "--theta", "-1", "--a", "0.5", "--q", "0.3",
+                "--replicates", "200", "--n-max", "5",
+                env_extra={"THETA_GW_SEED": "12x"})
+    assert r.returncode == 3 and r.stdout == ""
+    assert "THETA_GW_SEED" in r.stderr
+
+
+def test_config_rejects_unknown_keys(tmp_path):
+    # a misspelt option, and one that belongs to another subcommand
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta": 1.0, "a": 2.0, "c": 1.0,
+                               "replicate": 5, "seed": 1}))
+    r = run_cli("classify", "--config", str(cfg))
+    assert r.returncode == 3 and r.stdout == ""
+    assert "replicate" in r.stderr and "seed" in r.stderr
+
+
 def test_usage_exit_codes():
     assert run_cli("nonsense").returncode == 2
     assert run_cli("classify", "--theta", "one").returncode == 2

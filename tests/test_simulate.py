@@ -1,5 +1,6 @@
 """Monte Carlo engine: determinism, worker invariance, agreement with theory."""
 
+import hashlib
 import math
 import warnings
 
@@ -74,6 +75,32 @@ def test_worker_invariance(desk):
     assert np.array_equal(one.t_counts, three.t_counts)
     assert one.censored == three.censored
     assert one.sum_t == three.sum_t and one.sum_t2 == three.sum_t2
+
+
+# sha256 of the aggregated counts at master seed 2024 with 2000 replicates and
+# n_max = 20 (dt = 0.5 on the continuous-time grid). Any change in how draws
+# map to outcomes, or in how outcomes are tallied, shows up here.
+COUNT_DIGESTS = {
+    ("discrete", "case5"): "76fc37fcd3f97c9b0faf0f80411adf777d7b3c9079a0e23672f37cb11b7343d2",
+    ("discrete", "case6"): "c222139c198ea33ab89c9614245630d1b77b8b60ff5cf3a29994962b3404959c",
+    ("ct", "case6"): "0aff5d962164f7753e6d4e19f9c45ff3e5ca87313b8a5fcd833c0acc06e94e52",
+    ("ct", "case8"): "d157efce435ed51bd2c5746c5d38d551462efb7160014bd9c032d44d7b73d1ad",
+}
+
+
+@pytest.mark.parametrize("kind, name", sorted(COUNT_DIGESTS))
+def test_counts_byte_identical(desk, kind, name):
+    p, _ = desk[name]
+    cfg = SimConfig(params=p, replicates=2000, n_max=20, z_cap=10**6, master_seed=2024)
+    if kind == "discrete":
+        emp = estimate_tails(cfg)
+    else:
+        emp = simulate_ct_skeleton(build_embedding(p), cfg, dt=0.5)
+    h = hashlib.sha256()
+    for arr in (emp.t0_counts, emp.t1_counts, emp.t_counts):
+        h.update(arr.astype("<i8").tobytes())
+    h.update(f"{emp.censored}:{emp.sum_t}:{emp.sum_t2}".encode())
+    assert h.hexdigest() == COUNT_DIGESTS[kind, name]
 
 
 def test_antithetic_pairing(desk):
