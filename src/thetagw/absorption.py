@@ -48,7 +48,7 @@ EULER_GAMMA = 0.5772156649015329
 
 def _as_n(n, allow_real: bool = True):
     arr = np.asarray(n, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):  # NaN fails too
         raise DomainError("generation index must be >= 0")
     if not allow_real and np.any(arr != np.floor(arr)):
         raise DomainError("generation index must be an integer")

@@ -34,6 +34,7 @@ from .errors import (
     UnclassifiableError,
     UnsupportedFormError,
 )
+from .offspring import K_MAX_RATIO
 from .offspring import pmf as offspring_pmf
 from .params import scalar_summary, serialize, validate_classify
 from .pgf import eval_fn
@@ -116,107 +117,109 @@ class _CliParser(argparse.ArgumentParser):
         raise SystemExit(_USAGE_EXIT)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = _CliParser(prog="thetagw", description=__doc__.splitlines()[0])
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, tabular=False):
-        sp = sub.add_parser(name, help=help_text)
-        for key in _PARAM_KEYS:
-            sp.add_argument(f"--{key}", type=float, default=None)
-        sp.add_argument("--config", type=str, default=None,
-                        help="JSON file with defaults; flags override it")
-        sp.add_argument("--format", choices=("json", "csv", "text"), default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.set_defaults(_tabular=tabular)
-        return sp
-
-    add("classify", "canonical parameters, case tag and scalar summary")
-
-    sp = add("pmf", "offspring masses p_0..p_k", tabular=True)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=None)
-
-    sp = add("iterate", "explicit n-step generating function value")
-    sp.add_argument("--n", type=float, default=None)
-    sp.add_argument("--s", type=float, default=None)
-
-    sp = add("absorb", "extinction/explosion time tails and expectations",
-             tabular=True)
-    sp.add_argument("--n", type=float, default=None, help="horizon (rows 0..n)")
-
-    sp = add("gumbel", "near-critical explosion-time limit on the y-lattice",
-             tabular=True)
-    sp.add_argument("--n", type=float, default=None, help="largest lattice index")
-    sp.add_argument("--r", type=float, default=None,
-                    help="limit regime parameter when theta is not given")
-
-    sp = add("qprocess", "harmonic function and the three limit laws")
-    sp.add_argument("--k-max", dest="k_max", type=int, default=None)
-
-    sp = add("embed", "continuous-time generator, coefficients and residuals")
-    sp.add_argument("--k-max", dest="k_max", type=int, default=None)
-    sp.add_argument("--t", type=float, default=None, help="extra residual time")
-
-    sp = add("simulate", "Monte Carlo tail estimates vs the closed forms",
-             tabular=True)
-    sp.add_argument("--replicates", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sp.add_argument("--z-cap", dest="z_cap", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=None)
-
-    sp = add("verify", "cross-module identity suite (one set per case by default)")
-    sp.add_argument("--seed", type=int, default=None)
-    return top
+def _real(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan  # each caller rejects NaN with its own message
 
 
-_DEFAULTS = {
-    "format": "json",
-    "k_max": 50,
-    "n": 50.0,
-    "s": 0.0,
-    "replicates": 100_000,
-    "n_max": 200,
-    "z_cap": 10_000_000,
-    "workers": 1,
-    "seed": 0,
+def _finite(text: str) -> float:
+    """A finite real: iterate's --n and --s, embed's --t, gumbel's --r."""
+    x = _real(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite real, got {text!r}")
+    return x
+
+
+def _rows(text: str) -> int:
+    """A whole row count no larger than the largest table the library builds."""
+    x = _real(text)
+    if not (x.is_integer() and 0 <= x <= K_MAX_RATIO):
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number in [0, {K_MAX_RATIO}], got {text!r}"
+        )
+    return int(x)
+
+
+def _format(text: str) -> str:
+    if text not in ("json", "csv", "text"):
+        raise argparse.ArgumentTypeError(f"expected json, csv or text, got {text!r}")
+    return text
+
+
+# Filled by ``_command``, once per subcommand: the parser, the defaults and the
+# reading of --config/THETA_GW_SEED values all come from this declaration.
+_COMMANDS: dict[str, tuple[str, bool, dict]] = {}
+_HANDLERS: dict = {}
+_COMMON = {
+    **{key: (float, None) for key in _PARAM_KEYS},
+    "format": (_format, "json"),
+    "out": (str, None),
 }
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """flag > config file > environment (seed only) > built-in default."""
+def _command(name: str, help_text: str, *, tabular: bool = False, **options):
+    """Register a handler; each option is (type, default[, help])."""
+    def register(handler):
+        _COMMANDS[name] = (help_text, tabular, {**_COMMON, **options})
+        _HANDLERS[name] = handler
+        return handler
+    return register
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    top = _CliParser(prog="thetagw", description=__doc__.splitlines()[0])
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--config", default=argparse.SUPPRESS,
+                        help="JSON file with defaults; flags override it")
+        for key, (conv, _, *doc) in options.items():
+            # unset flags stay out of the namespace, so _resolve sees what was given
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=conv,
+                            default=argparse.SUPPRESS, help=doc[0] if doc else None)
+    return top
+
+
+def _resolve(command: str, given: dict) -> dict:
+    """flag > config file > environment (seed only) > declared default.
+
+    A config or THETA_GW_SEED value is read as its text would be as the flag:
+    the flag's type converts it, and a value it rejects is a parameter error
+    naming the key or the variable.
+    """
+    options = _COMMANDS[command][2]
     cfg = {}
-    if args.config is not None:
+    if "config" in given:
+        path = given.pop("config")
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise DomainError(f"cannot read config {args.config}: {exc}") from exc
+            raise DomainError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise DomainError("config file must hold a JSON object")
-    options = {k: v for k, v in vars(args).items() if k not in ("config", "command", "_tabular")}
     unknown = sorted(set(cfg) - set(options))
     if unknown:
-        raise DomainError(f"config keys not accepted by {args.command}: {', '.join(unknown)}")
+        raise DomainError(f"config keys not accepted by {command}: {', '.join(unknown)}")
     env_seed = os.environ.get("THETA_GW_SEED")
-    merged = {}
-    for key, flag_val in options.items():
-        if flag_val is not None:
-            merged[key] = flag_val
-        elif key in cfg:
-            merged[key] = cfg[key]
-        elif key == "seed" and env_seed:
-            try:
-                merged[key] = int(env_seed)
-            except ValueError:
-                raise DomainError(f"THETA_GW_SEED must be an integer, got {env_seed!r}") from None
-        else:
-            merged[key] = _DEFAULTS.get(key)
-    return merged
+    texts = {"seed": ("THETA_GW_SEED", env_seed)} if env_seed and "seed" in options else {}
+    for key, val in cfg.items():
+        texts[key] = (f"config key {key!r}", val if isinstance(val, str) else json.dumps(val))
+    opts = {key: opt[1] for key, opt in options.items()}
+    for key, (source, text) in texts.items():
+        if key in given:
+            continue
+        try:
+            opts[key] = options[key][0](text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise DomainError(f"{source}: {exc}") from None
+    return opts | given
 
 
 def _params_from(opts: dict):
-    raw = {k: opts[k] for k in _PARAM_KEYS if opts.get(k) is not None}
+    raw = {k: opts[k] for k in _PARAM_KEYS if opts[k] is not None}
     if not raw:
         raise DomainError(
             "no parameters given: pass --theta/--a/--c/--q/--A or --config"
@@ -232,6 +235,7 @@ def _tag_dict(tag) -> dict:
     }
 
 
+@_command("classify", "canonical parameters, case tag and scalar summary")
 def _cmd_classify(opts):
     p, tag = _params_from(opts)
     s = scalar_summary(p)
@@ -257,9 +261,10 @@ def _cmd_classify(opts):
     return payload, None, "\n".join(text) + "\n", []
 
 
+@_command("pmf", "offspring masses p_0..p_k", tabular=True, k_max=(_rows, 50))
 def _cmd_pmf(opts):
     p, tag = _params_from(opts)
-    k_max = int(opts["k_max"])
+    k_max = opts["k_max"]
     probs = offspring_pmf(p, k_max)
     s = scalar_summary(p)
     covered = float(np.sum(probs))
@@ -275,10 +280,11 @@ def _cmd_pmf(opts):
     return payload, (["k", "p_k"], rows), text, []
 
 
+@_command("iterate", "explicit n-step generating function value",
+          n=(_finite, 50.0), s=(_finite, 0.0))
 def _cmd_iterate(opts):
     p, tag = _params_from(opts)
-    n = float(opts["n"]) if opts["n"] is not None else 1.0
-    s = float(opts["s"])
+    n, s = opts["n"], opts["s"]
     value = eval_fn(p, n, s)
     payload = {
         "params": serialize(p),
@@ -290,11 +296,11 @@ def _cmd_iterate(opts):
     return payload, None, _fmt(value) + "\n", []
 
 
+@_command("absorb", "extinction/explosion time tails and expectations", tabular=True,
+          n=(_rows, 50, "horizon (rows 0..n)"))
 def _cmd_absorb(opts):
     p, tag = _params_from(opts)
-    hor = int(opts["n"])
-    if hor < 0:
-        raise DomainError("--n must be >= 0")
+    hor = opts["n"]
     tails = absorption.absorption_tails(p)
     n = np.arange(0, hor + 1)
     t0 = tails.t0_tail(n)
@@ -325,24 +331,21 @@ def _cmd_absorb(opts):
     return payload, (["n", "t0_tail", "t1_tail", "t_tail"], rows), text, []
 
 
+@_command("gumbel", "near-critical explosion-time limit on the y-lattice", tabular=True,
+          n=(_rows, 50, "largest lattice index"),
+          r=(_finite, None, "limit regime parameter when theta is not given"))
 def _cmd_gumbel(opts):
-    a = opts.get("a")
-    q = opts.get("q")
+    a, q, theta = opts["a"], opts["q"], opts["theta"]
     if a is None or q is None:
         raise DomainError("gumbel needs --a and --q")
-    big_a = opts.get("A") if opts.get("A") is not None else 1.0
-    theta = opts.get("theta")
-    r = opts.get("r")
-    probe = absorption.gumbel_limit(float(a), float(q), 0.0, theta=theta,
-                                    big_a=float(big_a), r=r)
+    big_a = opts["A"] if opts["A"] is not None else 1.0  # A = 1 as in validate_classify
+    probe = absorption.gumbel_limit(a, q, 0.0, theta=theta, big_a=big_a, r=opts["r"])
     rec = probe.record
     rows = []
     if theta is not None:
-        params, _ = validate_classify(
-            {"theta": theta, "a": float(a), "A": float(big_a), "q": float(q)}
-        )
+        params, _ = validate_classify({"theta": theta, "a": a, "A": big_a, "q": q})
         shift = rec.shift
-        n_hi = int(opts["n"]) if opts["n"] is not None else int(math.ceil(shift + 12.0))
+        n_hi = opts["n"]
         n_lo = max(0, int(math.ceil(shift - 7.0)))
         if n_hi < n_lo:
             raise DomainError("--n is below the start of the informative lattice")
@@ -350,11 +353,11 @@ def _cmd_gumbel(opts):
             # the explosion time lives on integers; index rows by n - shift
             y = n - shift
             exact = absorption.conditional_t1_cdf(params, n)
-            rows.append([y, float(exact), math.exp(-rec.w * float(a) ** y)])
+            rows.append([y, float(exact), math.exp(-rec.w * a ** y)])
     else:
         for k in range(-14, 25):
             y = k * 0.5
-            rows.append([y, math.nan, math.exp(-rec.w * float(a) ** y)])
+            rows.append([y, math.nan, math.exp(-rec.w * a ** y)])
     payload = {
         "a": rec.a,
         "q": rec.q,
@@ -373,9 +376,10 @@ def _cmd_gumbel(opts):
     return payload, (["y", "exact", "limit"], rows), text, []
 
 
+@_command("qprocess", "harmonic function and the three limit laws", k_max=(_rows, 50))
 def _cmd_qprocess(opts):
     p, tag = _params_from(opts)
-    order = int(opts["k_max"])
+    order = opts["k_max"]
     gamma = qprocess.q_function(p).gamma
     laws = {}
     for name, law in (
@@ -396,9 +400,11 @@ def _cmd_qprocess(opts):
     return payload, None, "\n".join(text_lines) + "\n", []
 
 
+@_command("embed", "continuous-time generator, coefficients and residuals",
+          k_max=(_rows, 50), t=(_finite, None, "extra residual time"))
 def _cmd_embed(opts):
     p, tag = _params_from(opts)
-    order = int(opts["k_max"])
+    order = opts["k_max"]
     e = embedding.build_embedding(p)
     st = embedding.h_coeffs(e, order)
     grid = np.linspace(0.0, 1.0, 50)
@@ -409,8 +415,8 @@ def _cmd_embed(opts):
         nested = embedding.semigroup_F(e, t1, embedding.semigroup_F(e, t2, grid))
         semi = max(semi, float(np.max(np.abs(direct - nested))))
     times = [0.5, 1.0, 2.0]
-    if opts.get("t") is not None:
-        times.append(float(opts["t"]))
+    if opts["t"] is not None:
+        times.append(opts["t"])
     residuals = _embed_quad_residuals(e, times)
     checks = [
         {"name": "embed_sup_err", "value": one_step, "tol": 1e-10,
@@ -446,16 +452,19 @@ def _cmd_embed(opts):
     return payload, None, text, checks
 
 
+@_command("simulate", "Monte Carlo tail estimates vs the closed forms", tabular=True,
+          replicates=(int, 100_000), seed=(int, 0), n_max=(int, 200),
+          z_cap=(int, 10_000_000), workers=(int, 1))
 def _cmd_simulate(opts):
     p, tag = _params_from(opts)
     cfg = simulate.SimConfig(
         params=p,
-        replicates=int(opts["replicates"]),
-        n_max=int(opts["n_max"]),
-        z_cap=int(opts["z_cap"]),
-        master_seed=int(opts["seed"]),
+        replicates=opts["replicates"],
+        n_max=opts["n_max"],
+        z_cap=opts["z_cap"],
+        master_seed=opts["seed"],
     )
-    emp = simulate.estimate_tails(cfg, workers=int(opts["workers"]))
+    emp = simulate.estimate_tails(cfg, workers=opts["workers"])
     tails = absorption.absorption_tails(p)
     ks = simulate.ks_distance(emp, tails, range(0, cfg.n_max + 1))
     t0 = emp.tail("t0")
@@ -486,9 +495,11 @@ def _cmd_simulate(opts):
     return payload, csv_spec, text, [], _json_doc(summary)
 
 
+@_command("verify", "cross-module identity suite (one set per case by default)",
+          seed=(int, 0))
 def _cmd_verify(opts):
-    has_params = any(opts.get(k) is not None for k in _PARAM_KEYS)
-    seed = int(opts["seed"])
+    has_params = any(opts[k] is not None for k in _PARAM_KEYS)
+    seed = opts["seed"]
     if has_params:
         p, tag = _params_from(opts)
         checks = list(verify_set(p, tag))
@@ -509,19 +520,6 @@ def _cmd_verify(opts):
     return payload, None, text, check_dicts
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "pmf": _cmd_pmf,
-    "iterate": _cmd_iterate,
-    "absorb": _cmd_absorb,
-    "gumbel": _cmd_gumbel,
-    "qprocess": _cmd_qprocess,
-    "embed": _cmd_embed,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-}
-
-
 def _write(dest: str | None, data: str) -> None:
     if dest is None:
         sys.stdout.write(data)
@@ -532,20 +530,20 @@ def _write(dest: str | None, data: str) -> None:
 
 def run_command(argv=None) -> int:
     started = time.perf_counter()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    opts = _resolve(args)
+    given = vars(_build_parser().parse_args(argv))
+    command = given.pop("command")
+    opts = _resolve(command, given)
     fmt = opts["format"]
-    if fmt == "csv" and not args._tabular:
-        print(f"thetagw: error: {args.command} has no csv form", file=sys.stderr)
+    if fmt == "csv" and not _COMMANDS[command][1]:
+        print(f"thetagw: error: {command} has no csv form", file=sys.stderr)
         return _USAGE_EXIT
 
-    result = _HANDLERS[args.command](opts)
+    result = _HANDLERS[command](opts)
     payload, csv_spec, text, checks = result[:4]
     trailer = result[4] if len(result) > 4 else None
 
     if fmt == "json":
-        doc = _json_doc({"command": args.command, **payload})
+        doc = _json_doc({"command": command, **payload})
     elif fmt == "csv":
         header, rows = csv_spec
         doc = _csv_doc(header, rows)
@@ -553,7 +551,7 @@ def run_command(argv=None) -> int:
             doc += trailer
     else:
         doc = text
-    _write(opts.get("out"), doc)
+    _write(opts["out"], doc)
     print(f"wall_time_s={time.perf_counter() - started:.3f}", file=sys.stderr)
     failed = [c for c in checks if not c["passed"]]
     return _CHECK_EXIT if failed else 0

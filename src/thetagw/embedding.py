@@ -192,7 +192,7 @@ def h_coeffs(e: Embedding, order: int) -> SeriesTruncation:
 
 def semigroup_F(e: Embedding, t: float, s):
     """F_t(s) for real t >= 0; F_0 = id and F_1 is the one-step pgf."""
-    if t < 0.0:
+    if not t >= 0.0:  # NaN fails too
         raise DomainError("the semigroup runs forward only")
     return eval_fn(e.params, t, s)
 

@@ -41,7 +41,7 @@ _EDGE_SNAP = 1e-14
 
 def _iterated_constants(p: ThetaParams, t: float) -> tuple[float, float]:
     """(a_t, c_t) for the t-fold iterate; exact integer powers when t is one."""
-    if t < 0.0:
+    if not t >= 0.0:  # NaN fails too
         raise DomainError(f"iteration count must be >= 0, got {t}")
     a = p.a
     if float(t).is_integer():
@@ -68,7 +68,7 @@ def _eval_family(theta: float, a_t: float, c_t: float, big_a: float, q: float, s
 
 def _checked_s(p: ThetaParams, s):
     arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > p.big_a + _EDGE_SNAP):
+    if not (np.all(arr >= 0.0) and np.all(arr <= p.big_a + _EDGE_SNAP)):  # NaN fails too
         raise DomainError(f"s must lie in [0, A] = [0, {p.big_a}]")
     return np.where(arr > p.big_a - _EDGE_SNAP, p.big_a, arr)
 

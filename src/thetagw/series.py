@@ -15,6 +15,7 @@ scaling.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Iterable
 
 import numpy as np
@@ -88,9 +89,6 @@ class Series:
         arr[0] += float(other)
         return Series(arr)
 
-    def __neg__(self) -> "Series":
-        return Series(-self.coeffs)
-
     def __mul__(self, other: "Series | float") -> "Series":
         if not isinstance(other, Series):
             return Series(self.coeffs * float(other))
@@ -117,6 +115,7 @@ class Series:
 
         With v = u**alpha the identity u*v' = alpha*u'*v pins every
         coefficient:  m*u0*v_m = sum_{j=1..m} (j*(alpha+1) - m) * u_j * v_{m-j}.
+        Only the nonzero u_j enter the sum, so an affine base costs O(order).
         """
         u = self.coeffs
         if u[0] <= 0.0:
@@ -126,9 +125,10 @@ class Series:
         n = self.order
         v = np.zeros(n + 1)
         v[0] = u[0] ** alpha
+        nz = (np.flatnonzero(u[1:]) + 1).tolist()  # zero terms leave an exact sum as it is
         for m in range(1, n + 1):
             acc = math.fsum(
-                (j * (alpha + 1.0) - m) * u[j] * v[m - j] for j in range(1, m + 1)
+                (j * (alpha + 1.0) - m) * u[j] * v[m - j] for j in nz[: bisect_right(nz, m)]
             )
             v[m] = acc / (m * u[0])
         return Series(v)
@@ -143,8 +143,9 @@ class Series:
         n = self.order
         out = np.zeros(n + 1)
         out[0] = math.log(u[0])
+        nz = (np.flatnonzero(u[1:]) + 1).tolist()
         for k in range(1, n + 1):
-            acc = math.fsum(j * out[j] * u[k - j] for j in range(1, k))
+            acc = math.fsum((k - i) * out[k - i] * u[i] for i in nz[: bisect_left(nz, k)])
             out[k] = (k * u[k] - acc) / (k * u[0])
         return Series(out)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .absorption import absorption_tails
 from .embedding import Embedding, build_embedding, integral_residual, semigroup_F
-from .errors import SingularPathError, TrivialLawError
+from .errors import SingularPathError
 from .offspring import pmf, pmf_oracle
 from .params import CaseTag, ThetaParams, case_of, validate_classify
 from .pgf import compose_iterate, eval_f, eval_fn
@@ -111,15 +111,11 @@ def verify_set(p: ThetaParams, tag: CaseTag | None = None) -> list[VerifyCheck]:
         )
     out.append(_check("absorption_vs_iteration", cid, worst, 1e-10))
 
-    try:
-        qf = q_function(p)
-        s = np.linspace(0.0, p.q, 40) if p.q > 0.0 else np.zeros(1)
-        lhs = qf.raw(eval_f(p, s))
-        rhs = qf.gamma * qf.raw(s)
-        out.append(_check("q_functional_eq", cid, float(np.max(np.abs(lhs - rhs))), 1e-10))
-    except TrivialLawError:
-        # the critical branch has no nontrivial harmonic function
-        out.append(_check("q_functional_eq_trivial", cid, 0.0, 1e-10))
+    qf = q_function(p)
+    s = np.linspace(0.0, p.q, 40) if p.q > 0.0 else np.zeros(1)
+    lhs = qf.raw(eval_f(p, s))
+    rhs = qf.gamma * qf.raw(s)
+    out.append(_check("q_functional_eq", cid, float(np.max(np.abs(lhs - rhs))), 1e-10))
 
     e = build_embedding(p)
     out.append(_check("embed_one_step", cid, _embed_one_step_err(e, grid), 1e-10))

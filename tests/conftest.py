@@ -41,6 +41,14 @@ def per_case(request, desk):
     return request.param, p, tag
 
 
+@pytest.fixture(scope="session", params=NINE + ("case5b", "case7b", "case8b", "case9b"))
+def tail_case(request, desk):
+    """The nine sets plus the explosive b-variants, whose tails take the
+    theta != -1 explosive branches with q < 1."""
+    p, tag = desk[request.param]
+    return request.param, p, tag
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One PASS/FAIL line per acceptance criterion at the end of the run."""
     rows = {}

@@ -37,9 +37,9 @@ def quiet_expected(p):
         return expected_absorption(p)
 
 
-def test_tails_match_composition(per_case):
+def test_tails_match_composition(tail_case):
     # closed forms against n-fold composition, every case, n <= 50
-    name, p, tag = per_case
+    name, p, tag = tail_case
     tails = absorption_tails(p)
     for n in range(0, 51):
         it0, it1 = tails.via_iteration(n)
@@ -49,8 +49,8 @@ def test_tails_match_composition(per_case):
         assert abs(tails.t_tail(n) - (it0 + it1)) < 1e-10, (name, n)
 
 
-def test_tail_identities(per_case):
-    name, p, tag = per_case
+def test_tail_identities(tail_case):
+    name, p, tag = tail_case
     tails = absorption_tails(p)
     n = np.linspace(0.0, 60.0, 121)
     t0, t1, tt = tails.t0_tail(n), tails.t1_tail(n), tails.t_tail(n)

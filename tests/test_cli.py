@@ -144,6 +144,50 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert "replicate" in r.stderr and "seed" in r.stderr
 
 
+P6 = ["--theta", "-1", "--a", "0.5", "--q", "0.3"]
+GUMBEL = ["gumbel", "--theta", "-0.5", "--a", "0.5", "--q", "0.3"]
+
+
+@pytest.mark.parametrize("argv, cfg, code", [
+    (["simulate", *P6, "--replicates", "10"], {"seed": "abc"}, 3),
+    (["pmf", *P6], {"k_max": "x"}, 3),
+    (["absorb", *P6], {"n": [1]}, 3),
+    (["classify", "--a", "0.5", "--q", "0.3"], {"theta": "x"}, 3),
+    (["classify", *P6], {"format": "xml"}, 3),
+    (["absorb", *P6, "--n", "1e30"], None, 2),
+    (["absorb", *P6, "--n", "nan"], None, 2),
+    (["absorb", *P6, "--n", "2.5"], None, 2),
+    ([*GUMBEL, "--n", "nan"], None, 2),
+    ([*GUMBEL, "--n", "1e30"], None, 2),
+    (["pmf", *P6, "--k-max", "100000000000"], None, 2),
+    (["qprocess", *P6, "--k-max", "-3"], None, 2),
+    (["iterate", *P6, "--n", "nan"], None, 2),
+    (["iterate", *P6, "--s", "nan"], None, 2),
+    (["embed", *P6, "--t", "nan"], None, 2),
+], ids=[
+    "config-seed", "config-k_max", "config-n-list", "config-theta", "config-format",
+    "absorb-n-huge", "absorb-n-nan", "absorb-n-fraction", "gumbel-n-nan", "gumbel-n-huge",
+    "pmf-k-max-huge", "qprocess-k-max-negative", "iterate-n-nan", "iterate-s-nan", "embed-t-nan",
+])
+def test_bad_input_exit_codes(tmp_path, capsys, argv, cfg, code):
+    # a flag its type rejects is a usage error (2); the same text read from a
+    # config file is a parameter error (3); either way nothing reaches stdout
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = [*argv, "--config", str(path)]
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [["iterate", *P6], GUMBEL], ids=["iterate", "gumbel"])
+def test_n_defaults_to_50(capsys, argv):
+    assert cli.main(argv) == 0
+    default = capsys.readouterr().out
+    assert cli.main([*argv, "--n", "50"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_usage_exit_codes():
     assert run_cli("nonsense").returncode == 2
     assert run_cli("classify", "--theta", "one").returncode == 2

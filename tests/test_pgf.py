@@ -7,6 +7,8 @@ import pytest
 
 from thetagw import (
     DomainError,
+    absorption_tails,
+    build_embedding,
     compose_iterate,
     eval_f,
     eval_fn,
@@ -14,6 +16,7 @@ from thetagw import (
     fn_series,
     gamma_of,
     scalar_summary,
+    semigroup_F,
     series_coeffs,
 )
 
@@ -122,6 +125,20 @@ def test_domain_rejections(desk):
         eval_fn(p, -1.0, 0.5)
     with pytest.raises(DomainError):
         compose_iterate(p, 2.5, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: eval_fn(p, math.nan, 0.5),
+    lambda p: eval_fn(p, 1.0, math.nan),
+    lambda p: eval_f(p, math.nan),
+    lambda p: series_coeffs(p, 5, t=math.nan),
+    lambda p: semigroup_F(build_embedding(p), math.nan, 0.5),
+    lambda p: absorption_tails(p).t0_tail(math.nan),
+], ids=["eval_fn_t", "eval_fn_s", "eval_f", "series_coeffs", "semigroup_F", "t0_tail"])
+def test_nan_fails_domain_guards(desk, call):
+    # a guard written as x < 0 lets NaN through to a NaN result
+    with pytest.raises(DomainError):
+        call(desk["case3"][0])
 
 
 def test_explosive_iterates_lose_mass(desk):

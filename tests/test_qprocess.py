@@ -89,6 +89,20 @@ def test_stationary_law_case1(desk):
     assert law.partial_sum == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.parametrize("name", [
+    "case3", "case4", "case5b", "case6", "case7", "case7b", "case8", "case8b", "case9", "case9b",
+])
+def test_stationary_law_other_branches(desk, name):
+    # the theta = 0 branch is geometric, s(A-q)/(A-sq); every branch is a proper law
+    p, _ = desk[name]
+    law = stationary_law(p, 400)
+    assert abs(law.partial_sum - 1.0) < 1e-11
+    if p.theta == 0.0:
+        j = np.arange(1, 401)
+        geometric = (p.big_a - p.q) / p.big_a * (p.q / p.big_a) ** (j - 1)
+        assert np.max(np.abs(law.probs - geometric)) < 1e-12
+
+
 def test_stationary_law_is_gamma_invariant(desk):
     # pi is stationary for the conditioned kernel: pi P = pi
     p, _ = desk["case1"]

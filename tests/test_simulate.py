@@ -83,6 +83,8 @@ def test_worker_invariance(desk):
 COUNT_DIGESTS = {
     ("discrete", "case5"): "76fc37fcd3f97c9b0faf0f80411adf777d7b3c9079a0e23672f37cb11b7343d2",
     ("discrete", "case6"): "c222139c198ea33ab89c9614245630d1b77b8b60ff5cf3a29994962b3404959c",
+    ("ct", "case1"): "1fcb4b965c0899d439c49ff6d299082a45f9ce7fb4b111651f4bcc7d4379fd73",
+    ("ct", "case5"): "303e59d9a562146742864195fb1ef3feb3e805d269b9d6652cca0c68ca1b33ef",
     ("ct", "case6"): "0aff5d962164f7753e6d4e19f9c45ff3e5ca87313b8a5fcd833c0acc06e94e52",
     ("ct", "case8"): "d157efce435ed51bd2c5746c5d38d551462efb7160014bd9c032d44d7b73d1ad",
 }
