@@ -1,5 +1,6 @@
 """Offspring masses: four routes against the series-extraction oracle."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -213,3 +214,28 @@ def test_sample_offspring_escape_rate(desk):
     rng = np.random.default_rng(11)
     draws = np.array([sample_offspring(table, rng) for _ in range(40000)])
     assert abs(np.isinf(draws).mean() - s.p_inf) < 0.01
+
+
+# sha256 over pmf at orders 256, 512, ..., 2^19 and 10^6, then the table's
+# boundaries at 10^6, for the theta = -1/m route (m = 2 and m = 3).
+NEG_RECIP_DIGESTS = {
+    "case5": ({"theta": -0.5, "a": 0.5, "q": 0.0},
+              "5500df63a0c295ccd8490477b1842040e711d57b96f663dcb7360c92e3a2e1a6"),
+    "case5b": ({"theta": -0.5, "a": 0.5, "q": 0.3},
+               "40628dbd67d4e21aaa008fb5abb18eb0b76d373a4cda027129a8e6b4d360ad42"),
+    "case9b": ({"theta": -0.5, "a": 0.5, "A": 2.0, "q": 0.5},
+               "3b6ab831b9d4f3ac6acf8a0ee2fee8d81a6c9bdea833748d190fa7f9194cc4b1"),
+    "third": ({"theta": -1.0 / 3.0, "a": 0.5, "q": 0.3},
+              "ce36575dbc977a2dc06e43fc8bb06ec5ef927307e5322178b966751e0093b628"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEG_RECIP_DIGESTS))
+def test_neg_recip_tables_byte_identical(name):
+    raw, want = NEG_RECIP_DIGESTS[name]
+    p, _ = validate_classify(raw)
+    h = hashlib.sha256()
+    for order in [256 * 2**k for k in range(12)] + [10**6]:
+        h.update(pmf(p, order).tobytes())
+    h.update(OffspringTable(p, order=10**6).boundaries.tobytes())
+    assert h.hexdigest() == want

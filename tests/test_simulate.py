@@ -21,6 +21,15 @@ from thetagw import (
 )
 
 
+def counts_digest(emp):
+    """sha256 of the aggregated counts of an EmpiricalTails."""
+    h = hashlib.sha256()
+    for arr in (emp.t0_counts, emp.t1_counts, emp.t_counts):
+        h.update(arr.astype("<i8").tobytes())
+    h.update(f"{emp.censored}:{emp.sum_t}:{emp.sum_t2}".encode())
+    return h.hexdigest()
+
+
 def cfg_for(desk, name, **kw):
     p, _ = desk[name]
     defaults = dict(replicates=4000, n_max=60, z_cap=10**6, master_seed=0)
@@ -98,11 +107,66 @@ def test_counts_byte_identical(desk, kind, name):
         emp = estimate_tails(cfg)
     else:
         emp = simulate_ct_skeleton(build_embedding(p), cfg, dt=0.5)
+    assert counts_digest(emp) == COUNT_DIGESTS[kind, name]
+
+
+# Regimes the digests above do not reach, at master seed 2024: antithetic
+# pairing, a long critical tail, population-cap censoring, and offspring
+# draws beyond case5's 10^6-entry table (criterion-08 settings).
+# label -> (desk set, replicates, SimConfig overrides, sha256 of the counts)
+REGIME_DIGESTS = {
+    "case5-antithetic": ("case5", 2000, dict(n_max=20, antithetic=True),
+                         "61c89fc73dca967335580538ac4550ab8deb1c93a193f81115518fdebc7d9d7c"),
+    "case6-antithetic": ("case6", 2000, dict(n_max=20, antithetic=True),
+                         "5f810972729137f703a290ea770209e7849b2fa710bed0a0fc6e2de45f6b81a6"),
+    "case2-long-tail": ("case2", 2000, dict(n_max=1000),
+                        "5213e02703d339823921b92f7a5fe0f7c3d4d69ed2cce5d83cc9c39e1e244754"),
+    "case3-pop-cap": ("case3", 2000, dict(n_max=20, z_cap=2000),
+                      "44ca714e949126f2290a80dc33059c26561cf9209ba758f38fbbe0583afd80f1"),
+    "case5-table-cap": ("case5", 10000, dict(n_max=30),
+                        "133a1547b2fc8d2048d6525714917a68fd8edda0bba86865d9c7e2a256b82914"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(REGIME_DIGESTS))
+def test_regime_counts_byte_identical(desk, label):
+    name, reps, kw, want = REGIME_DIGESTS[label]
+    cfg = SimConfig(params=desk[name][0], replicates=reps, master_seed=2024,
+                    **{"z_cap": 10**6, **kw})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QualityWarning)
+        one = estimate_tails(cfg, workers=1)
+        two = estimate_tails(cfg, workers=2)
+    assert counts_digest(one) == want
+    assert counts_digest(two) == want
+    if label == "case3-pop-cap":
+        assert one.censored > 0  # the population cap is reached
+    if label == "case5-table-cap":
+        assert one.censored > 0  # draws land beyond the capped table
+
+
+# sha256 over the simulate_trajectory records (sizes, status, absorb_n,
+# censor_n) of replicates 0-49, plain and antithetic, at master seed 2024.
+TRAJECTORY_RUNS = {
+    "case2": dict(n_max=200, z_cap=10**6),
+    "case3": dict(n_max=30, z_cap=2000),
+    "case5": dict(n_max=30, z_cap=10**6),
+    "case6": dict(n_max=30, z_cap=10**6),
+}
+TRAJECTORY_DIGEST = "9d06f59c4c054e0e4d4e9f5c27194fb9e535a45490bb232c112f78018e6f886f"
+
+
+def test_trajectory_records_byte_identical(desk):
     h = hashlib.sha256()
-    for arr in (emp.t0_counts, emp.t1_counts, emp.t_counts):
-        h.update(arr.astype("<i8").tobytes())
-    h.update(f"{emp.censored}:{emp.sum_t}:{emp.sum_t2}".encode())
-    assert h.hexdigest() == COUNT_DIGESTS[kind, name]
+    for name, kw in TRAJECTORY_RUNS.items():
+        for anti in (False, True):
+            cfg = SimConfig(params=desk[name][0], replicates=50, master_seed=2024,
+                            antithetic=anti, **kw)
+            for i in range(50):
+                r = simulate_trajectory(cfg, i)
+                h.update(f"{name}:{anti}:{i}:{r.sizes}:{r.status.value}:"
+                         f"{r.absorb_n}:{r.censor_n};".encode())
+    assert h.hexdigest() == TRAJECTORY_DIGEST
 
 
 def test_antithetic_pairing(desk):
