@@ -149,20 +149,26 @@ def _pmf_neg_recip(p: ThetaParams, order: int, m: int) -> np.ndarray:
     probs[0] = big_a - (a * big_a ** (1.0 / m) + c) ** m
     if order == 0:
         return probs
+    # in place, in the order of the plain expressions, so the bits match them
     k = np.arange(1.0, order + 1.0)
-    acc = np.zeros(order)
+    acc = probs[1:]
+    w = np.empty(order)
     for j in range(1, m + 1):
         beta = j / m
         pref = math.comb(m, j) * a**j * c ** (m - j)
         if pref == 0.0:
             continue
         # [s^k](A-s)^beta via the ratio (beta-k)/(k+1) * (-1/A)
-        w = np.empty(order)
         w[0] = -beta * big_a ** (beta - 1.0)
-        if order > 1:
-            w[1:] = w[0] * np.cumprod(((beta - k[:-1]) / (k[:-1] + 1.0)) * (-1.0 / big_a))
-        acc += pref * w
-    probs[1:] = -acc
+        ratio = w[1:]
+        np.subtract(beta, k[:-1], out=ratio)
+        ratio /= k[1:]
+        ratio *= -1.0 / big_a
+        np.cumprod(ratio, out=ratio)
+        ratio *= w[0]
+        w *= pref
+        acc += w
+    np.negative(acc, out=acc)
     return probs
 
 
@@ -186,7 +192,7 @@ def pmf(p: ThetaParams, order: int) -> np.ndarray:
     if np.any(probs < -_PMF_CLAMP):
         k = int(np.argmax(probs < -_PMF_CLAMP))
         raise NumericError(f"p_{k} = {probs[k]} is negative beyond the clamp tolerance")
-    probs[np.abs(probs) < _PMF_CLAMP] = 0.0
+    probs[(probs < _PMF_CLAMP) & (probs > -_PMF_CLAMP)] = 0.0
     return probs
 
 
@@ -245,7 +251,11 @@ class OffspringTable:
         self.order = order
         self.probs = probs
         self.tail_mass = max(self.f_at_1 - float(np.sum(probs)), 0.0)
-        self.boundaries = np.concatenate(([self.p_inf], self.p_inf + np.cumsum(probs)))
+        bounds = np.empty(order + 2)
+        bounds[0] = self.p_inf
+        np.cumsum(probs, out=bounds[1:])
+        bounds[1:] += self.p_inf
+        self.boundaries = bounds
 
     @property
     def coverage(self) -> float:

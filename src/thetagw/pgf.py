@@ -40,14 +40,24 @@ _EDGE_SNAP = 1e-14
 
 
 def _iterated_constants(p: ThetaParams, t: float) -> tuple[float, float]:
-    """(a_t, c_t) for the t-fold iterate; exact integer powers when t is one."""
+    """(a_t, c_t) for the t-fold iterate; exact integer powers when t is one.
+
+    a_t saturates to inf when it overflows (a > 1, so theta > 0), and so does
+    c_t; the theta > 0 closed form then takes its t -> inf limit. For any
+    other theta that limit is infinite and OverflowGuardError is raised.
+    """
     if not t >= 0.0:  # NaN fails too
         raise DomainError(f"iteration count must be >= 0, got {t}")
     a = p.a
-    if float(t).is_integer():
-        at = a ** int(t)
-    else:
-        at = math.exp(t * math.log(a)) if a != 1.0 else 1.0
+    try:
+        if float(t).is_integer():
+            at = a ** int(t)
+        else:
+            at = math.exp(t * math.log(a)) if a != 1.0 else 1.0
+    except OverflowError:
+        if p.theta <= 0.0:
+            raise OverflowGuardError(f"a**t overflows at t = {t}; the iterate diverges") from None
+        at = math.inf
     if a == 1.0:
         ct = p.c * t
     else:
@@ -103,7 +113,10 @@ def eval_fn_prime(p: ThetaParams, t: float, s):
             out = a_t * np.power(big_a - arr, -theta - 1.0) * np.power(
                 inner, -(1.0 + theta) / theta
             )
-            if theta > 0.0:
+            if math.isinf(a_t):
+                # the t -> inf limit: a_t**(-1/theta) and everything else go to 0
+                out = np.zeros_like(arr)
+            elif theta > 0.0:
                 # inf * 0 at s = A; the limit is a_t**(-1/theta)
                 out = np.where(arr == big_a, a_t ** (-1.0 / theta), out)
     return float(out) if np.ndim(s) == 0 else out
@@ -140,6 +153,8 @@ def fn_series(p: ThetaParams, t: float, order: int) -> Series:
     if order < 0:
         raise DomainError("order must be >= 0")
     a_t, c_t = _iterated_constants(p, t)
+    if math.isinf(a_t):
+        raise OverflowGuardError(f"a**t overflows at t = {t}; no series of the saturated iterate")
     theta, big_a, q = p.theta, p.big_a, p.q
     base = Series.affine(big_a, -1.0, order)
     if theta == 0.0:

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NumericError, TrivialLawError
+from .errors import DomainError, NumericError, OverflowGuardError, TrivialLawError
 from .params import ThetaParams, case_of, scalar_summary
 from .pgf import eval_fn, eval_fn_prime, fn_series
 from .series import Series
@@ -135,6 +135,15 @@ def q_function(p: ThetaParams) -> QFunction:
     return QFunction(p)
 
 
+def _slope_at_q(p: ThetaParams, n: int) -> float:
+    """f_n'(q), the kernel's normalizer; it underflows to 0 for a > 1 and
+    large n, where the kernel would be 0/0."""
+    den = eval_fn_prime(p, n, p.q)
+    if den == 0.0:
+        raise OverflowGuardError(f"f_n'(q) underflows to 0 at n = {n}")
+    return den
+
+
 def q_transition_gf(p: ThetaParams, i: int, n: int, s) -> float:
     """E(s^(state at n) | start i, conditioned to survive forever).
 
@@ -148,9 +157,7 @@ def q_transition_gf(p: ThetaParams, i: int, n: int, s) -> float:
     if np.any(ss < 0.0) or np.any(ss > 1.0):
         raise DomainError("s must lie in [0, 1]")
     q = p.q
-    num = eval_fn_prime(p, n, ss * q)
-    den = eval_fn_prime(p, n, q)
-    core = ss * num / den
+    core = ss * eval_fn_prime(p, n, ss * q) / _slope_at_q(p, n)
     if i > 1:
         core = core * (eval_fn(p, n, ss * q) / q) ** (i - 1)
     return float(core) if np.ndim(s) == 0 else core
@@ -168,7 +175,7 @@ def q_transition_matrix(p: ThetaParams, n: int, i_max: int, j_max: int) -> np.nd
     fn = fn_series(p, float(n), order + 1)
     fn_at_sq = fn.scale_arg(p.q)
     deriv_at_sq = Series(fn.deriv().coeffs[: order + 1]).scale_arg(p.q)
-    den = eval_fn_prime(p, n, p.q)
+    den = _slope_at_q(p, n)
     base = Series(fn_at_sq.coeffs[: order + 1]) * (1.0 / p.q)
     rows = np.empty((i_max, j_max))
     power = Series.constant(1.0, order)

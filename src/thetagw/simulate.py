@@ -2,9 +2,23 @@
 
 Simulates discrete-generation trajectories (and the continuous-time process
 behind them), estimates the absorption-time tails empirically, and reports the
-sup deviation from the closed forms. Every replicate draws from its own
-counter-based stream keyed by (master_seed, replicate_index), so results are
-bit-identical for any worker count or scheduling order.
+sup deviation from the closed forms.
+
+Replicate i draws from its own counter-based stream, that of
+Generator(Philox(key=[master_seed, i])) (under antithetic pairing, 2j+1 takes
+1 - u of stream 2j), so its outcome depends on that key alone: counts are
+byte-identical for any worker count, chunking, batching or scheduling order.
+One Philox per call reaches any (replicate, position) by re-keying, instead
+of a generator built per replicate.
+
+The discrete simulator steps a batch of up to _BATCH = 4096 replicates
+together, one generation at a time: the live replicates' draws are searched
+in the offspring table in one call and reduced per replicate. Each replicate
+reads its stream through a draw-ahead buffer. A step holds at most
+_STEP_DRAWS = 2**18 uniforms, and the batch at most as many drawn ahead; a
+bigger generation is stepped in slices of live replicates, a replicate that
+alone needs more being its own slice. So memory is bounded by the batch, not
+by the replicate count.
 
 Censoring is handled soundly: a censored run is never counted as absorbed.
 It contributes to the certain-knowledge count of {T > n} up to its censoring
@@ -46,6 +60,9 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CT_ORDER = 4096
 _CT_BLOCK = 64
 _CT_EVENT_CAP = 1_000_000
+_BATCH = 4096  # replicates stepped together
+_STEP_DRAWS = 2**18  # uniforms one generation step holds, but for a lone big replicate
+_AHEAD = 2**14  # most uniforms a refill draws beyond the need
 
 
 class Status(Enum):
@@ -89,99 +106,212 @@ class TrajectoryRecord:
     censor_n: int | None = None
 
 
-class _Anti:
-    """Uniform-flipping view of a generator for antithetic pairing."""
-
-    def __init__(self, base: np.random.Generator):
-        self._base = base
-
-    def random(self, n: int) -> np.ndarray:
-        return 1.0 - self._base.random(n)
+_OUTCOMES = (Status.EXTINCT, Status.EXPLODED, Status.CENSORED_HORIZON, Status.CENSORED_CAP)
+_EXT, _EXP, _HOR, _CAP = range(4)  # indices into _OUTCOMES
+_NO_DRAWS = np.empty(0)
 
 
-def _replicate_rng(cfg: SimConfig, index: int):
-    if cfg.antithetic:
-        stream = index - (index & 1)
-        key = np.array([cfg.master_seed, stream], dtype=np.uint64)
-        base = np.random.Generator(np.random.Philox(key=key))
-        return _Anti(base) if index & 1 else base
-    key = np.array([cfg.master_seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+class _Streams:
+    """Uniforms of any (replicate, position) from one re-keyed Philox.
 
-
-def _run(table: OffspringTable, rng, n_max: int, z_cap: int, sizes=None):
-    """Advance one trajectory; returns (Status, generation index).
-
-    Each particle consumes exactly one uniform, in population order, so the
-    realization is identical to a sequential per-particle scan. An Infinite
-    draw anywhere in the generation ends the run as Exploded there.
+    Replicate i reads the stream of Generator(Philox(key=[master_seed, i])).
+    Under antithetic pairing replicates 2j and 2j+1 share stream 2j and the
+    odd one takes 1 - u. Re-keying sets the counter to pos // 4 with an empty
+    buffer, because numpy advances the counter before it fills its four-draw
+    buffer; the first pos % 4 draws of that block are dropped.
     """
-    z = 1
-    if sizes is not None:
-        sizes.append(1)
+
+    def __init__(self, cfg: SimConfig):
+        self._anti = cfg.antithetic
+        self._bits = np.random.Philox(key=0)  # re-keyed before every use
+        self._gen = np.random.Generator(self._bits)
+        # plain lists: the state setter reads them faster than arrays
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [int(cfg.master_seed), 0]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def reader(self, replicate: int, pos: int = 0):
+        """random(n) reading the replicate's stream on from position pos."""
+        flip = self._anti and bool(replicate & 1)
+        self._state["state"]["key"][1] = replicate - flip
+        self._state["state"]["counter"][0] = pos // 4
+        self._bits.state = self._state
+        if pos % 4:
+            self._gen.random(pos % 4)
+        if flip:
+            return lambda n: 1.0 - self._gen.random(n)
+        return self._gen.random
+
+
+class _DrawAhead:
+    """Draw-ahead buffers of the replicates lo..lo+count-1 of one batch.
+
+    A replicate whose buffer runs short re-keys the stream once, draws what
+    it needs now and keeps up to _AHEAD more, growing with its need and its
+    last buffer, as long as the batch holds at most _STEP_DRAWS of them. A
+    buffer read to its end is dropped.
+    """
+
+    def __init__(self, streams: _Streams, lo: int, count: int):
+        self._streams = streams
+        self._lo = lo
+        self.count = count
+        self._buf = [_NO_DRAWS] * count
+        self._off = [0] * count
+        self._pos = [0] * count  # stream position after the buffer
+        self._held = 0  # total length of the buffers
+
+    def segments(self, part: np.ndarray, need: np.ndarray) -> list[np.ndarray]:
+        """The next need[i] uniforms of replicate lo + part[i], for each i."""
+        buf, off, pos = self._buf, self._off, self._pos
+        held = self._held
+        segs = []
+        for j, k in zip(part.tolist(), need.tolist()):
+            b, o = buf[j], off[j]
+            if o + k < b.size:
+                segs.append(b[o : o + k])
+                off[j] = o + k
+                continue
+            held -= b.size
+            if o + k == b.size:
+                segs.append(b[o:])
+                buf[j], off[j] = _NO_DRAWS, 0
+                continue
+            extra = max(min(3 * k + 2 * b.size, _AHEAD, _STEP_DRAWS - held), 0)
+            read = self._streams.reader(self._lo + j, pos[j])
+            head = read(k - (b.size - o))
+            segs.append(np.concatenate((b[o:], head)) if o < b.size else head)
+            buf[j], off[j] = (read(extra) if extra else _NO_DRAWS), 0
+            pos[j] += head.size + extra
+            held += extra
+        self._held = held
+        return segs
+
+    def release(self, done: np.ndarray) -> None:
+        for j in done.tolist():
+            self._held -= self._buf[j].size
+            self._buf[j], self._off[j] = _NO_DRAWS, 0
+
+
+def _slices(ends: np.ndarray) -> list[tuple[int, int]]:
+    """Index ranges of the live replicates, ends = cumsum of their sizes,
+    holding at most _STEP_DRAWS draws each; a replicate that needs more is a
+    range of its own."""
+    if ends[-1] <= _STEP_DRAWS:
+        return [(0, ends.size)]
+    out, i = [], 0
+    while i < ends.size:
+        base = ends[i - 1] if i else 0
+        e = max(int(np.searchsorted(ends, base + _STEP_DRAWS, side="right")), i + 1)
+        out.append((i, e))
+        i = e
+    return out
+
+
+def _run_batch(cfg: SimConfig, table: OffspringTable, ahead: _DrawAhead, paths=None):
+    """Step the replicates of a batch together, one generation at a time.
+
+    Returns (outcome, n): per replicate the index of its Status in _OUTCOMES
+    and the generation it ended at (n_max when censored at the horizon).
+    Each particle consumes one uniform in population order, so every
+    replicate's realization is the sequential per-particle scan of its own
+    stream. A generation ends a replicate, in this order: Exploded on any
+    draw below p_inf; CensoredCap on a draw beyond the capped table (T > n is
+    certain); Extinct at size 0; CensoredCap above z_cap. When paths is
+    given, paths[j] collects the sizes of replicate j.
+    """
+    count = ahead.count
+    outcome = np.full(count, _HOR, dtype=np.int8)
+    gen = np.full(count, cfg.n_max, dtype=np.int64)
+    live = np.arange(count)
+    z = np.ones(count, dtype=np.int64)  # sizes of the live replicates
     p_inf = table.p_inf
-    for n in range(1, n_max + 1):
-        u = rng.random(z)
-        if p_inf > 0.0 and float(u.min()) < p_inf:
-            return Status.EXPLODED, n
-        mx = float(u.max())
-        if mx >= table.coverage and not table.ensure_coverage(mx):
-            # unresolved draw: a finite count beyond the table cap, so T > n is certain
-            return Status.CENSORED_CAP, n
-        z = int((np.searchsorted(table.boundaries, u, side="right") - 1).sum())
-        if sizes is not None:
-            sizes.append(z)
-        if z == 0:
-            return Status.EXTINCT, n
-        if z > z_cap:
-            return Status.CENSORED_CAP, n
-    return Status.CENSORED_HORIZON, n_max
+    for n in range(1, cfg.n_max + 1):
+        ends = np.cumsum(z)
+        kept = []
+        for i, e in _slices(ends):
+            part, need = live[i:e], z[i:e]
+            starts = ends[i:e] - need
+            if i:
+                starts -= ends[i - 1]
+            segs = ahead.segments(part, need)
+            u = segs[0] if len(segs) == 1 else np.concatenate(segs)
+            top = np.maximum.reduceat(u, starts)
+            # no uniform is below p_inf = 0, so top >= p_inf then
+            fine = (np.minimum.reduceat(u, starts) if p_inf > 0.0 else top) >= p_inf
+            big = float(top.max(initial=0.0, where=fine))
+            if big >= table.coverage:
+                del u  # free the step's draws while the table grows
+                table.ensure_coverage(big)
+                u = np.concatenate(segs)
+            found = fine & (top < table.coverage)
+            size = np.add.reduceat(np.searchsorted(table.boundaries, u, side="right"), starts)
+            size -= need
+            if paths is not None:
+                for j, zj in zip(part[found].tolist(), size[found].tolist()):
+                    paths[j].append(zj)
+            cont = found & (size > 0) & (size <= cfg.z_cap)
+            if not cont.all():
+                done = ~cont
+                code = np.where(fine, np.where(found & (size == 0), _EXT, _CAP), _EXP)
+                outcome[part[done]] = code[done]
+                gen[part[done]] = n
+                ahead.release(part[done])
+                part, size = part[cont], size[cont]
+            kept.append((part, size))
+            del segs, u  # before the next slice draws
+        live, z = kept[0] if len(kept) == 1 else map(np.concatenate, zip(*kept))
+        if not live.size:
+            break
+    return outcome, gen
 
 
 def simulate_trajectory(cfg: SimConfig, replicate_index: int) -> TrajectoryRecord:
     """One full path, deterministic given (master_seed, replicate_index)."""
     if not 0 <= replicate_index < cfg.replicates:
         raise DomainError("replicate_index outside [0, replicates)")
-    table = OffspringTable(cfg.params)
-    rng = _replicate_rng(cfg, replicate_index)
-    sizes: list[int] = []
-    status, k = _run(table, rng, cfg.n_max, cfg.z_cap, sizes=sizes)
+    paths = [[1]]
+    ahead = _DrawAhead(_Streams(cfg), replicate_index, 1)
+    outcome, gen = _run_batch(cfg, OffspringTable(cfg.params), ahead, paths)
+    status, k = _OUTCOMES[outcome[0]], int(gen[0])
     if status in (Status.EXTINCT, Status.EXPLODED):
-        return TrajectoryRecord(tuple(sizes), status, absorb_n=k)
-    return TrajectoryRecord(tuple(sizes), status, censor_n=k)
+        return TrajectoryRecord(tuple(paths[0]), status, absorb_n=k)
+    return TrajectoryRecord(tuple(paths[0]), status, censor_n=k)
 
 
-def _tally(cfg: SimConfig, lo: int, hi: int, run_one):
-    """Histograms of replicates lo..hi-1 by outcome and bin key.
+def _tally(cfg: SimConfig, outcome: np.ndarray, key: np.ndarray):
+    """Histograms of replicate outcomes by bin key.
 
-    run_one maps a replicate's generator to (Status, key). Returns the
-    extinct, exploded and censored histograms, plus the sum and the sum of
-    squares of the certain counts of {T > n} (key + 1 for a censored run).
+    Returns the extinct, exploded and censored histograms, plus the sum and
+    the sum of squares of the certain counts of {T > n} (key + 1 for a
+    censored run).
     """
-    h_ext = np.zeros(cfg.n_max + 1, dtype=np.int64)
-    h_exp = np.zeros(cfg.n_max + 1, dtype=np.int64)
-    h_cen = np.zeros(cfg.n_max + 1, dtype=np.int64)
-    sum_y = 0
-    sum_y2 = 0
-    for i in range(lo, hi):
-        status, k = run_one(_replicate_rng(cfg, i))
-        if status is Status.EXTINCT:
-            h_ext[k] += 1
-            y = k
-        elif status is Status.EXPLODED:
-            h_exp[k] += 1
-            y = k
-        else:
-            h_cen[k] += 1
-            y = k + 1  # T > k certain, nothing more
-        sum_y += y
-        sum_y2 += y * y
-    return h_ext, h_exp, h_cen, sum_y, sum_y2
+    bins = cfg.n_max + 1
+    censored = outcome >= _HOR
+    y = (key + censored).tolist()
+    return (
+        np.bincount(key[outcome == _EXT], minlength=bins),
+        np.bincount(key[outcome == _EXP], minlength=bins),
+        np.bincount(key[censored], minlength=bins),
+        sum(y),
+        sum(v * v for v in y),
+    )
 
 
 def _chunk_hists(cfg: SimConfig, lo: int, hi: int):
+    """_tally of replicates lo..hi-1, stepped in batches of at most _BATCH."""
     table = OffspringTable(cfg.params)
-    return _tally(cfg, lo, hi, lambda rng: _run(table, rng, cfg.n_max, cfg.z_cap))
+    streams = _Streams(cfg)
+    parts = []
+    for b in range(lo, hi, _BATCH):
+        ahead = _DrawAhead(streams, b, min(_BATCH, hi - b))
+        parts.append(_tally(cfg, *_run_batch(cfg, table, ahead)))
+    return tuple(sum(col) for col in zip(*parts))
 
 
 def _tail_over(hist: np.ndarray) -> np.ndarray:
@@ -323,49 +453,49 @@ def _ct_boundaries(e: Embedding):
     return np.concatenate(([escape], escape + np.cumsum(st.coeffs)))
 
 
-def _ct_one(bounds, lam, rng, budget, dt, n_max, z_cap):
-    """One continuous-time path; returns (Status, bin key).
+def _ct_one(bounds, lam, draw, budget, dt, n_max, z_cap):
+    """One continuous-time path; returns (outcome index, bin key).
 
-    Absorbed at time t: key = ceil(t/dt), contributing T > n for n*dt < t.
-    Censored knowing T > t: key = the largest bin with n*dt < t.
+    draw(n) returns the path's next n uniforms. Absorbed at time t: key =
+    ceil(t/dt), contributing T > n for n*dt < t. Censored knowing T > t: key =
+    the largest bin with n*dt < t.
     """
     escape = bounds[0]
     top = bounds[-1]
     z = 1
     t = 0.0
-    exp_block = rng.random(0)
-    uni_block = rng.random(0)
+    exp_block = uni_block = _NO_DRAWS
     ei = ui = 0
-    status = Status.CENSORED_CAP  # what leaving the loop unabsorbed means
+    outcome = _CAP  # what leaving the loop unabsorbed means
     for _ in range(_CT_EVENT_CAP):
         if ei >= exp_block.size:
-            exp_block = -np.log(rng.random(_CT_BLOCK))
+            exp_block = -np.log(draw(_CT_BLOCK))
             ei = 0
         t += exp_block[ei] / (lam * z)
         ei += 1
         if t > budget:
-            return Status.CENSORED_HORIZON, n_max
+            return _HOR, n_max
         if ui >= uni_block.size:
-            uni_block = rng.random(_CT_BLOCK)
+            uni_block = draw(_CT_BLOCK)
             ui = 0
         u = uni_block[ui]
         ui += 1
         if u < escape:
-            status = Status.EXPLODED
+            outcome = _EXP
             break
         if u >= top:
             break
         k = int(np.searchsorted(bounds, u, side="right")) - 1
         z += k - 1
         if z == 0:
-            status = Status.EXTINCT
+            outcome = _EXT
             break
         if z > z_cap:
             break
     key = int(math.ceil(t / dt))
-    if status is Status.CENSORED_CAP:
+    if outcome == _CAP:
         key = max(key - 1, 0)
-    return status, min(key, n_max)
+    return outcome, min(key, n_max)
 
 
 def simulate_ct_skeleton(e: Embedding, cfg: SimConfig, dt: float) -> EmpiricalTails:
@@ -374,14 +504,18 @@ def simulate_ct_skeleton(e: Embedding, cfg: SimConfig, dt: float) -> EmpiricalTa
     Waiting times are exponential with rate lambda*Z; one particle branches
     per event with offspring from the expanded generator, and the escape mass
     1 - h(1) is an instantaneous Infinite draw. The budget is n_max*dt; time
-    or population overruns censor, never fail.
+    or population overruns censor, never fail. Replicate i reads the same
+    stream as in the discrete simulator, in 64-draw blocks.
     """
     if not dt > 0.0:
         raise DomainError("dt must be positive")
     bounds = _ct_boundaries(e)
     budget = cfg.n_max * dt
-
-    def run_one(rng):
-        return _ct_one(bounds, e.lam, rng, budget, dt, cfg.n_max, cfg.z_cap)
-
-    return _assemble(cfg, *_tally(cfg, 0, cfg.replicates, run_one), dt=dt)
+    streams = _Streams(cfg)
+    outcome = np.empty(cfg.replicates, dtype=np.int8)
+    key = np.empty(cfg.replicates, dtype=np.int64)
+    for i in range(cfg.replicates):
+        outcome[i], key[i] = _ct_one(
+            bounds, e.lam, streams.reader(i), budget, dt, cfg.n_max, cfg.z_cap
+        )
+    return _assemble(cfg, *_tally(cfg, outcome, key), dt=dt)

@@ -47,6 +47,14 @@ def test_iterate_example():
     assert r2.stdout == "0.75\n"
 
 
+def test_iterate_saturates_for_large_n():
+    # a**n overflows for a = 2; the iterate rounds to 1.0 (= A = q) well before
+    for n in ("2000", "2000.5", "1e300"):
+        r = run_cli("iterate", "--theta", "1", "--a", "2", "--c", "1", "--n", n)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["value"] == 1.0
+
+
 def test_verify_example():
     r = run_cli("verify", "--theta", "-0.5", "--a", "0.5", "--q", "0", "--A", "1")
     assert r.returncode == 0

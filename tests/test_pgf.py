@@ -1,12 +1,15 @@
 """Closed-form iterates against naive composition and series extraction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from thetagw import (
     DomainError,
+    OverflowGuardError,
+    ThetaParams,
     absorption_tails,
     build_embedding,
     compose_iterate,
@@ -147,3 +150,25 @@ def test_explosive_iterates_lose_mass(desk):
     vals = [eval_fn(p, float(n), 1.0) for n in range(0, 25)]
     assert all(b < a_ for a_, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(p.q, abs=1e-6)
+
+
+def test_saturated_iterate_takes_its_limit(desk):
+    # a = 2: a**n overflows past n = 1023, where f_n rounds to A = q = 1 and
+    # f_n' (about 2**-n) is below the smallest double
+    p, _ = desk["case1"]
+    s = np.linspace(0.0, 1.0, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (2000, 2000.5, 1e300):
+            assert np.array_equal(eval_fn(p, n, s), eval_fn(p, 500, s))
+            assert np.array_equal(eval_fn_prime(p, n, s), np.zeros_like(s))
+    assert eval_fn(p, 2000, 0.0) == 1.0
+    with pytest.raises(OverflowGuardError):
+        fn_series(p, 2000, 8)
+
+
+def test_saturated_iterate_without_finite_limit():
+    # outside the admissible cases a > 1 with theta <= 0 diverges
+    p = ThetaParams(theta=-0.5, a=2.0, c=1.0, big_a=1.0, q=1.0)
+    with pytest.raises(OverflowGuardError):
+        eval_fn(p, 2000, 0.5)

@@ -7,6 +7,7 @@ import pytest
 
 from thetagw import (
     DomainError,
+    OverflowGuardError,
     TrivialLawError,
     conditional_limit_b,
     critical_limit_w,
@@ -17,6 +18,7 @@ from thetagw import (
     q_transition_matrix,
     scalar_summary,
     stationary_law,
+    validate_classify,
 )
 from thetagw.qprocess import LawKind
 
@@ -169,3 +171,15 @@ def test_q_zero_degenerate(desk):
         stationary_law(p, 10)
     with pytest.raises(DomainError):
         conditional_limit_b(p, 10)
+
+
+def test_transition_kernel_guards_underflow():
+    # a = 2, theta = 1/2: f_n'(q) = a**(-2n) underflows from n ~ 540, and a**n
+    # itself overflows past n = 1023; the kernel is 0/0 there, not a number
+    p, _ = validate_classify({"theta": 0.5, "a": 2.0, "c": 1.0})
+    assert math.isfinite(q_transition_gf(p, 1, 100, 0.5))
+    for n in (600, 1100):
+        with pytest.raises(OverflowGuardError):
+            q_transition_gf(p, 1, n, 0.5)
+        with pytest.raises(OverflowGuardError):
+            q_transition_matrix(p, n, 2, 2)

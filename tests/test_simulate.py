@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,9 @@ from thetagw import (
     simulate_ct_skeleton,
     simulate_trajectory,
 )
+from thetagw import simulate
+from thetagw.offspring import OffspringTable
+from thetagw.simulate import _DrawAhead, _Streams
 
 
 def counts_digest(emp):
@@ -167,6 +171,129 @@ def test_trajectory_records_byte_identical(desk):
                 h.update(f"{name}:{anti}:{i}:{r.sizes}:{r.status.value}:"
                          f"{r.absorb_n}:{r.censor_n};".encode())
     assert h.hexdigest() == TRAJECTORY_DIGEST
+
+
+def _fresh_stream(seed, stream, n):
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(n)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_rekeyed_streams_match_fresh_generators(desk, seed, antithetic):
+    cfg = SimConfig(params=desk["case6"][0], master_seed=seed, antithetic=antithetic)
+    streams = _Streams(cfg)
+    for rep in (0, 1, 6, 7):
+        want = _fresh_stream(seed, rep - (rep & 1) if antithetic else rep, 400)
+        if antithetic and rep & 1:
+            want = 1.0 - want
+        for pos in range(10):
+            for k in (1, 4, 7):
+                assert np.array_equal(streams.reader(rep, pos)(k), want[pos : pos + k])
+        read = streams.reader(rep)
+        assert np.array_equal(np.concatenate((read(3), read(64))), want[:67])
+    # draw-ahead buffers of replicates 6 and 7: takes of growing and shrinking
+    # size cross several refills and still read each stream in order
+    ahead = _DrawAhead(streams, 6, 2)
+    takes = [1, 1, 1, 1, 2, 5, 13, 40, 3, 1, 90, 1, 1, 200]
+    got = {0: [], 1: []}
+    for k in takes:
+        for j, seg in zip((0, 1), ahead.segments(np.array([0, 1]), np.array([k, k + 1]))):
+            got[j].append(seg)
+    for j in (0, 1):
+        rep = 6 + j
+        want = _fresh_stream(seed, 6 if antithetic else rep, 400)
+        if antithetic and rep & 1:
+            want = 1.0 - want
+        read = np.concatenate(got[j])
+        assert np.array_equal(read, want[: read.size])
+
+
+def test_memory_bounded_by_batch(desk):
+    # replicates are stepped in batches, so a 4x longer call holds no more
+    p, _ = desk["case6"]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for reps in (5000, 20000):
+            cfg = SimConfig(params=p, replicates=reps, n_max=30, master_seed=1)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            estimate_tails(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def _reference_path(cfg, table, i):
+    """Replicate i by a sequential scan of its own generator: the reference
+    the batched stepper must reproduce, run for run."""
+    stream = i - (i & 1) if cfg.antithetic else i
+    key = np.array([cfg.master_seed, stream], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    z, sizes = 1, [1]
+    for n in range(1, cfg.n_max + 1):
+        u = rng.random(z)
+        if cfg.antithetic and i & 1:
+            u = 1.0 - u
+        if u.min() < table.p_inf:
+            return sizes, Status.EXPLODED, n
+        if not table.ensure_coverage(float(u.max())):
+            return sizes, Status.CENSORED_CAP, n
+        z = int((np.searchsorted(table.boundaries, u, side="right") - 1).sum())
+        sizes.append(z)
+        if z == 0:
+            return sizes, Status.EXTINCT, n
+        if z > cfg.z_cap:
+            return sizes, Status.CENSORED_CAP, n
+    return sizes, Status.CENSORED_HORIZON, cfg.n_max
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("case2", dict(n_max=150)),
+    ("case3", dict(n_max=12, z_cap=300)),
+    ("case5", dict(n_max=30)),
+    ("case6", dict(n_max=30)),
+])
+def test_trajectories_match_sequential_reference(desk, name, kw):
+    p, _ = desk[name]
+    for seed in (7, 2**64 - 1):
+        for anti in (False, True):
+            cfg = SimConfig(params=p, replicates=40, master_seed=seed, antithetic=anti,
+                            **{"z_cap": 10**6, **kw})
+            table = OffspringTable(p)
+            for i in range(cfg.replicates):
+                rec = simulate_trajectory(cfg, i)
+                assert (list(rec.sizes), rec.status, rec.absorb_n or rec.censor_n) == \
+                    _reference_path(cfg, table, i), (seed, anti, i)
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("case3", dict(n_max=10, z_cap=2000)),
+    ("case5", dict(n_max=30, antithetic=True)),
+])
+def test_counts_independent_of_batch_and_step_bounds(desk, monkeypatch, name, kw):
+    # tiny batches, steps and draw-ahead force many batches, sliced
+    # generations and one-replicate slices; the counts must not move
+    cfg = SimConfig(params=desk[name][0], replicates=600, master_seed=11,
+                    **{"z_cap": 10**6, **kw})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QualityWarning)
+        want = counts_digest(estimate_tails(cfg))
+        monkeypatch.setattr(simulate, "_BATCH", 7)
+        monkeypatch.setattr(simulate, "_STEP_DRAWS", 40)
+        monkeypatch.setattr(simulate, "_AHEAD", 5)
+        segments = _DrawAhead.segments
+
+        def checked(ahead, part, need):
+            segs = segments(ahead, part, need)
+            # the batch holds at most _STEP_DRAWS draws ahead, and says so
+            assert ahead._held == sum(b.size for b in ahead._buf) <= 40
+            return segs
+
+        monkeypatch.setattr(_DrawAhead, "segments", checked)
+        assert counts_digest(estimate_tails(cfg)) == want
 
 
 def test_antithetic_pairing(desk):
