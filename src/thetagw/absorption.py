@@ -407,10 +407,7 @@ def gumbel_limit(
             exact_floor=math.nan,
             exact_ceil=math.nan,
         )
-    raw = {"theta": theta, "a": a, "A": big_a, "q": q}
-    if theta == 0.0 and big_a == 1.0:
-        raise RegimeError("no explosions at theta = 0, A = 1")
-    params, _ = validate_classify(raw)
+    params, _ = validate_classify({"theta": theta, "a": a, "A": big_a, "q": q})
     n_floor = math.floor(shift + y)
     n_ceil = math.ceil(shift + y)
     exact_floor = conditional_t1_cdf(params, n_floor) if n_floor >= 0 else 0.0

@@ -22,18 +22,7 @@ import time
 import numpy as np
 
 from . import absorption, embedding, qprocess, simulate
-from .errors import (
-    DomainError,
-    InconsistentParamsError,
-    NumericError,
-    OverflowGuardError,
-    RegimeError,
-    ThetaGWError,
-    TrivialLawError,
-    TruncationError,
-    UnclassifiableError,
-    UnsupportedFormError,
-)
+from .errors import DomainError, NumericError
 from .offspring import K_MAX_RATIO
 from .offspring import pmf as offspring_pmf
 from .params import scalar_summary, serialize, validate_classify
@@ -44,20 +33,6 @@ _USAGE_EXIT = 2
 _DOMAIN_EXIT = 3
 _NUMERIC_EXIT = 4
 _CHECK_EXIT = 5
-
-_DOMAIN_ERRORS = (
-    DomainError,
-    InconsistentParamsError,
-    UnclassifiableError,
-    RegimeError,
-    TrivialLawError,
-    UnsupportedFormError,
-)
-_NUMERIC_ERRORS = (
-    NumericError,
-    TruncationError,
-    OverflowGuardError,
-)
 
 _PARAM_KEYS = ("theta", "a", "c", "q", "A")
 
@@ -453,7 +428,7 @@ def _cmd_embed(opts):
 
 
 @_command("simulate", "Monte Carlo tail estimates vs the closed forms", tabular=True,
-          replicates=(int, 100_000), seed=(int, 0), n_max=(int, 200),
+          replicates=(int, 100_000), seed=(int, 0), n_max=(_rows, 200),
           z_cap=(int, 10_000_000), workers=(int, 1))
 def _cmd_simulate(opts):
     p, tag = _params_from(opts)
@@ -562,15 +537,12 @@ def main(argv=None) -> int:
         return run_command(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"thetagw: parameter error: {exc}", file=sys.stderr)
         return _DOMAIN_EXIT
-    except _NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         print(f"thetagw: numeric error: {exc}", file=sys.stderr)
         return _NUMERIC_EXIT
-    except ThetaGWError as exc:
-        print(f"thetagw: error: {exc}", file=sys.stderr)
-        return _DOMAIN_EXIT
     except Exception as exc:  # pragma: no cover - safety net
         print(f"thetagw: unexpected error: {exc}", file=sys.stderr)
         return 1

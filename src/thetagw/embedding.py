@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, SingularPathError
 from .params import CaseTag, ThetaParams, case_of
-from .pgf import SeriesTruncation, eval_fn
+from .pgf import _MASS_CLAMP, SeriesTruncation, _clamp_masses, eval_fn
 from .series import Series
 
 __all__ = [
@@ -48,8 +48,6 @@ __all__ = [
     "integral_residual",
 ]
 
-_H1_CLAMP = 1e-12
-
 
 @dataclass(frozen=True)
 class Embedding:
@@ -57,8 +55,7 @@ class Embedding:
     tag: CaseTag
     form: str  # "mu" | "aq" | "log" | "const"
     lam: float
-    mu: float  # h'(1), may be inf
-    mu_param: float | None = None  # the mu of the mu form
+    mu: float  # h'(1), may be inf; the mu of the mu form
     # h(1): 1 for proper h, q for the two-point branch; the A > 1 laws with
     # q < 1 keep an instantaneous escape mass, so h(1) < 1 there too
     h_at_1: float = field(init=False)
@@ -72,32 +69,28 @@ def build_embedding(p: ThetaParams) -> Embedding:
     theta, a, q, big_a = p.theta, p.a, p.q, p.big_a
     cid = tag.case_id
     if cid == "case6":
-        form, lam, mu, mu_param = "const", math.log(1.0 / a), 0.0, None
+        form, lam, mu = "const", math.log(1.0 / a), 0.0
     elif cid == "case1":
         d = p.d
-        mu_param = (1.0 + theta) * d / ((1.0 + theta) * d + 1.0)
+        form, mu = "mu", (1.0 + theta) * d / ((1.0 + theta) * d + 1.0)
         lam = ((1.0 + 1.0 / theta) * d + 1.0 / theta) * math.log(a)
-        form, mu = "mu", mu_param
     elif cid == "case2":
-        mu_param = 1.0
         lam = (1.0 + 1.0 / theta) * p.c
         form, mu = "mu", 1.0
     elif cid == "case3":
-        mu_param = (1.0 + theta) / ((1.0 + theta) - (1.0 - q) ** theta)
+        form, mu = "mu", (1.0 + theta) / ((1.0 + theta) - (1.0 - q) ** theta)
         lam = ((1.0 + 1.0 / theta) * (1.0 - q) ** (-theta) - 1.0 / theta) * math.log(
             1.0 / a
         )
-        form, mu = "mu", mu_param
     elif theta == 0.0:
         ee = 1.0 + math.log(big_a) - math.log(big_a - q)
-        lam = ee * math.log(1.0 / a)
+        form, lam = "log", ee * math.log(1.0 / a)
         if big_a == 1.0:
             mu = math.inf
         else:
             mu = 1.0 + (math.log((big_a - q) / (big_a - 1.0)) - 1.0) / ee
-        form, mu_param = "log", None
     else:
-        lam = (
+        form, lam = "aq", (
             (1.0 + 1.0 / theta) * big_a**theta * (big_a - q) ** (-theta) - 1.0 / theta
         ) * math.log(1.0 / a)
         if big_a == 1.0:
@@ -105,14 +98,13 @@ def build_embedding(p: ThetaParams) -> Embedding:
         else:
             dd = (1.0 + theta) * big_a**theta - (big_a - q) ** theta
             mu = 1.0 + ((big_a - q) ** theta - (1.0 + theta) * (big_a - 1.0) ** theta) / dd
-        form, mu_param = "aq", None
     if not lam > 0.0:
         raise NumericError(f"rate came out nonpositive ({lam}) for {cid}")
-    if form == "mu" and not 0.0 < mu_param <= 1.0 + 1.0 / theta:
+    if form == "mu" and not 0.0 < mu <= 1.0 + 1.0 / theta:
         raise DomainError(
-            f"offspring mean parameter {mu_param} outside (0, 1+1/theta] for {cid}"
+            f"offspring mean parameter {mu} outside (0, 1+1/theta] for {cid}"
         )
-    e = Embedding(params=p, tag=tag, form=form, lam=lam, mu=mu, mu_param=mu_param)
+    e = Embedding(params=p, tag=tag, form=form, lam=lam, mu=mu)
     hq = h_eval(e, q)
     if abs(hq - q) > 1e-12:
         raise NumericError(f"h({q}) = {hq} != q for {cid}")
@@ -128,7 +120,7 @@ def h_eval(e: Embedding, s):
     if e.form == "const":
         val = np.full_like(ss, q)
     elif e.form == "mu":
-        mu = e.mu_param
+        mu = e.mu
         one_m = 1.0 - ss
         val = 1.0 - mu * one_m + mu / (1.0 + theta) * one_m ** (1.0 + theta)
     elif e.form == "aq":
@@ -155,7 +147,7 @@ def h_coeffs(e: Embedding, order: int) -> SeriesTruncation:
         coeffs = np.zeros(order + 1)
         coeffs[0] = q
     elif e.form == "mu":
-        mu = e.mu_param
+        mu = e.mu
         base = Series.affine(1.0, -1.0, order)
         ser = 1.0 - mu * base + (mu / (1.0 + theta)) * base.pow(1.0 + theta)
         coeffs = ser.coeffs.copy()
@@ -179,13 +171,10 @@ def h_coeffs(e: Embedding, order: int) -> SeriesTruncation:
             coeffs[2:] = (1.0 - h0) / (k * (k - 1.0))
         coeffs *= big_a ** (1.0 - np.arange(order + 1, dtype=float))
     if order >= 1:
-        if abs(coeffs[1]) > _H1_CLAMP:
+        if abs(coeffs[1]) > _MASS_CLAMP:
             raise NumericError(f"linear coefficient {coeffs[1]} did not cancel")
         coeffs[1] = 0.0
-    if np.any(coeffs < -_H1_CLAMP):
-        k = int(np.argmax(coeffs < -_H1_CLAMP))
-        raise NumericError(f"h_{k} = {coeffs[k]} negative")
-    coeffs[np.abs(coeffs) < _H1_CLAMP] = 0.0
+    _clamp_masses(coeffs, "h")
     tail = max(e.h_at_1 - float(np.sum(coeffs)), 0.0)
     return SeriesTruncation(coeffs=coeffs, tail_mass_bound=tail)
 

@@ -20,7 +20,8 @@ Four disjoint pmf routes, dispatched on theta:
 The independent oracle for all of them is series extraction of the pgf
 (pmf_oracle). Sampling is inverse-CDF on a cumulative table whose first cell
 is the escape mass 1 - f(1); tables extend by doubling on demand and abort
-with TruncationError when a draw is still uncovered at the hard cap.
+with TruncationError when a draw is still uncovered at the route's cap, the
+largest order pmf computes: 10^6 for the O(K) routes, 10^4 for the triangle.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, TruncationError
+from .errors import DomainError, TruncationError
 from .params import ThetaParams, case_of, scalar_summary
-from .pgf import series_coeffs
+from .pgf import _clamp_masses, series_coeffs
 
 __all__ = [
     "BTriangle",
@@ -48,12 +49,9 @@ __all__ = [
 #: value returned for an explosive offspring draw
 INFINITE = math.inf
 
-#: default hard caps for on-demand table extension
-K_MAX_RATIO = 10**6  # theta = 0 (two-term ratio recursion, O(K))
-K_MAX_TRIANGLE = 10**4  # triangle cases (O(K^2) rebuild)
-
-#: pmf values within this of zero are clamped to exactly zero
-_PMF_CLAMP = 1e-12
+#: largest pmf order per route
+K_MAX_RATIO = 10**6  # theta = 0, -1 and -1/m (O(K))
+K_MAX_TRIANGLE = 10**4  # the triangle route (O(K^2))
 
 
 @dataclass(frozen=True)
@@ -172,11 +170,19 @@ def _pmf_neg_recip(p: ThetaParams, order: int, m: int) -> np.ndarray:
     return probs
 
 
+def _k_max_of(p: ThetaParams) -> int:
+    """The largest order pmf computes for p: its route's cap."""
+    ratio = p.theta in (0.0, -1.0) or _neg_recip_m(p.theta) is not None
+    return K_MAX_RATIO if ratio else K_MAX_TRIANGLE
+
+
 def pmf(p: ThetaParams, order: int) -> np.ndarray:
-    """Offspring masses p_0..p_order; clamped at 1e-12, else raises on negatives."""
+    """Offspring masses p_0..p_order up to the route's cap; clamped at 1e-12."""
     if order < 0:
         raise DomainError("order must be >= 0")
     case_of(p)
+    if order > _k_max_of(p):
+        raise DomainError(f"order {order} exceeds {_k_max_of(p)}, the largest this route computes")
     m = _neg_recip_m(p.theta)
     if p.theta == -1.0:
         probs = np.zeros(order + 1)
@@ -189,11 +195,7 @@ def pmf(p: ThetaParams, order: int) -> np.ndarray:
         probs = _pmf_neg_recip(p, order, m)
     else:
         probs = _pmf_triangle(p, order)
-    if np.any(probs < -_PMF_CLAMP):
-        k = int(np.argmax(probs < -_PMF_CLAMP))
-        raise NumericError(f"p_{k} = {probs[k]} is negative beyond the clamp tolerance")
-    probs[(probs < _PMF_CLAMP) & (probs > -_PMF_CLAMP)] = 0.0
-    return probs
+    return _clamp_masses(probs, "p")
 
 
 def pmf_oracle(p: ThetaParams, order: int) -> np.ndarray:
@@ -225,37 +227,40 @@ def theta0_scaled_tail(p: ThetaParams, n_lo: int, n_hi: int) -> np.ndarray:
     return out
 
 
+def _cumulative(escape: float, masses: np.ndarray) -> np.ndarray:
+    """Inverse-CDF cells: [escape, escape + m_0, escape + m_0 + m_1, ...]."""
+    bounds = np.empty(masses.size + 1)
+    bounds[0] = escape
+    np.cumsum(masses, out=bounds[1:])
+    bounds[1:] += escape
+    return bounds
+
+
 class OffspringTable:
     """Sampling table: cumulative masses with the escape mass in front.
 
     boundaries[0] = p_inf and boundaries[k+1] = p_inf + p_0 + ... + p_k, so a
     uniform draw u maps to Infinite when u < boundaries[0] and to the count k
-    whose cell contains it otherwise. Extension doubles the table length and
-    reproduces the existing prefix bit for bit (the recursions are
-    deterministic), so draws are stable under extension.
+    whose cell contains it otherwise. The table starts at 256 entries;
+    extension doubles its length up to the route's cap k_max and reproduces
+    the existing prefix bit for bit (the recursions are deterministic), so
+    draws are stable under extension.
     """
 
-    def __init__(self, p: ThetaParams, order: int = 256, k_max: int | None = None):
+    def __init__(self, p: ThetaParams):
         self.params = p
         summary = scalar_summary(p)
         self.p_inf = summary.p_inf
         self.f_at_1 = summary.f_at_1
-        if k_max is None:
-            cheap = p.theta in (0.0, -1.0) or _neg_recip_m(p.theta) is not None
-            k_max = K_MAX_RATIO if cheap else K_MAX_TRIANGLE
-        self.k_max = int(k_max)
-        self._rebuild(min(max(order, 1), self.k_max))
+        self.k_max = _k_max_of(p)
+        self._rebuild(min(256, self.k_max))
 
     def _rebuild(self, order: int) -> None:
         probs = pmf(self.params, order)
         self.order = order
         self.probs = probs
         self.tail_mass = max(self.f_at_1 - float(np.sum(probs)), 0.0)
-        bounds = np.empty(order + 2)
-        bounds[0] = self.p_inf
-        np.cumsum(probs, out=bounds[1:])
-        bounds[1:] += self.p_inf
-        self.boundaries = bounds
+        self.boundaries = _cumulative(self.p_inf, probs)
 
     @property
     def coverage(self) -> float:

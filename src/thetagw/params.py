@@ -193,8 +193,6 @@ def validate_classify(raw: Mapping[str, object]) -> tuple[ThetaParams, CaseTag]:
 
     if theta > 0.0 and a >= 1.0:
         # Cases 1 and 2: defined through c, with q pinned at A = 1.
-        if big_a != 1.0:
-            raise UnclassifiableError("a >= 1 requires A = 1")
         if c is None:
             raise DomainError("a >= 1 requires c explicitly (q carries no information)")
         if c <= 0.0:
@@ -234,11 +232,6 @@ def validate_classify(raw: Mapping[str, object]) -> tuple[ThetaParams, CaseTag]:
                     f"c={c} inconsistent with q={q} (implies c={c_implied})"
                 )
             c = c_implied
-        if big_a == 1.0 and q == 1.0:
-            # Would collide with the a = 1 family; not an admissible corner.
-            raise UnclassifiableError("A = 1 with q = 1 requires a >= 1")
-        if theta == -1.0 and big_a != 1.0:
-            raise UnclassifiableError("theta = -1 is defined only with A = 1")
 
     p = ThetaParams(theta=theta, a=a, c=c, big_a=big_a, q=q)
     tag = case_of(p)

@@ -6,10 +6,12 @@ a = 1), and n may be any nonnegative real t, which is what the continuous-time
 embedding uses. compose_iterate is the deliberately naive n-fold composition
 kept as an oracle against the closed form.
 
-Arguments live in [0, A]. s = A is allowed everywhere and evaluated by the
-continuous limit (for theta > 0 the inner bracket diverges and f(A) = A);
-values within 1e-14 of A are snapped to A first so the corner is hit exactly
-instead of through a catastrophically cancelled power.
+Arguments live in [0, A]; s = A is evaluated by the continuous limit (for
+theta > 0 the inner bracket diverges and f(A) = A). Rounding just outside
+reads as the end point: up to 1e-14 above A, and down to -1e-14/|theta| below
+0 (the closed form rounds by about eps/|theta|). For theta > 0, s within 1e-14
+below A is snapped to A too; for theta <= 0, f is steep at A ((A - s)^|theta|)
+and such a snap would move it by up to 1e-14^|theta|.
 """
 
 from __future__ import annotations
@@ -35,8 +37,22 @@ __all__ = [
     "gamma_of",
 ]
 
-#: s within this distance of A is treated as exactly A
+#: how far outside [0, A] (and, for theta > 0, below A) s is read as the end point
 _EDGE_SNAP = 1e-14
+
+#: masses and coefficients within this of zero are clamped to exactly zero
+_MASS_CLAMP = 1e-12
+
+
+def _clamp_masses(arr: np.ndarray, label: str, first: int = 0) -> np.ndarray:
+    """Zero the entries of arr within 1e-12 of 0, in place; one below -1e-12
+    is no mass and raises NumericError naming label_(k + first)."""
+    low = arr < -_MASS_CLAMP
+    if np.any(low):
+        k = int(np.argmax(low))
+        raise NumericError(f"{label}_{k + first} = {arr[k]} is negative beyond the 1e-12 clamp")
+    arr[(arr < _MASS_CLAMP) & (arr > -_MASS_CLAMP)] = 0.0
+    return arr
 
 
 def _iterated_constants(p: ThetaParams, t: float) -> tuple[float, float]:
@@ -60,6 +76,9 @@ def _iterated_constants(p: ThetaParams, t: float) -> tuple[float, float]:
         at = math.inf
     if a == 1.0:
         ct = p.c * t
+    elif abs(a - 1.0) < 1e-4 and not math.isinf(at):
+        # a_t - 1 loses about eps/|a - 1| of its digits near a = 1; expm1 none
+        ct = p.c * math.expm1(t * math.log(a)) / (a - 1.0)
     else:
         ct = p.c * (at - 1.0) / (a - 1.0)
     return at, ct
@@ -67,20 +86,25 @@ def _iterated_constants(p: ThetaParams, t: float) -> tuple[float, float]:
 
 def _eval_family(theta: float, a_t: float, c_t: float, big_a: float, q: float, s):
     """Core closed form shared by eval_f and eval_fn."""
-    with np.errstate(divide="ignore"):
+    if theta == -1.0:
+        return a_t * s + (1.0 - a_t) * q
+    with np.errstate(divide="ignore", invalid="ignore"):
         if theta == 0.0:
-            return big_a - (big_a - q) ** (1.0 - a_t) * np.power(big_a - s, a_t)
-        if theta == -1.0:
-            return a_t * s + (1.0 - a_t) * q
-        inner = a_t * np.power(big_a - s, -theta) + c_t
-        return big_a - np.power(inner, -1.0 / theta)
+            val = big_a - (big_a - q) ** (1.0 - a_t) * np.power(big_a - s, a_t)
+        else:
+            val = big_a - np.power(a_t * np.power(big_a - s, -theta) + c_t, -1.0 / theta)
+    # f_t(A) = A for theta >= 0, also where a_t underflows to 0 (0**0, 0*inf)
+    return np.where(s == big_a, big_a, val) if theta >= 0.0 else val
 
 
 def _checked_s(p: ThetaParams, s):
     arr = np.asarray(s, dtype=float)
-    if not (np.all(arr >= 0.0) and np.all(arr <= p.big_a + _EDGE_SNAP)):  # NaN fails too
+    low = _EDGE_SNAP / min(1.0, abs(p.theta) or 1.0)
+    if not (np.all(arr >= -low) and np.all(arr <= p.big_a + _EDGE_SNAP)):  # NaN fails too
         raise DomainError(f"s must lie in [0, A] = [0, {p.big_a}]")
-    return np.where(arr > p.big_a - _EDGE_SNAP, p.big_a, arr)
+    arr = np.where(arr < 0.0, 0.0, arr)
+    top = p.big_a - _EDGE_SNAP if p.theta > 0.0 else p.big_a
+    return np.where(arr > top, p.big_a, arr)
 
 
 def eval_f(p: ThetaParams, s):
@@ -186,19 +210,11 @@ class SeriesTruncation:
 def series_coeffs(p: ThetaParams, order: int, t: float = 1.0) -> SeriesTruncation:
     """pgf coefficients of the t-fold iterate as a checked truncation.
 
-    Coefficients within 1e-12 of zero are clamped to zero; a coefficient more
-    negative than that contradicts the pmf interpretation and raises
-    NumericError, as does a coefficient sum exceeding f_t(1) beyond rounding.
+    Coefficients are clamped by _clamp_masses; a coefficient sum exceeding
+    f_t(1) beyond rounding raises NumericError.
     """
     case_of(p)  # reject unclassifiable bundles before doing work
-    coeffs = fn_series(p, t, order).coeffs.copy()
-    bad = coeffs < -1e-12
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise NumericError(
-            f"pgf coefficient {k} is {coeffs[k]}, below the -1e-12 clamp"
-        )
-    coeffs[np.abs(coeffs) < 1e-12] = 0.0
+    coeffs = _clamp_masses(fn_series(p, t, order).coeffs.copy(), "f_t coefficient")
     total = float(eval_fn(p, t, 1.0))
     tail = total - float(np.sum(coeffs))
     if tail < -1e-9:

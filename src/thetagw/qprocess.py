@@ -31,9 +31,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NumericError, OverflowGuardError, TrivialLawError
+from .errors import DomainError, OverflowGuardError, TrivialLawError
 from .params import ThetaParams, case_of, scalar_summary
-from .pgf import eval_fn, eval_fn_prime, fn_series
+from .pgf import _checked_s, _clamp_masses, eval_fn, eval_fn_prime, fn_series
 from .series import Series
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
     "conditional_limit_b",
     "critical_limit_w",
 ]
-
-_COEFF_CLAMP = 1e-12
 
 
 class LawKind(Enum):
@@ -75,12 +73,8 @@ class LimitLaw:
 
 
 def _law(kind: LawKind, coeffs_from_1: np.ndarray) -> LimitLaw:
-    probs = np.asarray(coeffs_from_1, dtype=float).copy()
-    if np.any(probs < -_COEFF_CLAMP):
-        j = int(np.argmax(probs < -_COEFF_CLAMP)) + 1
-        raise NumericError(f"{kind.value} mass at j={j} is {probs[j-1]}, negative")
-    probs[np.abs(probs) < _COEFF_CLAMP] = 0.0
-    return LimitLaw(kind=kind, probs=probs)
+    probs = np.array(coeffs_from_1, dtype=float)
+    return LimitLaw(kind=kind, probs=_clamp_masses(probs, kind.value, first=1))
 
 
 class QFunction:
@@ -105,9 +99,7 @@ class QFunction:
     def raw(self, s):
         p = self.params
         theta, q, big_a = p.theta, p.q, p.big_a
-        ss = np.asarray(s, dtype=float)
-        if np.any(ss < 0.0) or np.any(ss > big_a):
-            raise DomainError(f"Q argument outside [0, {big_a}]")
+        ss = _checked_s(p, s)
         with np.errstate(divide="ignore"):
             if self.trivial:
                 val = np.zeros_like(ss)

@@ -31,8 +31,8 @@ at that generation, which is sound because such draws are finite and positive.
 from __future__ import annotations
 
 import math
+import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,7 +41,7 @@ import numpy as np
 from .absorption import AbsorptionTails
 from .embedding import Embedding, h_coeffs
 from .errors import DomainError, QualityWarning
-from .offspring import OffspringTable
+from .offspring import OffspringTable, _cumulative
 from .params import ThetaParams
 
 __all__ = [
@@ -412,13 +412,16 @@ def _assemble(cfg: SimConfig, h_ext, h_exp, h_cen, sum_y, sum_y2, dt=None):
 
 
 def estimate_tails(cfg: SimConfig, workers: int = 1) -> EmpiricalTails:
-    """Aggregate all replicates into tail counts; identical for any workers."""
+    """Aggregate all replicates into tail counts; identical for any workers,
+    of which at most os.cpu_count() run."""
     if workers < 1:
         raise DomainError("workers must be >= 1")
+    workers = min(workers, os.cpu_count() or 1)
     r = cfg.replicates
     if workers == 1 or r < 2 * workers:
         parts = [_chunk_hists(cfg, 0, r)]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import; rarely needed
         edges = np.linspace(0, r, min(4 * workers, r) + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(_chunk_hists, [cfg] * (len(edges) - 1), edges[:-1], edges[1:]))
@@ -447,39 +450,30 @@ def ks_distance(emp: EmpiricalTails, analytic: AbsorptionTails, n_range) -> KSRe
     )
 
 
-def _ct_boundaries(e: Embedding):
-    st = h_coeffs(e, _CT_ORDER)
-    escape = max(1.0 - e.h_at_1, 0.0)
-    return np.concatenate(([escape], escape + np.cumsum(st.coeffs)))
-
-
 def _ct_one(bounds, lam, draw, budget, dt, n_max, z_cap):
     """One continuous-time path; returns (outcome index, bin key).
 
-    draw(n) returns the path's next n uniforms. Absorbed at time t: key =
-    ceil(t/dt), contributing T > n for n*dt < t. Censored knowing T > t: key =
-    the largest bin with n*dt < t.
+    draw(n) returns the path's next n uniforms, 128 per 64 events: 64 waiting
+    times, then 64 offspring draws. Absorbed at time t: key = ceil(t/dt),
+    contributing T > n for n*dt < t. Censored knowing T > t: key = the largest
+    bin with n*dt < t.
     """
     escape = bounds[0]
     top = bounds[-1]
     z = 1
     t = 0.0
-    exp_block = uni_block = _NO_DRAWS
-    ei = ui = 0
+    i = _CT_BLOCK
     outcome = _CAP  # what leaving the loop unabsorbed means
     for _ in range(_CT_EVENT_CAP):
-        if ei >= exp_block.size:
-            exp_block = -np.log(draw(_CT_BLOCK))
-            ei = 0
-        t += exp_block[ei] / (lam * z)
-        ei += 1
+        if i == _CT_BLOCK:
+            block = draw(2 * _CT_BLOCK)
+            wait, uni = -np.log(block[:_CT_BLOCK]), block[_CT_BLOCK:]
+            i = 0
+        t += wait[i] / (lam * z)
         if t > budget:
             return _HOR, n_max
-        if ui >= uni_block.size:
-            uni_block = draw(_CT_BLOCK)
-            ui = 0
-        u = uni_block[ui]
-        ui += 1
+        u = uni[i]
+        i += 1
         if u < escape:
             outcome = _EXP
             break
@@ -505,11 +499,13 @@ def simulate_ct_skeleton(e: Embedding, cfg: SimConfig, dt: float) -> EmpiricalTa
     per event with offspring from the expanded generator, and the escape mass
     1 - h(1) is an instantaneous Infinite draw. The budget is n_max*dt; time
     or population overruns censor, never fail. Replicate i reads the same
-    stream as in the discrete simulator, in 64-draw blocks.
+    stream as in the discrete simulator, in 128-draw blocks; e embeds cfg.params.
     """
     if not dt > 0.0:
         raise DomainError("dt must be positive")
-    bounds = _ct_boundaries(e)
+    if e.params != cfg.params:
+        raise DomainError("the embedding and cfg.params describe different laws")
+    bounds = _cumulative(max(1.0 - e.h_at_1, 0.0), h_coeffs(e, _CT_ORDER).coeffs)
     budget = cfg.n_max * dt
     streams = _Streams(cfg)
     outcome = np.empty(cfg.replicates, dtype=np.int8)

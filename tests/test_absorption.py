@@ -27,6 +27,7 @@ from thetagw import (
     conditional_t1_cdf,
     expected_absorption,
     gumbel_limit,
+    validate_classify,
 )
 
 
@@ -221,3 +222,17 @@ def test_real_valued_n_interpolates(desk):
     # closed forms accept fractional n and sit between the integer values
     lo, mid, hi = tails.t_tail(3.0), tails.t_tail(3.5), tails.t_tail(4.0)
     assert hi < mid < lo
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "t_tail of the explosive laws is a difference of two powers that loses its "
+    "digits as the tail falls; t0_tail + t1_tail keeps them"))
+def test_t_tail_keeps_relative_precision():
+    # T > n means n < T0 < inf or n < T1 < inf here, so t = t0 + t1. The
+    # difference form is off by 2.5e-3 at n = 44, rises by one ulp at n = 51
+    # (why the property tests check only t0 and t1 for monotonicity) and is 0
+    # from n = 53 on.
+    p, _ = validate_classify({"theta": 0.0, "a": 0.5, "A": 2.0, "q": 0.0})
+    tails = absorption_tails(p)
+    n = np.arange(0, 60)
+    assert np.allclose(tails.t_tail(n), tails.t0_tail(n) + tails.t1_tail(n), rtol=1e-6, atol=0.0)

@@ -172,10 +172,13 @@ GUMBEL = ["gumbel", "--theta", "-0.5", "--a", "0.5", "--q", "0.3"]
     (["iterate", *P6, "--n", "nan"], None, 2),
     (["iterate", *P6, "--s", "nan"], None, 2),
     (["embed", *P6, "--t", "nan"], None, 2),
+    (["simulate", *P6, "--replicates", "10", "--n-max", "100000000000"], None, 2),
+    (["simulate", *P6, "--replicates", "10", "--n-max", "0"], None, 3),
 ], ids=[
     "config-seed", "config-k_max", "config-n-list", "config-theta", "config-format",
     "absorb-n-huge", "absorb-n-nan", "absorb-n-fraction", "gumbel-n-nan", "gumbel-n-huge",
     "pmf-k-max-huge", "qprocess-k-max-negative", "iterate-n-nan", "iterate-s-nan", "embed-t-nan",
+    "simulate-n-max-huge", "simulate-n-max-zero",
 ])
 def test_bad_input_exit_codes(tmp_path, capsys, argv, cfg, code):
     # a flag its type rejects is a usage error (2); the same text read from a
@@ -211,6 +214,25 @@ def test_domain_exit_codes():
                    "--s", "1.5").returncode == 3
     # unreadable config counts as a parameter problem, not a crash
     assert run_cli("classify", "--config", "/does/not/exist.json").returncode == 3
+
+
+def test_pmf_above_the_route_cap_exits_3(capsys):
+    # the triangle route stops at 10^4 before building anything
+    assert cli.main(["pmf", "--theta", "1", "--a", "2", "--c", "1", "--k-max", "10001"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("cmd", ["verify", "embed"])
+def test_q_zero_above_one(capsys, cmd):
+    # f_t(0) rounds to -2.2e-16 for this case9 set; s that close below 0 is 0
+    argv = [cmd, "--theta", "-0.3", "--a", "0.6", "--A", "1.5", "--q", "0"]
+    assert cli.main(argv) == 0  # 5 if a check failed
+    doc = json.loads(capsys.readouterr().out)
+    if cmd == "verify":
+        assert doc["passed"] and doc["checks"]
+    else:
+        assert doc["case"]["case_id"] == "case9"
+        assert doc["checks"]["semigroup_sup_err"] < 1e-10
 
 
 def test_numeric_exit_code(monkeypatch):

@@ -75,7 +75,7 @@ def test_critical_h_explicit(desk):
     # a = 1, theta = 1: mu form pins h(s) = 1 - mu(1-s) + mu/2 (1-s)^2
     p, _ = desk["case2"]
     e = build_embedding(p)
-    assert e.form == "mu" and e.mu_param == 1.0
+    assert e.form == "mu" and e.mu == 1.0
     st = h_coeffs(e, 8)
     # h = 1/2 + s^2/2 for mu = 1, theta = 1
     assert st.coeffs[0] == pytest.approx(0.5, abs=1e-14)

@@ -18,7 +18,8 @@ from thetagw import (
     theta0_scaled_tail,
     validate_classify,
 )
-from thetagw.offspring import b_triangle
+from thetagw import offspring
+from thetagw.offspring import K_MAX_RATIO, K_MAX_TRIANGLE, b_triangle
 
 from conftest import DESK_RAW, NINE
 
@@ -146,6 +147,18 @@ def test_triangle_sign_failure_documented():
     assert any(np.any(tri.row(n) < 0.0) for n in range(2, 41))
 
 
+@pytest.mark.parametrize("name, cap", [
+    ("case1", K_MAX_TRIANGLE), ("case4", K_MAX_RATIO), ("case5", K_MAX_RATIO),
+    ("case6", K_MAX_RATIO),
+])
+def test_pmf_route_cap(desk, name, cap):
+    # the O(K^2) triangle stops at 10^4 before any work, the ratio routes at 10^6
+    p, _ = desk[name]
+    with pytest.raises(DomainError, match="largest this route computes"):
+        pmf(p, cap + 1)
+    assert OffspringTable(p).k_max == cap
+
+
 def test_mass_accounting(per_case):
     name, p, tag = per_case
     s = scalar_summary(p)
@@ -158,7 +171,7 @@ def test_mass_accounting(per_case):
 
 def test_table_layout_and_lookup(desk):
     p, _ = desk["case5b"]
-    table = OffspringTable(p, order=64)
+    table = OffspringTable(p)
     s = scalar_summary(p)
     assert table.boundaries[0] == s.p_inf
     assert np.all(np.diff(table.boundaries) >= 0.0)
@@ -174,24 +187,29 @@ def test_table_layout_and_lookup(desk):
 def test_zero_mass_cell_skipped(desk):
     # case5 has p_0 = 0 exactly: the first draw above the escape mass is k=1
     p, _ = desk["case5"]
-    table = OffspringTable(p, order=64)
+    table = OffspringTable(p)
     assert table.probs[0] == 0.0
     assert table.lookup(table.p_inf + 1e-12) == 1
 
 
 def test_table_extension_preserves_prefix(desk):
     p, _ = desk["case3"]
-    t1 = OffspringTable(p, order=32)
-    head = t1.boundaries[:33].copy()
-    t1._rebuild(256)
-    assert np.array_equal(t1.boundaries[:33], head)
+    t1 = OffspringTable(p)
+    head = t1.boundaries.copy()
+    t1._rebuild(4 * t1.order)
+    assert np.array_equal(t1.boundaries[: head.size], head)
 
 
-def test_table_cap_raises(desk):
+def test_table_cap_raises(desk, monkeypatch):
+    # case5 (theta = -1/2) takes the ratio route; a lower cap is reached by
+    # one doubling from the first build
+    monkeypatch.setattr(offspring, "K_MAX_RATIO", 512)
     p, _ = desk["case5"]
-    table = OffspringTable(p, order=16, k_max=32)
+    table = OffspringTable(p)
+    assert (table.order, table.k_max) == (256, 512)
     with pytest.raises(TruncationError):
         table.lookup(1.0 - 1e-9)
+    assert table.order == 512
 
 
 def test_sample_offspring_statistics(desk):
@@ -237,5 +255,7 @@ def test_neg_recip_tables_byte_identical(name):
     h = hashlib.sha256()
     for order in [256 * 2**k for k in range(12)] + [10**6]:
         h.update(pmf(p, order).tobytes())
-    h.update(OffspringTable(p, order=10**6).boundaries.tobytes())
+    table = OffspringTable(p)
+    table._rebuild(10**6)
+    h.update(table.boundaries.tobytes())
     assert h.hexdigest() == want

@@ -1,7 +1,9 @@
 """Monte Carlo engine: determinism, worker invariance, agreement with theory."""
 
+import concurrent.futures
 import hashlib
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -375,6 +377,40 @@ def test_config_validation(desk):
         SimConfig(params=p, master_seed=-1)
     with pytest.raises(DomainError):
         estimate_tails(SimConfig(params=p), workers=0)
+
+
+def test_workers_clamped_to_cpu_count(desk, monkeypatch):
+    # a fake pool records its size and maps in-process: no process starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    # and under the module's own name, should it bind one at import
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", FakePool, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = cfg_for(desk, "case6", replicates=400)
+    many = estimate_tails(cfg, workers=20000)
+    assert sizes == [3]
+    assert counts_digest(many) == counts_digest(estimate_tails(cfg))
+
+
+def test_ct_skeleton_rejects_other_params(desk):
+    e = build_embedding(desk["case6"][0])
+    cfg = SimConfig(params=desk["case2"][0], replicates=10, n_max=4)
+    with pytest.raises(DomainError, match="different laws"):
+        simulate_ct_skeleton(e, cfg, dt=1.0)
 
 
 def test_ct_skeleton_case6(desk):
