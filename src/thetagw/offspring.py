@@ -236,6 +236,12 @@ def _cumulative(escape: float, masses: np.ndarray) -> np.ndarray:
     return bounds
 
 
+def _counts(bounds: np.ndarray, u):
+    """The inverse-CDF map: the count k of the cell holding each uniform u,
+    -1 in the escape cell and bounds.size - 1 beyond the table."""
+    return np.searchsorted(bounds, u, side="right") - 1
+
+
 class OffspringTable:
     """Sampling table: cumulative masses with the escape mass in front.
 
@@ -277,15 +283,13 @@ class OffspringTable:
 
     def lookup(self, u: float) -> float:
         """Map one uniform draw to a count, Infinite, or raise TruncationError."""
-        if u < self.boundaries[0]:
-            return INFINITE
         if not self.ensure_coverage(u):
             raise TruncationError(
                 f"draw lands beyond k_max={self.k_max} "
                 f"(covered mass {self.coverage:.17g})"
             )
-        k = int(np.searchsorted(self.boundaries, u, side="right")) - 1
-        return k
+        k = int(_counts(self.boundaries, u))
+        return INFINITE if k < 0 else k
 
 
 def sample_offspring(table: OffspringTable, rng: np.random.Generator) -> float:

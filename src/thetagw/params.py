@@ -58,7 +58,7 @@ __all__ = [
 _CONSISTENCY_RTOL = 1e-10
 
 #: |theta| below this (but nonzero) is accepted with a conditioning warning
-_THETA_CONDITIONING = 1e-8
+_THETA_CONDITIONING = 1e-5  # the closed form rounds by about eps/|theta|
 
 
 class Criticality(enum.Enum):

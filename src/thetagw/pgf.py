@@ -30,7 +30,6 @@ __all__ = [
     "eval_fn",
     "eval_fn_prime",
     "compose_iterate",
-    "f_series",
     "fn_series",
     "SeriesTruncation",
     "series_coeffs",
@@ -188,11 +187,6 @@ def fn_series(p: ThetaParams, t: float, order: int) -> Series:
         return Series.affine((1.0 - a_t) * q, a_t, order)
     inner = base.pow(-theta) * a_t + c_t
     return big_a - inner.pow(-1.0 / theta)
-
-
-def f_series(p: ThetaParams, order: int) -> Series:
-    """Taylor coefficients at 0 of f itself (the offspring law, unnormalized)."""
-    return fn_series(p, 1.0, order)
 
 
 @dataclass(frozen=True)

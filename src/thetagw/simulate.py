@@ -12,13 +12,13 @@ One Philox per call reaches any (replicate, position) by re-keying, instead
 of a generator built per replicate.
 
 The discrete simulator steps a batch of up to _BATCH = 4096 replicates
-together, one generation at a time: the live replicates' draws are searched
-in the offspring table in one call and reduced per replicate. Each replicate
-reads its stream through a draw-ahead buffer. A step holds at most
-_STEP_DRAWS = 2**18 uniforms, and the batch at most as many drawn ahead; a
-bigger generation is stepped in slices of live replicates, a replicate that
-alone needs more being its own slice. So memory is bounded by the batch, not
-by the replicate count.
+together, one generation at a time: the live replicates' draws are gathered
+with one index, mapped through the offspring table in one call and reduced
+per replicate. Each replicate reads its stream through a row of _ROW = 64
+uniforms drawn ahead, so a batch holds 4096 x 64 of them (2 MiB). A step
+holds at most _STEP_DRAWS = 2**18 uniforms; a bigger generation is stepped
+in slices of live replicates, a replicate that alone needs more being its own
+slice. So memory is bounded by the batch, not by the replicate count.
 
 Censoring is handled soundly: a censored run is never counted as absorbed.
 It contributes to the certain-knowledge count of {T > n} up to its censoring
@@ -41,7 +41,7 @@ import numpy as np
 from .absorption import AbsorptionTails
 from .embedding import Embedding, h_coeffs
 from .errors import DomainError, QualityWarning
-from .offspring import OffspringTable, _cumulative
+from .offspring import OffspringTable, _counts, _cumulative
 from .params import ThetaParams
 
 __all__ = [
@@ -62,7 +62,7 @@ _CT_BLOCK = 64
 _CT_EVENT_CAP = 1_000_000
 _BATCH = 4096  # replicates stepped together
 _STEP_DRAWS = 2**18  # uniforms one generation step holds, but for a lone big replicate
-_AHEAD = 2**14  # most uniforms a refill draws beyond the need
+_ROW = 64  # uniforms each replicate holds drawn ahead
 
 
 class Status(Enum):
@@ -108,7 +108,6 @@ class TrajectoryRecord:
 
 _OUTCOMES = (Status.EXTINCT, Status.EXPLODED, Status.CENSORED_HORIZON, Status.CENSORED_CAP)
 _EXT, _EXP, _HOR, _CAP = range(4)  # indices into _OUTCOMES
-_NO_DRAWS = np.empty(0)
 
 
 class _Streams:
@@ -149,53 +148,46 @@ class _Streams:
 
 
 class _DrawAhead:
-    """Draw-ahead buffers of the replicates lo..lo+count-1 of one batch.
+    """Draw-ahead rows of the replicates lo..lo+count-1 of one batch.
 
-    A replicate whose buffer runs short re-keys the stream once, draws what
-    it needs now and keeps up to _AHEAD more, growing with its need and its
-    last buffer, as long as the batch holds at most _STEP_DRAWS of them. A
-    buffer read to its end is dropped.
+    Replicate j reads rows[j] from off[j] on; pos[j] is its stream position
+    after the row. A replicate whose need runs past the end of its row
+    re-keys the stream once, reads the rest of its need into place and
+    refills its row with the next _ROW uniforms.
     """
 
     def __init__(self, streams: _Streams, lo: int, count: int):
         self._streams = streams
         self._lo = lo
         self.count = count
-        self._buf = [_NO_DRAWS] * count
-        self._off = [0] * count
-        self._pos = [0] * count  # stream position after the buffer
-        self._held = 0  # total length of the buffers
+        self._rows = np.empty((count, _ROW))
+        self._off = np.full(count, _ROW, dtype=np.int64)  # every row starts read out
+        self._pos = np.zeros(count, dtype=np.int64)
 
-    def segments(self, part: np.ndarray, need: np.ndarray) -> list[np.ndarray]:
-        """The next need[i] uniforms of replicate lo + part[i], for each i."""
-        buf, off, pos = self._buf, self._off, self._pos
-        held = self._held
-        segs = []
-        for j, k in zip(part.tolist(), need.tolist()):
-            b, o = buf[j], off[j]
-            if o + k < b.size:
-                segs.append(b[o : o + k])
-                off[j] = o + k
-                continue
-            held -= b.size
-            if o + k == b.size:
-                segs.append(b[o:])
-                buf[j], off[j] = _NO_DRAWS, 0
-                continue
-            extra = max(min(3 * k + 2 * b.size, _AHEAD, _STEP_DRAWS - held), 0)
-            read = self._streams.reader(self._lo + j, pos[j])
-            head = read(k - (b.size - o))
-            segs.append(np.concatenate((b[o:], head)) if o < b.size else head)
-            buf[j], off[j] = (read(extra) if extra else _NO_DRAWS), 0
-            pos[j] += head.size + extra
-            held += extra
-        self._held = held
-        return segs
-
-    def release(self, done: np.ndarray) -> None:
-        for j in done.tolist():
-            self._held -= self._buf[j].size
-            self._buf[j], self._off[j] = _NO_DRAWS, 0
+    def take(self, part: np.ndarray, need: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """One array holding the next need[i] uniforms of replicate lo + part[i]
+        from index starts[i] on, for each i."""
+        off = self._off[part]
+        end = off + need
+        # one flat index into the rows; cells past a row's end (clipped at the
+        # array's end) are read stale and overwritten below
+        idx = np.repeat(part * _ROW + off - starts, need)
+        idx += np.arange(idx.size)
+        u = self._rows.take(idx, mode="clip")
+        self._off[part] = end
+        short = end > _ROW
+        if not short.any():
+            return u
+        rep, rest = part[short], end[short] - _ROW
+        at = (starts + _ROW - off)[short]  # where in u each rest goes
+        pos = self._pos[rep].tolist()
+        self._off[rep] = 0
+        self._pos[rep] += rest + _ROW
+        for j, p, r, s in zip(rep.tolist(), pos, rest.tolist(), at.tolist()):
+            more = self._streams.reader(self._lo + j, p)(r + _ROW)
+            u[s : s + r] = more[:r]
+            self._rows[j] = more[r:]
+        return u
 
 
 def _slices(ends: np.ndarray) -> list[tuple[int, int]]:
@@ -239,19 +231,14 @@ def _run_batch(cfg: SimConfig, table: OffspringTable, ahead: _DrawAhead, paths=N
             starts = ends[i:e] - need
             if i:
                 starts -= ends[i - 1]
-            segs = ahead.segments(part, need)
-            u = segs[0] if len(segs) == 1 else np.concatenate(segs)
+            u = ahead.take(part, need, starts)
             top = np.maximum.reduceat(u, starts)
             # no uniform is below p_inf = 0, so top >= p_inf then
             fine = (np.minimum.reduceat(u, starts) if p_inf > 0.0 else top) >= p_inf
             big = float(top.max(initial=0.0, where=fine))
-            if big >= table.coverage:
-                del u  # free the step's draws while the table grows
-                table.ensure_coverage(big)
-                u = np.concatenate(segs)
+            table.ensure_coverage(big)
             found = fine & (top < table.coverage)
-            size = np.add.reduceat(np.searchsorted(table.boundaries, u, side="right"), starts)
-            size -= need
+            size = np.add.reduceat(_counts(table.boundaries, u), starts)
             if paths is not None:
                 for j, zj in zip(part[found].tolist(), size[found].tolist()):
                     paths[j].append(zj)
@@ -261,10 +248,9 @@ def _run_batch(cfg: SimConfig, table: OffspringTable, ahead: _DrawAhead, paths=N
                 code = np.where(fine, np.where(found & (size == 0), _EXT, _CAP), _EXP)
                 outcome[part[done]] = code[done]
                 gen[part[done]] = n
-                ahead.release(part[done])
                 part, size = part[cont], size[cont]
             kept.append((part, size))
-            del segs, u  # before the next slice draws
+            del u  # before the next slice draws
         live, z = kept[0] if len(kept) == 1 else map(np.concatenate, zip(*kept))
         if not live.size:
             break
@@ -311,6 +297,7 @@ def _chunk_hists(cfg: SimConfig, lo: int, hi: int):
     for b in range(lo, hi, _BATCH):
         ahead = _DrawAhead(streams, b, min(_BATCH, hi - b))
         parts.append(_tally(cfg, *_run_batch(cfg, table, ahead)))
+        del ahead  # its rows, before the next batch's are made
     return tuple(sum(col) for col in zip(*parts))
 
 
@@ -458,8 +445,7 @@ def _ct_one(bounds, lam, draw, budget, dt, n_max, z_cap):
     contributing T > n for n*dt < t. Censored knowing T > t: key = the largest
     bin with n*dt < t.
     """
-    escape = bounds[0]
-    top = bounds[-1]
+    beyond = bounds.size - 1
     z = 1
     t = 0.0
     i = _CT_BLOCK
@@ -467,19 +453,19 @@ def _ct_one(bounds, lam, draw, budget, dt, n_max, z_cap):
     for _ in range(_CT_EVENT_CAP):
         if i == _CT_BLOCK:
             block = draw(2 * _CT_BLOCK)
-            wait, uni = -np.log(block[:_CT_BLOCK]), block[_CT_BLOCK:]
+            wait = (-np.log(block[:_CT_BLOCK])).tolist()
+            kids = _counts(bounds, block[_CT_BLOCK:]).tolist()
             i = 0
         t += wait[i] / (lam * z)
         if t > budget:
             return _HOR, n_max
-        u = uni[i]
+        k = kids[i]
         i += 1
-        if u < escape:
+        if k < 0:
             outcome = _EXP
             break
-        if u >= top:
+        if k == beyond:
             break
-        k = int(np.searchsorted(bounds, u, side="right")) - 1
         z += k - 1
         if z == 0:
             outcome = _EXT

@@ -119,8 +119,10 @@ def test_unclassifiable_corners(raw):
 
 
 def test_tiny_theta_warns():
-    with pytest.warns(ConditioningWarning):
-        validate_classify({"theta": 1e-9, "a": 0.5, "q": 0.5})
+    # at |theta| = 1e-6 composition is already off by about 3e-10
+    for theta in (1e-9, 1e-6, -1e-6):
+        with pytest.warns(ConditioningWarning):
+            validate_classify({"theta": theta, "a": 0.5, "q": 0.5})
 
 
 def test_scalar_summary_desk_values(desk):

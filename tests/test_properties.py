@@ -8,7 +8,8 @@ from thetagw import DomainError, absorption_tails, eval_fn, serialize, validate_
 
 PROPERTY = settings(max_examples=200, derandomize=True, deadline=None)
 
-# exact branch values plus the interval; 0 < |theta| < 1e-8 warns of ill-conditioning
+# exact branch values plus the interval less 0 < |theta| < 1e-8; below 1e-5 they
+# warn of ill-conditioning
 THETA = st.one_of(
     st.sampled_from([0.0, 1.0, -1.0, -0.5, -1.0 / 3.0]),
     st.floats(-1.0, 1.0).filter(lambda t: t == 0.0 or abs(t) >= 1e-8),

@@ -194,14 +194,16 @@ def test_rekeyed_streams_match_fresh_generators(desk, seed, antithetic):
                 assert np.array_equal(streams.reader(rep, pos)(k), want[pos : pos + k])
         read = streams.reader(rep)
         assert np.array_equal(np.concatenate((read(3), read(64))), want[:67])
-    # draw-ahead buffers of replicates 6 and 7: takes of growing and shrinking
-    # size cross several refills and still read each stream in order
+    # draw-ahead rows of replicates 6 and 7: takes of growing and shrinking
+    # size cross several refills, exceed a row and (replicate 7, in the last
+    # row) gather past the array's end, and still read each stream in order
     ahead = _DrawAhead(streams, 6, 2)
     takes = [1, 1, 1, 1, 2, 5, 13, 40, 3, 1, 90, 1, 1, 200]
     got = {0: [], 1: []}
     for k in takes:
-        for j, seg in zip((0, 1), ahead.segments(np.array([0, 1]), np.array([k, k + 1]))):
-            got[j].append(seg)
+        u = ahead.take(np.array([0, 1]), np.array([k, k + 1]), np.array([0, k]))
+        got[0].append(u[:k])
+        got[1].append(u[k:])
     for j in (0, 1):
         rep = 6 + j
         want = _fresh_stream(seed, 6 if antithetic else rep, 400)
@@ -285,16 +287,16 @@ def test_counts_independent_of_batch_and_step_bounds(desk, monkeypatch, name, kw
         want = counts_digest(estimate_tails(cfg))
         monkeypatch.setattr(simulate, "_BATCH", 7)
         monkeypatch.setattr(simulate, "_STEP_DRAWS", 40)
-        monkeypatch.setattr(simulate, "_AHEAD", 5)
-        segments = _DrawAhead.segments
+        monkeypatch.setattr(simulate, "_ROW", 5)
+        take = _DrawAhead.take
 
-        def checked(ahead, part, need):
-            segs = segments(ahead, part, need)
-            # the batch holds at most _STEP_DRAWS draws ahead, and says so
-            assert ahead._held == sum(b.size for b in ahead._buf) <= 40
-            return segs
+        def checked(ahead, part, need, starts):
+            u = take(ahead, part, need, starts)
+            # the batch holds one fixed-width row of draws per replicate
+            assert ahead._rows.shape == (ahead.count, 5)
+            return u
 
-        monkeypatch.setattr(_DrawAhead, "segments", checked)
+        monkeypatch.setattr(_DrawAhead, "take", checked)
         assert counts_digest(estimate_tails(cfg)) == want
 
 
