@@ -3,9 +3,11 @@
 This is the series-extraction backbone: coefficients are produced by exact
 recurrences (generalized binomial through the J.C.P. Miller power recurrence,
 logarithm through its first-order ODE), never by floating-point
-differentiation. All operations truncate at a fixed order K and use
-compensated summation for the inner products, so coefficient error stays at
-rounding level even for K in the hundreds.
+differentiation. All operations truncate at a fixed order K. Products and
+powers form each row's terms with numpy, in the order of a term-by-term loop,
+and take one math.fsum per row: fsum rounds the exact sum correctly, so the
+coefficients are bitwise the loop's and their error stays at rounding level
+even for K in the hundreds.
 
 Only what the closed forms of this family need is implemented: affine seeds,
 ring operations, real powers, logarithms, differentiation and argument
@@ -23,6 +25,8 @@ import numpy as np
 from .errors import UnsupportedFormError
 
 __all__ = ["Series"]
+
+_SCALAR_TERMS = 8  # pow rows this short (all of an affine base) beat numpy as a generator
 
 
 class Series:
@@ -90,14 +94,16 @@ class Series:
         return Series(arr)
 
     def __mul__(self, other: "Series | float") -> "Series":
+        """Cauchy product: row k is one fsum of all the terms a_j * b_(k-j),
+        j = 0..k, formed in numpy (zeros kept); bitwise equal to a generator."""
         if not isinstance(other, Series):
             return Series(self.coeffs * float(other))
         self._check_order(other)
         n = self.order
-        a, b = self.coeffs, other.coeffs
+        a, rb = self.coeffs, other.coeffs[::-1]
         out = np.empty(n + 1)
         for k in range(n + 1):
-            out[k] = math.fsum(a[j] * b[k - j] for j in range(k + 1))
+            out[k] = math.fsum((a[: k + 1] * rb[n - k :]).tolist())
         return Series(out)
 
     __rmul__ = __mul__
@@ -116,27 +122,34 @@ class Series:
         With v = u**alpha the identity u*v' = alpha*u'*v pins every
         coefficient:  m*u0*v_m = sum_{j=1..m} (j*(alpha+1) - m) * u_j * v_{m-j}.
         Only the nonzero u_j enter the sum, so an affine base costs O(order).
+        A row of more than _SCALAR_TERMS terms forms them in numpy, left to
+        right as written, and takes one fsum: bitwise equal to a generator.
         """
         u = self.coeffs
-        if u[0] <= 0.0:
+        if not u[0] > 0.0:
             raise UnsupportedFormError(
                 f"series**{alpha} needs a positive constant term, got {u[0]}"
             )
         n = self.order
         v = np.zeros(n + 1)
         v[0] = u[0] ** alpha
-        nz = (np.flatnonzero(u[1:]) + 1).tolist()  # zero terms leave an exact sum as it is
+        nz = np.flatnonzero(u[1:]) + 1  # zero terms leave an exact sum as it is
+        ja, uz, rv, js = nz * (alpha + 1.0), u[nz], v[::-1], nz.tolist()
+        prefix = nz.size == 0 or js[-1] == nz.size  # u_1..u_c nonzero, the rest zero
         for m in range(1, n + 1):
-            acc = math.fsum(
-                (j * (alpha + 1.0) - m) * u[j] * v[m - j] for j in nz[: bisect_right(nz, m)]
-            )
+            c = bisect_right(js, m)
+            if c <= _SCALAR_TERMS:
+                acc = math.fsum((j * (alpha + 1.0) - m) * u[j] * v[m - j] for j in js[:c])
+            else:  # rv views v reversed: v_(m-j), j = 1..c, is rv[n-m+1 : n-m+c+1]
+                vj = rv[n - m + 1 : n - m + c + 1] if prefix else v[m - nz[:c]]
+                acc = math.fsum(((ja[:c] - m) * uz[:c] * vj).tolist())
             v[m] = acc / (m * u[0])
         return Series(v)
 
     def log(self) -> "Series":
         """Logarithm via (log u)' * u = u'; needs a positive constant term."""
         u = self.coeffs
-        if u[0] <= 0.0:
+        if not u[0] > 0.0:
             raise UnsupportedFormError(
                 f"log(series) needs a positive constant term, got {u[0]}"
             )

@@ -117,7 +117,7 @@ class _Streams:
     Under antithetic pairing replicates 2j and 2j+1 share stream 2j and the
     odd one takes 1 - u. Re-keying sets the counter to pos // 4 with an empty
     buffer, because numpy advances the counter before it fills its four-draw
-    buffer; the first pos % 4 draws of that block are dropped.
+    buffer; so a stream is re-keyed only at positions that are multiples of 4.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -135,13 +135,11 @@ class _Streams:
         }
 
     def reader(self, replicate: int, pos: int = 0):
-        """random(n) reading the replicate's stream on from position pos."""
+        """random(n) reading the replicate's stream on from pos, a multiple of 4."""
         flip = self._anti and bool(replicate & 1)
         self._state["state"]["key"][1] = replicate - flip
         self._state["state"]["counter"][0] = pos // 4
         self._bits.state = self._state
-        if pos % 4:
-            self._gen.random(pos % 4)
         if flip:
             return lambda n: 1.0 - self._gen.random(n)
         return self._gen.random
@@ -184,9 +182,10 @@ class _DrawAhead:
         self._off[rep] = 0
         self._pos[rep] += rest + _ROW
         for j, p, r, s in zip(rep.tolist(), pos, rest.tolist(), at.tolist()):
-            more = self._streams.reader(self._lo + j, p)(r + _ROW)
-            u[s : s + r] = more[:r]
-            self._rows[j] = more[r:]
+            k = p % 4  # read from the block start, drop the k draws before p
+            more = self._streams.reader(self._lo + j, p - k)(k + r + _ROW)
+            u[s : s + r] = more[k : k + r]
+            self._rows[j] = more[k + r :]
         return u
 
 

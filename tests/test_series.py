@@ -1,9 +1,12 @@
 """Series arithmetic against math.comb / scipy reference coefficients."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import binom as sp_binom
 
 from thetagw.errors import UnsupportedFormError
@@ -65,6 +68,12 @@ def test_pow_needs_positive_constant():
         Series.affine(-1.0, 1.0, 4).pow(2.0)
 
 
+@pytest.mark.parametrize("op", [lambda s: s.pow(0.5), Series.log], ids=["pow", "log"])
+def test_nan_constant_term_is_rejected(op):
+    with pytest.raises(UnsupportedFormError):
+        op(Series.affine(math.nan, -1.0, 4))
+
+
 def test_log_matches_mercator():
     # log(1+x) = x - x^2/2 + x^3/3 - ...
     s = Series.affine(1.0, 1.0, 20).log()
@@ -105,3 +114,74 @@ def test_high_order_stability():
 def test_rejects_empty():
     with pytest.raises(UnsupportedFormError):
         Series([])
+
+
+# -- bitwise against the one-generator-per-row forms -------------------------
+
+
+def _pow_reference(u, alpha):
+    n = u.size - 1
+    v = np.zeros(n + 1)
+    v[0] = u[0] ** alpha
+    nz = (np.flatnonzero(u[1:]) + 1).tolist()
+    for m in range(1, n + 1):
+        acc = math.fsum(
+            (j * (alpha + 1.0) - m) * u[j] * v[m - j] for j in nz[: bisect_right(nz, m)]
+        )
+        v[m] = acc / (m * u[0])
+    return v
+
+
+def _mul_reference(a, b):
+    out = np.empty(a.size)
+    for k in range(a.size):
+        out[k] = math.fsum(a[j] * b[k - j] for j in range(k + 1))
+    return out
+
+
+def _base(order, kind, seed):
+    """u_0 in [1, 2] and u_j ~ N(0, 1) 2^-j keep the zeros of u away from the
+    origin, so no coefficient up to order 300 overflows."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(order + 1) * 0.5 ** np.arange(order + 1)
+    u[0] = 1.0 + rng.random()
+    if kind == "sparse":
+        u[1::3] = 0.0  # the nonzero u_j are no prefix 1..c
+    elif kind == "signed_zero":
+        u[1:][rng.random(order) < 0.3] = -0.0
+    elif kind in (8, 9):
+        u[kind + 1 :] = 0.0  # every row from m = kind on has exactly kind terms
+    return u
+
+
+ORDER = st.integers(0, 300)
+KIND = st.sampled_from(["dense", "sparse", "signed_zero", 8, 9])
+SEED = st.integers(0, 2**32 - 1)
+# the integers, then what fn_series passes: -theta and -1/theta, and a_t > 0
+THETA = st.floats(-1.0, 1.0).filter(lambda t: abs(t) >= 1e-3)
+ALPHA = st.one_of(
+    st.integers(-4, 4).map(float),
+    THETA.map(lambda t: -t),
+    THETA.map(lambda t: -1.0 / t),
+    st.floats(0.0, 8.0, exclude_min=True),
+)
+BITWISE = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+@BITWISE
+@given(ORDER, KIND, SEED, ALPHA)
+@example(9, "dense", 0, -0.5)
+@example(40, 8, 1, 2.5)
+@example(40, 9, 2, -2.0)
+def test_pow_bitwise_equals_generator(order, kind, seed, alpha):
+    u = _base(order, kind, seed)
+    assert Series(u).pow(alpha).coeffs.tobytes() == _pow_reference(u, alpha).tobytes()
+
+
+@BITWISE
+@given(ORDER, KIND, KIND, SEED)
+@example(0, "dense", "signed_zero", 0)
+def test_mul_bitwise_equals_generator(order, left, right, seed):
+    a, b = _base(order, left, seed), _base(order, right, seed + 1)
+    a[::4] *= -1.0  # negative entries times -0.0 give signed-zero products
+    assert (Series(a) * Series(b)).coeffs.tobytes() == _mul_reference(a, b).tobytes()

@@ -189,7 +189,7 @@ def test_rekeyed_streams_match_fresh_generators(desk, seed, antithetic):
         want = _fresh_stream(seed, rep - (rep & 1) if antithetic else rep, 400)
         if antithetic and rep & 1:
             want = 1.0 - want
-        for pos in range(10):
+        for pos in (0, 4, 8):
             for k in (1, 4, 7):
                 assert np.array_equal(streams.reader(rep, pos)(k), want[pos : pos + k])
         read = streams.reader(rep)
