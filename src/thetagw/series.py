@@ -26,7 +26,9 @@ from .errors import UnsupportedFormError
 
 __all__ = ["Series"]
 
-_SCALAR_TERMS = 8  # pow rows this short (all of an affine base) beat numpy as a generator
+# Pow rows this short (all of an affine base) stay a generator: 1.5 us a row at
+# 1 term against 4-7 us in numpy; the two cross at 5-10 terms (2-core Xeon).
+_SCALAR_TERMS = 8
 
 
 class Series:
@@ -134,15 +136,13 @@ class Series:
         v = np.zeros(n + 1)
         v[0] = u[0] ** alpha
         nz = np.flatnonzero(u[1:]) + 1  # zero terms leave an exact sum as it is
-        ja, uz, rv, js = nz * (alpha + 1.0), u[nz], v[::-1], nz.tolist()
-        prefix = nz.size == 0 or js[-1] == nz.size  # u_1..u_c nonzero, the rest zero
+        ja, uz, js = nz * (alpha + 1.0), u[nz], nz.tolist()
         for m in range(1, n + 1):
             c = bisect_right(js, m)
             if c <= _SCALAR_TERMS:
                 acc = math.fsum((j * (alpha + 1.0) - m) * u[j] * v[m - j] for j in js[:c])
-            else:  # rv views v reversed: v_(m-j), j = 1..c, is rv[n-m+1 : n-m+c+1]
-                vj = rv[n - m + 1 : n - m + c + 1] if prefix else v[m - nz[:c]]
-                acc = math.fsum(((ja[:c] - m) * uz[:c] * vj).tolist())
+            else:
+                acc = math.fsum(((ja[:c] - m) * uz[:c] * v[m - nz[:c]]).tolist())
             v[m] = acc / (m * u[0])
         return Series(v)
 
