@@ -9,167 +9,24 @@ extinction and explosion time distributions, builds the conditioned
 by simulation.
 """
 
-from .absorption import (
-    AbsorptionTails,
-    ExpectedAbsorption,
-    GumbelEval,
-    GumbelLimit,
-    absorption_tails,
-    conditional_t1_cdf,
-    expected_absorption,
-    gumbel_limit,
-)
-from .embedding import (
-    Embedding,
-    build_embedding,
-    h_coeffs,
-    h_eval,
-    integral_residual,
-    semigroup_F,
-)
-from .errors import (
-    ConditioningWarning,
-    DomainError,
-    InconsistentParamsError,
-    NumericError,
-    OverflowGuardError,
-    QualityWarning,
-    RegimeError,
-    SingularPathError,
-    ThetaGWError,
-    TrivialLawError,
-    TruncationError,
-    UnclassifiableError,
-    UnsupportedFormError,
-)
-from .offspring import (
-    INFINITE,
-    OffspringTable,
-    pmf,
-    pmf_oracle,
-    sample_offspring,
-    theta0_scaled_tail,
-)
-from .params import (
-    CaseTag,
-    Criticality,
-    ScalarSummary,
-    ThetaParams,
-    case_of,
-    dual_transform,
-    from_linear_fractional,
-    scalar_summary,
-    serialize,
-    validate_classify,
-)
-from .pgf import (
-    SeriesTruncation,
-    compose_iterate,
-    eval_f,
-    eval_fn,
-    eval_fn_prime,
-    fn_series,
-    gamma_of,
-    series_coeffs,
-)
-from .qprocess import (
-    LawKind,
-    LimitLaw,
-    QFunction,
-    conditional_limit_b,
-    critical_limit_w,
-    q_function,
-    q_transition_gf,
-    q_transition_matrix,
-    stationary_law,
-)
-from .simulate import (
-    EmpiricalTails,
-    KSRecord,
-    SimConfig,
-    Status,
-    TrajectoryRecord,
-    estimate_tails,
-    ks_distance,
-    simulate_ct_skeleton,
-    simulate_trajectory,
-)
-from .verify import CANONICAL_SETS, VerifyCheck, verify_set, verify_suite
+from . import absorption, embedding, errors, offspring, params, pgf, qprocess, simulate, verify
+from .absorption import *  # noqa: F403
+from .embedding import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .offspring import *  # noqa: F403
+from .params import *  # noqa: F403
+from .pgf import *  # noqa: F403
+from .qprocess import *  # noqa: F403
+from .simulate import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+#: each module's public names, declared once in its own __all__
 __all__ = [
-    "AbsorptionTails",
-    "CANONICAL_SETS",
-    "CaseTag",
-    "ConditioningWarning",
-    "Criticality",
-    "DomainError",
-    "Embedding",
-    "EmpiricalTails",
-    "ExpectedAbsorption",
-    "GumbelEval",
-    "GumbelLimit",
-    "INFINITE",
-    "InconsistentParamsError",
-    "KSRecord",
-    "LawKind",
-    "LimitLaw",
-    "NumericError",
-    "OffspringTable",
-    "OverflowGuardError",
-    "QFunction",
-    "QualityWarning",
-    "RegimeError",
-    "ScalarSummary",
-    "SeriesTruncation",
-    "SimConfig",
-    "SingularPathError",
-    "Status",
-    "ThetaGWError",
-    "ThetaParams",
-    "TrajectoryRecord",
-    "TrivialLawError",
-    "TruncationError",
-    "UnclassifiableError",
-    "UnsupportedFormError",
-    "VerifyCheck",
-    "absorption_tails",
-    "build_embedding",
-    "case_of",
-    "compose_iterate",
-    "conditional_limit_b",
-    "conditional_t1_cdf",
-    "critical_limit_w",
-    "dual_transform",
-    "estimate_tails",
-    "eval_f",
-    "eval_fn",
-    "eval_fn_prime",
-    "expected_absorption",
-    "fn_series",
-    "from_linear_fractional",
-    "gamma_of",
-    "gumbel_limit",
-    "h_coeffs",
-    "h_eval",
-    "integral_residual",
-    "ks_distance",
-    "pmf",
-    "pmf_oracle",
-    "q_function",
-    "q_transition_gf",
-    "q_transition_matrix",
-    "sample_offspring",
-    "scalar_summary",
-    "semigroup_F",
-    "serialize",
-    "series_coeffs",
-    "simulate_ct_skeleton",
-    "simulate_trajectory",
-    "stationary_law",
-    "theta0_scaled_tail",
-    "validate_classify",
-    "verify_set",
-    "verify_suite",
+    name
+    for module in (
+        absorption, embedding, errors, offspring, params, pgf, qprocess, simulate, verify
+    )
+    for name in module.__all__
 ]

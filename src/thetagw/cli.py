@@ -13,6 +13,7 @@ Exit codes: 0 ok, 2 usage, 3 domain/parameter, 4 numeric or truncation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -56,22 +57,14 @@ def _json_value(x) -> str:
         return "null"
     if isinstance(x, str):
         return json.dumps(x)
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        xf = float(x)
-        if math.isnan(xf) or math.isinf(xf):
-            # JSON has no literals for these; keep them explicit and parseable
-            return json.dumps(_fmt(xf))
-        return _fmt(xf)
     if isinstance(x, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_json_value(v) for v in x) + "]"
     if isinstance(x, dict):
         items = (f"{json.dumps(str(k))}: {_json_value(v)}" for k, v in x.items())
         return "{" + ", ".join(items) + "}"
-    raise TypeError(f"cannot serialize {type(x).__name__}")
+    text = _fmt(x)
+    # JSON has no literals for these; keep them explicit and parseable
+    return json.dumps(text) if text in ("nan", "inf", "-inf") else text
 
 
 def _json_doc(obj: dict) -> str:
@@ -355,7 +348,7 @@ def _cmd_gumbel(opts):
 def _cmd_qprocess(opts):
     p, tag = _params_from(opts)
     order = opts["k_max"]
-    gamma = qprocess.q_function(p).gamma
+    gamma = scalar_summary(p).gamma
     laws = {}
     for name, law in (
         ("b", qprocess.conditional_limit_b),
@@ -367,7 +360,7 @@ def _cmd_qprocess(opts):
         except DomainError:  # this law is trivial or undefined for the case
             laws[name] = None
     payload = {"params": serialize(p), "case": _tag_dict(tag), "gamma": gamma, **laws}
-    text_lines = [f"case {tag.case_id}: gamma={_fmt(gamma) if gamma is not None else 'null'}"]
+    text_lines = [f"case {tag.case_id}: gamma={_fmt(gamma)}"]
     for name, val in laws.items():
         text_lines.append(
             f"{name}: " + ("null" if val is None else " ".join(_fmt(v) for v in val[:10]))
@@ -480,11 +473,7 @@ def _cmd_verify(opts):
         checks = list(verify_set(p, tag))
     else:
         checks = verify_suite(seed=seed)
-    check_dicts = [
-        {"name": c.name, "target": c.target, "value": c.value, "tol": c.tol,
-         "passed": c.passed}
-        for c in checks
-    ]
+    check_dicts = [dataclasses.asdict(c) for c in checks]
     payload = {"checks": check_dicts, "seed": seed,
                "passed": all(c.passed for c in checks)}
     text = "\n".join(

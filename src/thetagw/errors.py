@@ -7,6 +7,13 @@ not where. The CLI maps them onto distinct exit codes.
 
 from __future__ import annotations
 
+__all__ = [
+    "ThetaGWError", "DomainError", "InconsistentParamsError", "UnclassifiableError",
+    "NumericError", "TruncationError", "OverflowGuardError", "SingularPathError",
+    "UnsupportedFormError", "RegimeError", "TrivialLawError",
+    "ConditioningWarning", "QualityWarning",
+]
+
 
 class ThetaGWError(Exception):
     """Base class for all errors raised by this package."""

@@ -147,6 +147,12 @@ def _q_from_c(theta: float, a: float, c: float, big_a: float) -> float:
     return big_a - ((1.0 - a) / c) ** (1.0 / theta)
 
 
+def _check_fixed_point_at_one(theta: float, a: float, big_a: float, q: float) -> None:
+    """A = 1 with q = 1 is admissible for a < 1 only as theta = -1's pure death."""
+    if big_a == 1.0 and q == 1.0 and a < 1.0 and theta != -1.0:
+        raise UnclassifiableError("A = 1 with q = 1 requires a >= 1")
+
+
 def validate_classify(raw: Mapping[str, object]) -> tuple[ThetaParams, CaseTag]:
     """Validate a raw parameter mapping and classify it into one of nine cases.
 
@@ -221,9 +227,8 @@ def validate_classify(raw: Mapping[str, object]) -> tuple[ThetaParams, CaseTag]:
                     f"c={c} corresponds to q={q} outside [0, 1]"
                 )
         else:
-            if big_a == 1.0 and q == 1.0:
-                # c = (1-a)(A-q)^(-theta) is singular here; reject before computing
-                raise UnclassifiableError("A = 1 with q = 1 requires a >= 1")
+            # before c = (1-a)(A-q)^(-theta), which divides by zero at A = q = 1 for theta > 0
+            _check_fixed_point_at_one(theta, a, big_a, q)
             c_implied = _canonical_c(theta, a, big_a, q)
             if c is not None and not math.isclose(
                 c, c_implied, rel_tol=_CONSISTENCY_RTOL, abs_tol=1e-15
@@ -246,6 +251,7 @@ def validate_classify(raw: Mapping[str, object]) -> tuple[ThetaParams, CaseTag]:
 def case_of(p: ThetaParams) -> CaseTag:
     """Classify already-validated parameters into case1..case9."""
     theta, a, big_a, q = p.theta, p.a, p.big_a, p.q
+    _check_fixed_point_at_one(theta, a, big_a, q)
     if theta > 0.0:
         if a > 1.0:
             if big_a != 1.0 or q != 1.0:
@@ -256,8 +262,6 @@ def case_of(p: ThetaParams) -> CaseTag:
                 raise UnclassifiableError("a = 1 requires A = 1 and q = 1")
             return CaseTag("case2", True, Criticality.CRITICAL)
         if big_a == 1.0:
-            if q == 1.0:
-                raise UnclassifiableError("A = 1 with q = 1 requires a >= 1")
             return CaseTag("case3", True, Criticality.SUPERCRITICAL)
         if q == 1.0:
             return CaseTag("case7", True, Criticality.SUBCRITICAL)
@@ -266,8 +270,6 @@ def case_of(p: ThetaParams) -> CaseTag:
         if a >= 1.0:
             raise UnclassifiableError("theta = 0 requires a in (0, 1)")
         if big_a == 1.0:
-            if q == 1.0:
-                raise UnclassifiableError("A = 1 with q = 1 requires a >= 1")
             return CaseTag("case4", True, Criticality.SUPERCRITICAL)
         if q == 1.0:
             return CaseTag("case8", True, Criticality.SUBCRITICAL)
@@ -281,8 +283,6 @@ def case_of(p: ThetaParams) -> CaseTag:
             return CaseTag("case6", True, Criticality.PURE_DEATH)
         return CaseTag("case6", False, Criticality.NON_REGULAR)
     if big_a == 1.0:
-        if q == 1.0:
-            raise UnclassifiableError("A = 1 with q = 1 requires a >= 1")
         return CaseTag("case5", False, Criticality.NON_REGULAR)
     if q == 1.0:
         return CaseTag("case9", True, Criticality.SUBCRITICAL)

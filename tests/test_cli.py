@@ -37,6 +37,14 @@ def test_classify_example():
     assert "wall_time_s=" in r.stderr
 
 
+def test_classify_pure_death():
+    # theta = -1 with q = 1 is f(s) = a s + 1 - a: no explosion, no survival
+    r = run_cli("classify", "--theta", "-1", "--a", "0.5", "--q", "1")
+    assert r.returncode == 0, r.stderr
+    case = json.loads(r.stdout)["case"]
+    assert (case["case_id"], case["criticality"]) == ("case6", "PureDeath")
+
+
 def test_iterate_example():
     r = run_cli("iterate", "--theta", "1", "--a", "1", "--c", "1",
                 "--n", "3", "--s", "0")

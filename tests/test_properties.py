@@ -4,7 +4,15 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thetagw import DomainError, absorption_tails, eval_fn, serialize, validate_classify
+from thetagw import (
+    DomainError,
+    ThetaParams,
+    absorption_tails,
+    case_of,
+    eval_fn,
+    serialize,
+    validate_classify,
+)
 
 PROPERTY = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -38,6 +46,20 @@ def admissible(draw):
 @given(admissible())
 def test_serialize_round_trips(pt):
     p, tag = pt
+    assert validate_classify(serialize(p)) == (p, tag)
+
+
+@PROPERTY
+@given(THETA, LOW_A, BIG_A, Q)
+def test_classified_params_validate(theta, a, big_a, q):
+    # whatever case_of classifies, validate_classify admits too: one A = 1, q = 1
+    # rule serves both, and theta = -1 there is the pure-death law
+    try:
+        c = 1.0 - a if theta == 0.0 else (1.0 - a) * (big_a - q) ** (-theta)
+        p = ThetaParams(theta=theta, a=a, c=c, big_a=big_a, q=q)
+        tag = case_of(p)
+    except (ZeroDivisionError, DomainError):  # 0 ** -theta, or no case
+        assume(False)
     assert validate_classify(serialize(p)) == (p, tag)
 
 

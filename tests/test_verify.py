@@ -20,6 +20,13 @@ def test_verify_set_names(desk):
     assert all(c.passed for c in checks)
 
 
+def test_verify_set_pure_death():
+    p, tag = validate_classify({"theta": -1.0, "a": 0.5, "q": 1.0})
+    checks = verify_set(p, tag)
+    assert len(checks) == 6
+    assert all(c.passed for c in checks), checks
+
+
 def test_full_suite_passes():
     checks = verify_suite(seed=0)
     assert len(checks) >= 9 * 6
