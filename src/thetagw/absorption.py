@@ -7,11 +7,12 @@ carries the per-case expressions in expm1/log1p form so that tails of size
 1e-300 keep full relative precision, and exposes the n-fold composition as an
 independent oracle.
 
-Expected absorption times are tail sums E = sum_{n>=0} P(. > n). The sums are
-accumulated in blocks with two divergence detectors (a sustained-ratio guard
-for flat tails and a fitted decay exponent at the switch point for power
-tails) and finished with an Euler-Maclaurin integral completion, so slowly
-converging cases still come out to absolute accuracy well under 1e-8.
+Expected absorption times are tail sums E = sum_{n>=0} P(. > n). The case
+says which diverge: the critical T_0 tail (1 + cn)^(-1/theta) at theta = 1,
+and T for a regular law with q < 1 (survival forever). Every other tail
+decays like a^n or a power; its sum closes geometrically below 1e-13 or, still
+alive at n = 2^14, with an Euler-Maclaurin integral completion whose quad
+error estimate must stay below 1e-9 * max(1, sum), else NumericError.
 
 The late-explosion limit law: when the one-step escape mass is small the
 conditional law of T_1, shifted by log_a(eps), approaches the curve
@@ -169,7 +170,7 @@ def absorption_tails(p: ThetaParams) -> AbsorptionTails:
 @dataclass(frozen=True)
 class ExpectedAbsorption:
     """E(T_0 | extinct), E(T_1 | explodes), E(T); nan marks conditioning on a
-    null event, inf with the matching flag marks a detected divergence."""
+    null event, inf with the matching flag marks a sum the case makes diverge."""
 
     e_t0_given_finite: float
     e_t1_given_finite: float
@@ -185,55 +186,31 @@ class ExpectedAbsorption:
 _BLOCK = 1 << 10
 _N_SWITCH = 1 << 14
 _TINY = 1e-13
-_FLAT_RATIO = 1.0 - 1e-6
-_FLAT_RUN = 100
 
 
-def _tail_sum(tail_fn) -> tuple[float, bool]:
-    """sum_{n>=0} tail_fn(n), or (inf, True) when the sum diverges.
-
-    Geometric tails exit as soon as terms drop below 1e-13 and close with the
-    last observed ratio. Flat tails (ratio > 1 - 1e-6 for 100 consecutive
-    terms while still above the exit threshold) are flagged divergent. Tails
-    that are still alive at n = 2^14 get a decay exponent fitted from a
-    doubling; exponent <= 1 means a divergent power tail, anything steeper is
-    finished with integral-plus-correction completion.
-    """
+def _tail_sum(tail_fn) -> float:
+    """sum_{n>=0} tail_fn(n) of a convergent tail: closed with the last ratio
+    once terms drop below 1e-13, else at n = 2^14 by the integral completion,
+    whose quad error estimate must stay below 1e-9 * max(1, sum) (NumericError)."""
     total = 0.0
-    flat_run = 0
-    prev_last = None
     for n0 in range(0, _N_SWITCH, _BLOCK):
         nn = np.arange(n0, n0 + _BLOCK, dtype=float)
         vals = np.asarray(tail_fn(nn), dtype=float)
         if np.any(vals < -1e-12):
             raise NumericError("negative tail value in expectation sum")
         total += math.fsum(vals)
-        seq = vals if prev_last is None else np.concatenate(([prev_last], vals))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            flat = (seq[1:] > _TINY) & (seq[1:] > _FLAT_RATIO * seq[:-1])
-        if flat.all():
-            flat_run += len(flat)
-        else:
-            flat_run = len(flat) - 1 - int(np.flatnonzero(~flat)[-1])
-        if flat_run >= _FLAT_RUN:
-            return math.inf, True
-        prev_last = vals[-1]
         if vals[-1] < _TINY:
             ratio = vals[-1] / vals[-2] if vals[-2] > 0.0 else 0.0
             if 0.0 < ratio < 1.0:
                 total += vals[-1] * ratio / (1.0 - ratio)
-            return float(total), False
+            return float(total)
     n_sw = float(_N_SWITCH)
-    t_half = float(tail_fn(n_sw / 2.0))
     t_full = float(tail_fn(n_sw))
     if t_full <= 0.0:
-        return total, False
-    beta = math.log2(t_half / t_full)
-    if beta <= 1.0 + 1e-6:
-        return math.inf, True
+        return total
     from scipy.integrate import quad  # imported on first use: it is slow to load
 
-    integral, _ = quad(
+    integral, err = quad(
         lambda u: float(tail_fn(1.0 / u)) / u**2,
         0.0,
         1.0 / n_sw,
@@ -244,7 +221,9 @@ def _tail_sum(tail_fn) -> tuple[float, bool]:
     h = max(1e-3 * n_sw, 1.0)
     deriv = (float(tail_fn(n_sw + h)) - float(tail_fn(n_sw - h))) / (2.0 * h)
     total += integral + t_full / 2.0 - deriv / 12.0
-    return total, False
+    if err > 1e-9 * max(1.0, total):
+        raise NumericError(f"tail-sum completion: quad error {err:.3g} on a sum of {total:.17g}")
+    return total
 
 
 def expected_absorption(p: ThetaParams) -> ExpectedAbsorption:
@@ -258,24 +237,22 @@ def expected_absorption(p: ThetaParams) -> ExpectedAbsorption:
         e1 = exact if tails.explosion_mass > 0.0 else _null_conditioning("explosion")
         return ExpectedAbsorption(e0, e1, exact, False, False, False)
 
+    d0 = tag.case_id == "case2" and p.theta == 1.0  # the harmonic tail 1/(1 + cn)
     if q > 0.0:
-        s0, d0 = _tail_sum(tails.t0_tail)
-        e0 = s0 / q if not d0 else math.inf
+        e0 = math.inf if d0 else _tail_sum(tails.t0_tail) / q
     else:
-        e0, d0 = _null_conditioning("extinction"), False
+        e0 = _null_conditioning("extinction")
 
     if tails.explosion_mass > 0.0:
-        s1, d1 = _tail_sum(tails.t1_tail)
-        e1 = s1 / tails.explosion_mass if not d1 else math.inf
+        e1 = _tail_sum(tails.t1_tail) / tails.explosion_mass
     else:
-        e1, d1 = _null_conditioning("explosion"), False
+        e1 = _null_conditioning("explosion")
 
-    if tag.regular and q == 1.0:
-        et, dt = e0, d0
+    if tag.regular:  # T = T_0 when q = 1; else it is infinite with mass 1 - q
+        et = e0 if q == 1.0 else math.inf
     else:
-        st, dt = _tail_sum(tails.t_tail)
-        et = st if not dt else math.inf
-    return ExpectedAbsorption(e0, e1, et, d0, d1, dt)
+        et = _tail_sum(tails.t_tail)
+    return ExpectedAbsorption(e0, e1, et, d0, False, et == math.inf)
 
 
 def _null_conditioning(event: str) -> float:

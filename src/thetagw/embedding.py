@@ -78,7 +78,7 @@ def build_embedding(p: ThetaParams) -> Embedding:
         lam = (1.0 + 1.0 / theta) * p.c
         form, mu = "mu", 1.0
     elif cid == "case3":
-        form, mu = "mu", (1.0 + theta) / ((1.0 + theta) - (1.0 - q) ** theta)
+        form, mu = "mu", _ratio(1.0 + theta, (1.0 + theta) - (1.0 - q) ** theta, "h's D")
         lam = ((1.0 + 1.0 / theta) * (1.0 - q) ** (-theta) - 1.0 / theta) * math.log(
             1.0 / a
         )
@@ -97,7 +97,8 @@ def build_embedding(p: ThetaParams) -> Embedding:
             mu = math.inf
         else:
             dd = (1.0 + theta) * big_a**theta - (big_a - q) ** theta
-            mu = 1.0 + ((big_a - q) ** theta - (1.0 + theta) * (big_a - 1.0) ** theta) / dd
+            num = (big_a - q) ** theta - (1.0 + theta) * (big_a - 1.0) ** theta
+            mu = 1.0 + _ratio(num, dd, "h's D")
     if not lam > 0.0:
         raise NumericError(f"rate came out nonpositive ({lam}) for {cid}")
     if form == "mu" and not 0.0 < mu <= 1.0 + 1.0 / theta:
@@ -109,6 +110,13 @@ def build_embedding(p: ThetaParams) -> Embedding:
     if abs(hq - q) > 1e-12:
         raise NumericError(f"h({q}) = {hq} != q for {cid}")
     return e
+
+
+def _ratio(num: float, den: float, name: str) -> float:
+    """num / den, or NumericError where the denominator den rounds to 0."""
+    if den == 0.0:
+        raise NumericError(f"{name} rounds to 0; {num} / 0 is undefined")
+    return num / den
 
 
 def h_eval(e: Embedding, s):
@@ -208,7 +216,7 @@ def integral_residual(e: Embedding, t: float, s: float) -> float:
         raise SingularPathError(f"s = {s} is a fixed point of the flow")
 
     def integrand(x: float) -> float:
-        return 1.0 / (h_eval(e, x) - x)
+        return _ratio(1.0, h_eval(e, x) - x, "h(x) - x on the integration path")
 
     from scipy.integrate import quad  # imported on first use: it is slow to load
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, NumericError, TruncationError
 from .params import ThetaParams, case_of, scalar_summary
 from .pgf import _clamp_masses, series_coeffs
 
@@ -153,7 +153,10 @@ def _pmf_neg_recip(p: ThetaParams, order: int, m: int) -> np.ndarray:
     w = np.empty(order)
     for j in range(1, m + 1):
         beta = j / m
-        pref = math.comb(m, j) * a**j * c ** (m - j)
+        try:
+            pref = math.comb(m, j) * a**j * c ** (m - j)
+        except OverflowError:
+            raise NumericError(f"the theta = -1/{m} route overflows at term {j}") from None
         if pref == 0.0:
             continue
         # [s^k](A-s)^beta via the ratio (beta-k)/(k+1) * (-1/A)

@@ -124,7 +124,8 @@ class ThetaParams:
 class ScalarSummary:
     """Scalar facts read off the offspring generating function at s = 1.
 
-    mean_m and f2_at_1 are math.inf when the corresponding moment diverges.
+    mean_m and f2_at_1 are math.inf when the corresponding moment diverges or
+    passes the float range.
     """
 
     f_at_1: float
@@ -311,10 +312,13 @@ def scalar_summary(p: ThetaParams) -> ScalarSummary:
         f2 = 2.0 * c if theta == 1.0 else math.inf
         gamma = 1.0
     elif case == "case3":
-        f1 = 1.0
-        mean = a ** (-1.0 / theta)
-        f2 = 2.0 * (1.0 - a) / (a * a * (1.0 - q)) if theta == 1.0 else math.inf
-        gamma = a
+        f1, gamma = 1.0, a
+        try:
+            mean = a ** (-1.0 / theta)
+        except OverflowError:
+            mean = math.inf
+        den = a * a * (1.0 - q)  # underflows to 0 for tiny a
+        f2 = 2.0 * (1.0 - a) / den if theta == 1.0 and den > 0.0 else math.inf
     elif case == "case4":
         f1, mean, f2, gamma = 1.0, math.inf, math.inf, a
     elif case == "case5":

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, OverflowGuardError, TrivialLawError
+from .errors import DomainError, NumericError, OverflowGuardError, TrivialLawError
 from .params import ThetaParams, case_of, scalar_summary
 from .pgf import _checked_s, _clamp_masses, eval_fn, eval_fn_prime, fn_series
 from .series import Series
@@ -77,24 +77,22 @@ def _law(kind: LawKind, coeffs_from_1: np.ndarray) -> LimitLaw:
     return LimitLaw(kind=kind, probs=_clamp_masses(probs, kind.value, first=1))
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, or NumericError where the float overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise NumericError(f"{base} ** {exponent} overflows a float") from None
+
+
 class QFunction:
-    """Raw closed form plus the constant turning it into the Q'(q)=1 version."""
+    """Raw closed form; normalized scales it to the Q'(q)=1 version."""
 
     def __init__(self, p: ThetaParams):
         self.params = p
         self.tag = case_of(p)
         self.gamma = scalar_summary(p).gamma
         self.trivial = self.tag.case_id == "case2"
-        cid = self.tag.case_id
-        theta, q, big_a = p.theta, p.q, p.big_a
-        if self.trivial:
-            self.normalizer = math.nan
-        elif cid == "case1":
-            self.normalizer = -1.0
-        elif theta == 0.0:
-            self.normalizer = -(big_a - q)
-        else:
-            self.normalizer = (big_a - q) ** (theta + 1.0) / theta
 
     def raw(self, s):
         p = self.params
@@ -114,7 +112,14 @@ class QFunction:
     def normalized(self, s):
         if self.trivial:
             raise TrivialLawError("critical family: Q vanishes identically")
-        return self.normalizer * self.raw(s)
+        p = self.params
+        if self.tag.case_id == "case1":
+            normalizer = -1.0
+        elif p.theta == 0.0:
+            normalizer = -(p.big_a - p.q)
+        else:
+            normalizer = _power(p.big_a - p.q, p.theta + 1.0) / p.theta
+        return normalizer * self.raw(s)
 
     def raw_at_zero(self) -> float:
         return self.raw(0.0)
@@ -197,7 +202,7 @@ def stationary_law(p: ThetaParams, order: int) -> LimitLaw:
         gf = (Series.affine(big_a, -q, order).pow(-1.0) * (big_a - q)).mul_s()
     else:
         gf = (
-            Series.affine(big_a, -q, order).pow(-theta - 1.0) * (big_a - q) ** (theta + 1.0)
+            Series.affine(big_a, -q, order).pow(-theta - 1.0) * _power(big_a - q, theta + 1.0)
         ).mul_s()
     return _law(LawKind.STATIONARY_Q, gf.coeffs[1 : order + 1])
 
@@ -214,6 +219,8 @@ def conditional_limit_b(p: ThetaParams, order: int) -> LimitLaw:
         raise DomainError("q = 0: conditioning event has probability 0")
     theta, q, big_a = p.theta, p.q, p.big_a
     q0 = qf.raw_at_zero()
+    if q0 == 0.0:
+        raise NumericError(f"Q(0) cancels to 0 at A = {big_a}: the law is 0/0")
     if qf.tag.case_id == "case1":
         qsq = Series.affine(1.0, -1.0, order).pow(-theta) + p.d
         qsq = qsq.pow(-1.0 / theta)

@@ -11,6 +11,14 @@ the one-step map on the tail variables directly (no closed forms) and sums:
 
 The theta = 1/2 critical value pi^2/6 and the case5 value 8/3 are analytic:
 the transformed tail recursions linearize to (n+1)^(-2) and 2 a^n - a^(2n).
+
+The slow a = 0.99999 sums below are direct math.fsum sums of the closed-form
+tails over n < 2^22, where the terms have fallen below 1e-19 of the total:
+
+    theta = 0,    q = 0.25   E[T0 | fin]  = 92930.97466602568
+    theta = -1/2, q = 0.3    E[T0 | fin]  = 95553.3644118604
+                             E[T1 | fin]  = 149999.74999943265
+                             E[T]         = 133665.83432316093
 """
 
 import math
@@ -22,6 +30,7 @@ import pytest
 from thetagw import (
     ConditioningWarning,
     DomainError,
+    NumericError,
     RegimeError,
     absorption_tails,
     conditional_t1_cdf,
@@ -134,6 +143,61 @@ def test_expected_case6_exact(desk):
     # the two-point law gives E = 1/(1-a) with no summation at all
     e = expected_absorption(desk["case6"][0])
     assert (e.e_t0_given_finite, e.e_t1_given_finite, e.e_t) == (2.0, 2.0, 2.0)
+
+
+def test_slow_geometric_sums_are_finite():
+    # a^16384 = 0.85 at a = 0.99999: these sums reach the integral completion
+    p, _ = validate_classify({"theta": 0.0, "a": 0.99999, "q": 0.25})
+    e = quiet_expected(p)
+    assert e.e_t0_given_finite == pytest.approx(92930.97466602568, rel=1e-9)
+    assert not e.t0_divergent
+    p, _ = validate_classify({"theta": -0.5, "a": 0.99999, "q": 0.3})
+    e = expected_absorption(p)
+    direct = (95553.3644118604, 149999.74999943265, 133665.83432316093)
+    assert tuple(e) == pytest.approx(direct, rel=1e-9)
+    assert not (e.t0_divergent or e.t1_divergent or e.t_divergent)
+
+
+def test_critical_power_sum_near_theta_one():
+    # sum_n (1 + cn)^(-1/theta) = c^(-1/theta) * zeta(1/theta, 1/c), Hurwitz zeta
+    from scipy.special import zeta
+
+    theta, c = 0.9999, 0.3
+    p, _ = validate_classify({"theta": theta, "a": 1.0, "c": c})
+    e = quiet_expected(p)
+    exact = c ** (-1.0 / theta) * zeta(1.0 / theta, 1.0 / c)
+    assert exact == pytest.approx(33330.52478634121, rel=1e-12)
+    assert e.e_t0_given_finite == pytest.approx(exact, rel=1e-9)
+    assert not (e.t0_divergent or e.t_divergent)
+
+
+@pytest.mark.parametrize("raw", [
+    {"theta": 0.0, "a": 0.99997, "q": 0.99},
+    {"theta": 0.5, "a": 0.99997, "q": 0.985},
+])
+def test_survival_forever_makes_e_t_infinite(raw):
+    # a regular law with q < 1 never dies with probability 1 - q, however slowly
+    # its T_0 tail decays
+    p, tag = validate_classify(raw)
+    assert tag.regular
+    e = quiet_expected(p)
+    assert e.t_divergent and e.e_t == math.inf
+    assert math.isfinite(e.e_t0_given_finite) and not e.t0_divergent
+
+
+def test_unresolved_completion_raises(capsys):
+    # the tail (1 + n)^(-1/0.99999) sums to about 1.0e5, most of it past any
+    # n the completion can reach; quad's error estimate says so
+    from thetagw import cli
+
+    p, _ = validate_classify({"theta": 0.99999, "a": 1.0, "c": 1.0})
+    with pytest.raises(NumericError):
+        quiet_expected(p)
+    argv = ["absorb", "--theta", "0.99999", "--a", "1", "--c", "1", "--n", "5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # quad's IntegrationWarning
+        assert cli.main(argv) == 4
+    assert capsys.readouterr().out == ""
 
 
 def test_null_conditioning_warns(desk):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -228,6 +229,33 @@ def test_pmf_above_the_route_cap_exits_3(capsys):
     # the triangle route stops at 10^4 before building anything
     assert cli.main(["pmf", "--theta", "1", "--a", "2", "--c", "1", "--k-max", "10001"]) == 3
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["qprocess", "--theta=1", "--a=0.5", "--q=0.5", "--A=1e17"],  # Q(0) cancels to 0
+    ["qprocess", "--theta=1", "--a=0.5", "--q=0.5", "--A=1e200"],  # (A - q)^2 overflows
+    ["embed", "--theta=0", "--a=0.5897969762292109", "--A=1.780146358319437e160",
+     "--q=0.22588312696234158", "--k-max=10"],  # h(x) - x rounds to 0 on the path
+    ["embed", "--theta=1", "--a=0.8747814950131493", "--A=1.0000000000054412",
+     "--q=0.9999999999999953", "--k-max=10"],
+    ["embed", "--theta=5e-324", "--a=0.5", "--q=0.99999", "--k-max=10"],  # D rounds to 0
+    ["pmf", "--theta=-0.0001", "--a=0.5", "--q=0.5", "--k-max=20"],  # C(10^4, j) overflows
+], ids=["qprocess-A-1e17", "qprocess-A-1e200", "embed-A-1e160", "embed-q-near-A",
+        "embed-theta-5e-324", "pmf-theta-minus-1e-4"])
+def test_unrepresentable_values_exit_4(capsys, argv):
+    # admissible laws whose values leave the float range end in the numeric
+    # error exit, not in the unexpected-error exit 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # tiny theta is ill-conditioned
+        assert cli.main(argv) == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_huge_moments_saturate(capsys):
+    # case3 at a = 5e-324: the mean a^(-1/theta) and a^2 in f''(1) leave the float range
+    assert cli.main(["classify", "--theta=1", "--a=5e-324", "--q=0"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["m"] == "inf" and summary["f2_at_1"] == "inf"
 
 
 @pytest.mark.parametrize("cmd", ["verify", "embed"])

@@ -1,5 +1,10 @@
 """Properties over the admissible parameter space, not only the desk sets."""
 
+import contextlib
+import io
+import math
+import warnings
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,7 +14,10 @@ from thetagw import (
     ThetaParams,
     absorption_tails,
     case_of,
+    cli,
     eval_fn,
+    expected_absorption,
+    scalar_summary,
     serialize,
     validate_classify,
 )
@@ -88,3 +96,68 @@ def test_t0_t1_tails_nonincreasing(pt):
     for tail in (tails.t0_tail(n), tails.t1_tail(n)):
         assert np.all(np.diff(tail) <= 0.0)
 
+
+@PROPERTY
+@given(admissible())
+def test_expected_absorption_matches_direct_sums(pt):
+    # gamma is the geometric rate of every tail, so at gamma <= 0.99 the terms
+    # past n = 2^16 are below 0.99^65536 ~ 1e-286 of the first
+    p, _ = pt
+    assume(scalar_summary(p).gamma <= 0.99)
+    tails = absorption_tails(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # null conditioning, small |theta|
+        e = expected_absorption(p)
+    n = np.arange(0, 1 << 16, dtype=float)
+    for value, tail, mass in (
+        (e.e_t0_given_finite, tails.t0_tail, p.q),
+        (e.e_t1_given_finite, tails.t1_tail, tails.explosion_mass),
+        (e.e_t, tails.t_tail, 1.0),
+    ):
+        if math.isfinite(value):
+            direct = math.fsum(tail(n)) / mass
+            assert abs(value - direct) <= 1e-9 * abs(direct), (value, direct)
+
+
+# A at 1, just above 1 and up to 1e300; q at 0, 1, just below 1 and anywhere
+WIDE_A = st.one_of(
+    st.just(1.0),
+    st.integers(1, 15).map(lambda k: 1.0 + 10.0**-k),
+    st.integers(1, 300).map(lambda k: 10.0**k),
+)
+WIDE_Q = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.integers(1, 16).map(lambda k: 1.0 - 10.0**-k),
+    st.floats(0.0, 1.0),
+)
+SUBCOMMANDS = st.sampled_from([
+    ["classify"],
+    ["pmf", "--k-max", "20"],
+    ["iterate"],
+    ["absorb", "--n", "20"],
+    ["qprocess", "--k-max", "10"],
+    ["embed", "--k-max", "10"],
+])
+
+
+@PROPERTY
+@given(
+    SUBCOMMANDS,
+    THETA,
+    WIDE_A,
+    st.one_of(
+        st.tuples(st.just("--q"), LOW_A, WIDE_Q),
+        st.tuples(st.just("--c"), HIGH_A, st.floats(0.01, 3.0)),
+    ),
+)
+def test_cli_exits_with_a_documented_code(command, theta, big_a, law):
+    # 0 ok, 3 parameter, 4 numeric, 5 failed check; never 1, the unexpected error.
+    # --key=value, because argparse reads "-1e-08" after a bare flag as an option
+    flag, a, value = law
+    argv = [*command, f"--theta={theta!r}", f"--a={a!r}", f"--A={big_a!r}", f"{flag}={value!r}"]
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(out):
+        warnings.simplefilter("ignore")
+        code = cli.main(argv)
+    assert code in (0, 3, 4, 5), (argv, out.getvalue()[-300:])
