@@ -1,5 +1,6 @@
 """Command-line contract: examples, precedence, exit codes, byte stability."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -327,3 +328,110 @@ def test_float_formatting_is_17g():
     r = run_cli("iterate", "--theta", "1", "--a", "2", "--c", "1",
                 "--n", "2", "--s", "0.5", "--format", "text")
     assert r.stdout == f"{10.0 / 11.0:.17g}\n"
+
+
+def _rendering_argvs() -> list[list[str]]:
+    """The text and csv forms the perfbench goldens (JSON only) leave unpinned."""
+    from conftest import DESK_RAW
+
+    def desk(name):
+        return [f"--{k}={v!r}" for k, v in DESK_RAW[name].items()]
+
+    out = []
+    for name in ("case3", "case5b", "case8b"):
+        for cmd in ("classify", "pmf", "iterate", "absorb", "qprocess", "embed", "verify"):
+            out.append([cmd, *desk(name), "--format=text"])
+        for cmd in ("pmf", "absorb"):
+            out.append([cmd, *desk(name), "--format=csv"])
+    sim = ["simulate", "--theta=-1", "--a=0.5", "--q=0.3", "--replicates=500", "--n-max=20"]
+    for head in (["gumbel", *desk("case5")], ["gumbel", *desk("case5b")],
+                 ["gumbel", "--a=0.5", "--q=0", "--r=1"], sim):
+        out += [[*head, "--format=text"], [*head, "--format=csv"]]
+    return out + [["verify", "--format=text"]]
+
+
+# " ".join(argv) -> sha256 of stdout, recorded before the CLI rendered the
+# library's records directly
+RENDERING_DIGESTS = {
+    "classify --theta=1.0 --a=0.5 --q=0.5 --format=text":
+        "32f905f20ccc7a8d4f3d079e20d33eb4baaeca32ecbf07e2961da7e8aa305c55",
+    "pmf --theta=1.0 --a=0.5 --q=0.5 --format=text":
+        "6e64d405bd8d04fd214b27683e5bbaaa6fdbdc729866d7e11191ffcc261bba91",
+    "iterate --theta=1.0 --a=0.5 --q=0.5 --format=text":
+        "ba754aa53e0a7d1aeba4c292af9411abd93fe60256d1b8bafd56a7978735a8c3",
+    "absorb --theta=1.0 --a=0.5 --q=0.5 --format=text":
+        "30ca34af7720ff437b5841dabd518ec44eee2a1e0259342f6a6bc0c3d8336e81",
+    "qprocess --theta=1.0 --a=0.5 --q=0.5 --format=text":
+        "805fa27f87e44b02331c29a7f5422d8cba9cf6e9de29f3372700d63ab6ec76d2",
+    "embed --theta=1.0 --a=0.5 --q=0.5 --format=text":
+        "80197cbcb0aafae126347607bd84a3632540008038f07a3aafe914934da10d3f",
+    "verify --theta=1.0 --a=0.5 --q=0.5 --format=text":
+        "8378b9564da421f352509947fca09d47e090e51b4c1804b550eb7f03a5d2e136",
+    "pmf --theta=1.0 --a=0.5 --q=0.5 --format=csv":
+        "68ffa5c02101acfb7c16069cd113f6a1616ebd90378ca97e679799688a564859",
+    "absorb --theta=1.0 --a=0.5 --q=0.5 --format=csv":
+        "65b4ba1c02815252306eb4e37f6a4128c93d732ee0de013636c5d7ba87641dd8",
+    "classify --theta=-0.5 --a=0.5 --q=0.3 --format=text":
+        "e1dab45918e6b29bdc35cb3dc3a0420777027c93be8fefad5c37c10137652c8c",
+    "pmf --theta=-0.5 --a=0.5 --q=0.3 --format=text":
+        "09e574afd6adae99889f386e3755a933b98958f6e690e6bc34bc8aced83f92fb",
+    "iterate --theta=-0.5 --a=0.5 --q=0.3 --format=text":
+        "400bf1854fe9ecae70a7eb70ad7030767315173a589a7aedba62ab46bc38bf0f",
+    "absorb --theta=-0.5 --a=0.5 --q=0.3 --format=text":
+        "4f93fd32affe8fe61d19d3b6fbd7626338ba78e02b24ab520a6e87c4190fcff9",
+    "qprocess --theta=-0.5 --a=0.5 --q=0.3 --format=text":
+        "673c0fb3cfdf0123a0964d49c862c3ab98e99b292a761fbbb3e1f46da9dcc3cf",
+    "embed --theta=-0.5 --a=0.5 --q=0.3 --format=text":
+        "27e15c4c8ba607b9fbf06ad0bc8af7b9cca2a268ebdc7429a57151a8c4ce8aea",
+    "verify --theta=-0.5 --a=0.5 --q=0.3 --format=text":
+        "08cc4d057b57ed234e6a588a732f249dd8700cc1df832e9a4e9c6b840a3db8eb",
+    "pmf --theta=-0.5 --a=0.5 --q=0.3 --format=csv":
+        "919482b6923a564543f96f786f3bfdb5aaf689b36983fc07b3b6f3b3394c9720",
+    "absorb --theta=-0.5 --a=0.5 --q=0.3 --format=csv":
+        "1785af9a97e285727b929a24215526a005b008789be4ba1b1ce948e21ec04ebd",
+    "classify --theta=0.0 --a=0.5 --A=2.0 --q=0.5 --format=text":
+        "7dd75933c78993927711b8c6d789b5a39150546c1718102ab476cafe5fcb33a5",
+    "pmf --theta=0.0 --a=0.5 --A=2.0 --q=0.5 --format=text":
+        "f16616bc452e262a129a4b96b13fb5c202be5b634459981b5ca04cbe7a5fd943",
+    "iterate --theta=0.0 --a=0.5 --A=2.0 --q=0.5 --format=text":
+        "9a6911e00e6c8294b072b62524c56a1e7cf923a53f341f78c764c187f772efe7",
+    "absorb --theta=0.0 --a=0.5 --A=2.0 --q=0.5 --format=text":
+        "ab1ac273c997fecf3fb7dc82c53f7fb2a67b1dd57b595f99239ad696e32208c2",
+    "qprocess --theta=0.0 --a=0.5 --A=2.0 --q=0.5 --format=text":
+        "0b2d9f6d2f7cd9fd0f59d949894dbae5347ec75072c7bee70e8be9e6ac23d499",
+    "embed --theta=0.0 --a=0.5 --A=2.0 --q=0.5 --format=text":
+        "73dc96765914192b3ad7a2c743a608162e3946fbc18760bd1f4b72101413fb1b",
+    "verify --theta=0.0 --a=0.5 --A=2.0 --q=0.5 --format=text":
+        "1b890bc7d44ecc96b39a917919490120a2fc436cb5cf3bccd20302e7183bff04",
+    "pmf --theta=0.0 --a=0.5 --A=2.0 --q=0.5 --format=csv":
+        "b62ed5e66d861e6e5190b2e4c5006b87493e2ec2e37d62daf9111ce47afb805e",
+    "absorb --theta=0.0 --a=0.5 --A=2.0 --q=0.5 --format=csv":
+        "6d640f22da25e1c055878b4c2b36053fd97d776c46911b07905bddc46637ec85",
+    "gumbel --theta=-0.5 --a=0.5 --q=0.0 --format=text":
+        "4ee44f1e337eb958c3803c20fe6775fa3238aaa1c29d80059613659d5cb789ae",
+    "gumbel --theta=-0.5 --a=0.5 --q=0.0 --format=csv":
+        "16d1a9d933f7b4c25786581f145204ff3e2d291834d552046420232339494366",
+    "gumbel --theta=-0.5 --a=0.5 --q=0.3 --format=text":
+        "846d629348262895582752da808c1981c96766bb1691d0d635abfb859d9fc1dc",
+    "gumbel --theta=-0.5 --a=0.5 --q=0.3 --format=csv":
+        "0c16f3a29b8f54e99c3c38f896986e1e39cf0c846a7b3d88f6121bfc5a0a6e08",
+    "gumbel --a=0.5 --q=0 --r=1 --format=text":
+        "3027da238dad7729720f4127b2eb0f04aa697fd2ebb797bf5b675f6b7156b364",
+    "gumbel --a=0.5 --q=0 --r=1 --format=csv":
+        "fd3da2f60985bb5abe0e543f6f3dc1465ce496aedefe18b4d77f61a263a9af21",
+    "simulate --theta=-1 --a=0.5 --q=0.3 --replicates=500 --n-max=20 --format=text":
+        "81da3c9bd2aac23e43956fa91c85159a27d7c7fd80d95142045f386b51088bf4",
+    "simulate --theta=-1 --a=0.5 --q=0.3 --replicates=500 --n-max=20 --format=csv":
+        "447953263acb4f23c9efc82c7bbee79558080f06b3b97b4fcd42edcc5714db67",
+    "verify --format=text":
+        "36134d943c94a209b6ec8a5490854945279cfb9102a8bc668cd6eb7753fb132e",
+}
+
+
+def test_renderings_byte_identical(capsys, monkeypatch):
+    monkeypatch.delenv("THETA_GW_SEED", raising=False)
+    got = {}
+    for argv in _rendering_argvs():
+        assert cli.main(argv) == 0, argv
+        got[" ".join(argv)] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == RENDERING_DIGESTS
