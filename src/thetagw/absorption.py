@@ -299,6 +299,10 @@ class GumbelLimit:
     mean: float
     shift: float  # log_a(eps), the centering applied to T_1
 
+    def cdf(self, y: float) -> float:
+        """The limit cdf exp(-w a^y) at y."""
+        return math.exp(-self.w * self.a**y)
+
 
 @dataclass(frozen=True)
 class GumbelEval:
@@ -360,43 +364,33 @@ def gumbel_limit(
             raise DomainError("the r = 0 branch needs A in (1, 2) so that eps > 0")
         eps = 1.0 / math.log(1.0 / (big_a - 1.0))
         w = 1.0
-    elif math.isinf(r_eff):
-        eps = abs(theta) if theta is not None else math.nan
-        w = 1.0
     else:
         eps = abs(theta) if theta is not None else math.nan
-        w = 1.0 - math.exp(-r_eff)
+        w = 1.0 - math.exp(-r_eff)  # exactly 1.0 at r = inf
     mean = (math.log(w) - EULER_GAMMA) / math.log(a)
-    shift = math.log(eps) / math.log(a) if eps > 0.0 and not math.isnan(eps) else math.nan
+    shift = math.log(eps) / math.log(a) if eps > 0.0 else math.nan
     record = GumbelLimit(
         a=a, q=q, theta=theta, big_a=big_a, eps=eps, r=r_eff, w=w, mean=mean, shift=shift
     )
 
-    limit_cdf = math.exp(-w * a**y)
-    if theta is None or math.isnan(shift):
-        # only the limit curve is defined without a concrete (theta, A) pair
-        return GumbelEval(
-            record=record,
-            y=float(y),
-            limit_cdf=limit_cdf,
-            n_floor=-1,
-            n_ceil=-1,
-            exact_floor=math.nan,
-            exact_ceil=math.nan,
+    # only the limit curve is defined without a concrete (theta, A) pair
+    n_floor = n_ceil = -1
+    exact_floor = exact_ceil = math.nan
+    if theta is not None and not math.isnan(shift):
+        params, _ = validate_classify({"theta": theta, "a": a, "A": big_a, "q": q})
+        n_floor = math.floor(shift + y)
+        n_ceil = math.ceil(shift + y)
+        exact_floor, exact_ceil = (
+            float(conditional_t1_cdf(params, n)) if n >= 0 else 0.0 for n in (n_floor, n_ceil)
         )
-    params, _ = validate_classify({"theta": theta, "a": a, "A": big_a, "q": q})
-    n_floor = math.floor(shift + y)
-    n_ceil = math.ceil(shift + y)
-    exact_floor = conditional_t1_cdf(params, n_floor) if n_floor >= 0 else 0.0
-    exact_ceil = conditional_t1_cdf(params, n_ceil) if n_ceil >= 0 else 0.0
     return GumbelEval(
         record=record,
         y=float(y),
-        limit_cdf=limit_cdf,
+        limit_cdf=record.cdf(y),
         n_floor=n_floor,
         n_ceil=n_ceil,
-        exact_floor=float(exact_floor),
-        exact_ceil=float(exact_ceil),
+        exact_floor=exact_floor,
+        exact_ceil=exact_ceil,
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import json
 import math
 import os
@@ -28,7 +29,8 @@ from .offspring import K_MAX_RATIO
 from .offspring import pmf as offspring_pmf
 from .params import scalar_summary, serialize, validate_classify
 from .pgf import eval_fn
-from .verify import _embed_one_step_err, _embed_quad_residuals, verify_set, verify_suite
+from .verify import _IDENTITY_TOL, _QUAD_TOL, _check, verify_set, verify_suite
+from .verify import _embed_one_step_err, _embed_quad_residuals
 
 _USAGE_EXIT = 2
 _DOMAIN_EXIT = 3
@@ -57,6 +59,8 @@ def _json_value(x) -> str:
         return "null"
     if isinstance(x, str):
         return json.dumps(x)
+    if isinstance(x, enum.Enum):
+        return _json_value(x.value)
     if isinstance(x, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_json_value(v) for v in x) + "]"
     if isinstance(x, dict):
@@ -186,44 +190,32 @@ def _resolve(command: str, given: dict) -> dict:
     return opts | given
 
 
+def _record(rec, **keys) -> dict:
+    """A library record's fields in order, each under its name in keys if given."""
+    return {keys.get(k, k): v for k, v in dataclasses.asdict(rec).items()}
+
+
 def _params_from(opts: dict):
+    """The law, its case tag and the document head every law's output opens with."""
     raw = {k: opts[k] for k in _PARAM_KEYS if opts[k] is not None}
     if not raw:
         raise DomainError(
             "no parameters given: pass --theta/--a/--c/--q/--A or --config"
         )
-    return validate_classify(raw)
-
-
-def _tag_dict(tag) -> dict:
-    return {
-        "case_id": tag.case_id,
-        "regular": tag.regular,
-        "criticality": tag.criticality.value,
-    }
+    p, tag = validate_classify(raw)
+    return p, tag, {"params": serialize(p), "case": _record(tag)}
 
 
 @_command("classify", "canonical parameters, case tag and scalar summary")
 def _cmd_classify(opts):
-    p, tag = _params_from(opts)
+    p, tag, head = _params_from(opts)
     s = scalar_summary(p)
-    payload = {
-        "params": serialize(p),
-        "case": _tag_dict(tag),
-        "summary": {
-            "f_at_1": s.f_at_1,
-            "p_inf": s.p_inf,
-            "m": s.mean_m,
-            "f2_at_1": s.f2_at_1,
-            "gamma": s.gamma,
-            "d": p.d if p.big_a == 1.0 and p.q == 1.0 and p.a > 1.0 else None,
-        },
-    }
+    d = p.d if tag.case_id == "case1" else None
+    payload = {**head, "summary": {**_record(s, mean_m="m"), "d": d}}
     text = [
         f"case: {tag.case_id} ({tag.criticality.value}, "
         f"{'regular' if tag.regular else 'explosive'})",
-        f"theta={_fmt(p.theta)} a={_fmt(p.a)} c={_fmt(p.c)} "
-        f"q={_fmt(p.q)} A={_fmt(p.big_a)}",
+        " ".join(f"{k}={_fmt(v)}" for k, v in head["params"].items() if k != "case_id"),
         f"m={_fmt(s.mean_m)} gamma={_fmt(s.gamma)} p_inf={_fmt(s.p_inf)}",
     ]
     return payload, None, "\n".join(text) + "\n", []
@@ -231,14 +223,13 @@ def _cmd_classify(opts):
 
 @_command("pmf", "offspring masses p_0..p_k", tabular=True, k_max=(_rows, 50))
 def _cmd_pmf(opts):
-    p, tag = _params_from(opts)
+    p, _, head = _params_from(opts)
     k_max = opts["k_max"]
     probs = offspring_pmf(p, k_max)
     s = scalar_summary(p)
     covered = float(np.sum(probs))
     payload = {
-        "params": serialize(p),
-        "case": _tag_dict(tag),
+        **head,
         "p": list(probs),
         "p_inf": s.p_inf,
         "tail_mass": max(s.f_at_1 - covered, 0.0),
@@ -251,45 +242,30 @@ def _cmd_pmf(opts):
 @_command("iterate", "explicit n-step generating function value",
           n=(_finite, 50.0), s=(_finite, 0.0))
 def _cmd_iterate(opts):
-    p, tag = _params_from(opts)
+    p, _, head = _params_from(opts)
     n, s = opts["n"], opts["s"]
     value = eval_fn(p, n, s)
-    payload = {
-        "params": serialize(p),
-        "case": _tag_dict(tag),
-        "n": n,
-        "s": s,
-        "value": value,
-    }
+    payload = {**head, "n": n, "s": s, "value": value}
     return payload, None, _fmt(value) + "\n", []
 
 
 @_command("absorb", "extinction/explosion time tails and expectations", tabular=True,
           n=(_rows, 50, "horizon (rows 0..n)"))
 def _cmd_absorb(opts):
-    p, tag = _params_from(opts)
+    p, _, head = _params_from(opts)
     hor = opts["n"]
     tails = absorption.absorption_tails(p)
     n = np.arange(0, hor + 1)
     t0 = tails.t0_tail(n)
     t1 = tails.t1_tail(n)
     tt = tails.t_tail(n)
-    exp = absorption.expected_absorption(p)
     payload = {
-        "params": serialize(p),
-        "case": _tag_dict(tag),
+        **head,
         "n": list(n),
         "t0_tail": list(t0),
         "t1_tail": list(t1),
         "t_tail": list(tt),
-        "expected": {
-            "e_t0_given_finite": exp.e_t0_given_finite,
-            "e_t1_given_finite": exp.e_t1_given_finite,
-            "e_t": exp.e_t,
-            "t0_divergent": exp.t0_divergent,
-            "t1_divergent": exp.t1_divergent,
-            "t_divergent": exp.t_divergent,
-        },
+        "expected": _record(absorption.expected_absorption(p)),
     }
     rows = [[int(k), t0[k], t1[k], tt[k]] for k in range(hor + 1)]
     text = "\n".join(
@@ -307,35 +283,20 @@ def _cmd_gumbel(opts):
     if a is None or q is None:
         raise DomainError("gumbel needs --a and --q")
     big_a = opts["A"] if opts["A"] is not None else 1.0  # A = 1 as in validate_classify
-    probe = absorption.gumbel_limit(a, q, 0.0, theta=theta, big_a=big_a, r=opts["r"])
-    rec = probe.record
-    rows = []
+    rec = absorption.gumbel_limit(a, q, 0.0, theta=theta, big_a=big_a, r=opts["r"]).record
     if theta is not None:
         params, _ = validate_classify({"theta": theta, "a": a, "A": big_a, "q": q})
-        shift = rec.shift
-        n_hi = opts["n"]
-        n_lo = max(0, int(math.ceil(shift - 7.0)))
-        if n_hi < n_lo:
+        n_lo = max(0, int(math.ceil(rec.shift - 7.0)))
+        if opts["n"] < n_lo:
             raise DomainError("--n is below the start of the informative lattice")
-        for n in range(n_lo, n_hi + 1):
-            # the explosion time lives on integers; index rows by n - shift
-            y = n - shift
-            exact = absorption.conditional_t1_cdf(params, n)
-            rows.append([y, float(exact), math.exp(-rec.w * a ** y)])
+        # the explosion time lives on integers; index rows by n - shift
+        lattice = [(n - rec.shift, float(absorption.conditional_t1_cdf(params, n)))
+                   for n in range(n_lo, opts["n"] + 1)]
     else:
-        for k in range(-14, 25):
-            y = k * 0.5
-            rows.append([y, math.nan, math.exp(-rec.w * a ** y)])
+        lattice = [(k * 0.5, math.nan) for k in range(-14, 25)]
+    rows = [[y, exact, rec.cdf(y)] for y, exact in lattice]
     payload = {
-        "a": rec.a,
-        "q": rec.q,
-        "theta": rec.theta,
-        "A": rec.big_a,
-        "eps": rec.eps,
-        "r": rec.r,
-        "w": rec.w,
-        "mean": rec.mean,
-        "shift": rec.shift,
+        **_record(rec, big_a="A"),
         "rows": [{"y": y, "exact": e, "limit": l} for y, e, l in rows],
     }
     text = "\n".join(
@@ -346,7 +307,7 @@ def _cmd_gumbel(opts):
 
 @_command("qprocess", "harmonic function and the three limit laws", k_max=(_rows, 50))
 def _cmd_qprocess(opts):
-    p, tag = _params_from(opts)
+    p, tag, head = _params_from(opts)
     order = opts["k_max"]
     gamma = scalar_summary(p).gamma
     laws = {}
@@ -359,7 +320,7 @@ def _cmd_qprocess(opts):
             laws[name] = list(law(p, order).probs)
         except DomainError:  # this law is trivial or undefined for the case
             laws[name] = None
-    payload = {"params": serialize(p), "case": _tag_dict(tag), "gamma": gamma, **laws}
+    payload = {**head, "gamma": gamma, **laws}
     text_lines = [f"case {tag.case_id}: gamma={_fmt(gamma)}"]
     for name, val in laws.items():
         text_lines.append(
@@ -371,7 +332,7 @@ def _cmd_qprocess(opts):
 @_command("embed", "continuous-time generator, coefficients and residuals",
           k_max=(_rows, 50), t=(_finite, None, "extra residual time"))
 def _cmd_embed(opts):
-    p, tag = _params_from(opts)
+    p, tag, head = _params_from(opts)
     order = opts["k_max"]
     e = embedding.build_embedding(p)
     st = embedding.h_coeffs(e, order)
@@ -387,16 +348,12 @@ def _cmd_embed(opts):
         times.append(opts["t"])
     residuals = _embed_quad_residuals(e, times)
     checks = [
-        {"name": "embed_sup_err", "value": one_step, "tol": 1e-10,
-         "passed": one_step < 1e-10},
-        {"name": "semigroup_sup_err", "value": semi, "tol": 1e-10,
-         "passed": semi < 1e-10},
-        {"name": "quad_residuals", "value": max(residuals), "tol": 1e-6,
-         "passed": max(residuals) < 1e-6},
+        _check("embed_sup_err", tag.case_id, one_step, _IDENTITY_TOL),
+        _check("semigroup_sup_err", tag.case_id, semi, _IDENTITY_TOL),
+        _check("quad_residuals", tag.case_id, max(residuals), _QUAD_TOL),
     ]
     payload = {
-        "params": serialize(p),
-        "case": _tag_dict(tag),
+        **head,
         "lambda": e.lam,
         "mu": e.mu,
         "h0": float(st.coeffs[0]),
@@ -411,20 +368,19 @@ def _cmd_embed(opts):
     text = (
         f"lambda={_fmt(e.lam)} mu={_fmt(e.mu)} h0={_fmt(st.coeffs[0])}\n"
         + "\n".join(
-            f"{c['name']}: {_fmt(c['value'])} (tol {_fmt(c['tol'])}) "
-            f"{'PASS' if c['passed'] else 'FAIL'}"
+            f"{c.name}: {_fmt(c.value)} (tol {_fmt(c.tol)}) {'PASS' if c.passed else 'FAIL'}"
             for c in checks
         )
         + "\n"
     )
-    return payload, None, text, checks
+    return payload, None, text, [dataclasses.asdict(c) for c in checks]
 
 
 @_command("simulate", "Monte Carlo tail estimates vs the closed forms", tabular=True,
           replicates=(int, 100_000), seed=(int, 0), n_max=(_rows, 200),
           z_cap=(int, 10_000_000), workers=(int, 1))
 def _cmd_simulate(opts):
-    p, tag = _params_from(opts)
+    p, _, head = _params_from(opts)
     cfg = simulate.SimConfig(
         params=p,
         replicates=opts["replicates"],
@@ -441,13 +397,12 @@ def _cmd_simulate(opts):
     se = emp.se("t")
     rows = [[n, t0[n], t1[n], tt[n], se[n]] for n in range(cfg.n_max + 1)]
     summary = {
-        "ks": {"t0": ks.t0, "t1": ks.t1, "t": ks.t},
+        "ks": _record(ks),
         "censored_fraction": emp.censored_fraction,
         "seed": cfg.master_seed,
     }
     payload = {
-        "params": serialize(p),
-        "case": _tag_dict(tag),
+        **head,
         "replicates": cfg.replicates,
         "rows": [
             {"n": n, "emp_t0_tail": a_, "emp_t1_tail": b_, "emp_t_tail": c_, "se": d_}
@@ -457,7 +412,7 @@ def _cmd_simulate(opts):
     }
     text = (
         f"replicates={cfg.replicates} censored={_fmt(emp.censored_fraction)}\n"
-        f"ks: t0={_fmt(ks.t0)} t1={_fmt(ks.t1)} t={_fmt(ks.t)}\n"
+        "ks: " + " ".join(f"{k}={_fmt(v)}" for k, v in summary["ks"].items()) + "\n"
     )
     csv_spec = (["n", "emp_t0_tail", "emp_t1_tail", "emp_t_tail", "se"], rows)
     return payload, csv_spec, text, [], _json_doc(summary)
@@ -469,8 +424,8 @@ def _cmd_verify(opts):
     has_params = any(opts[k] is not None for k in _PARAM_KEYS)
     seed = opts["seed"]
     if has_params:
-        p, tag = _params_from(opts)
-        checks = list(verify_set(p, tag))
+        p, tag, _ = _params_from(opts)
+        checks = verify_set(p, tag)
     else:
         checks = verify_suite(seed=seed)
     check_dicts = [dataclasses.asdict(c) for c in checks]

@@ -402,9 +402,7 @@ def from_linear_fractional(p0: float, pr: float) -> tuple[ThetaParams, CaseTag]:
         raise InconsistentParamsError(
             "p = 1 gives c = 0, a boundary outside the family"
         )
-    if a >= 1.0:
-        return validate_classify({"theta": 1.0, "a": a, "c": c})
-    return validate_classify({"theta": 1.0, "a": a, "c": c, "A": 1.0})
+    return validate_classify({"theta": 1.0, "a": a, "c": c})
 
 
 def serialize(p: ThetaParams) -> dict[str, object]:

@@ -210,7 +210,8 @@ def stationary_law(p: ThetaParams, order: int) -> LimitLaw:
 def conditional_limit_b(p: ThetaParams, order: int) -> LimitLaw:
     """Limit law of the population at n given absorption later than n.
 
-    gf 1 - Q(sq)/Q(0); independent of how Q is normalized.
+    gf 1 - Q(sq)/Q(0); independent of how Q is normalized. NumericError when
+    cancellation leaves Q(0) fewer than about 8 digits.
     """
     qf = q_function(p)
     if qf.trivial:
@@ -219,8 +220,13 @@ def conditional_limit_b(p: ThetaParams, order: int) -> LimitLaw:
         raise DomainError("q = 0: conditioning event has probability 0")
     theta, q, big_a = p.theta, p.q, p.big_a
     q0 = qf.raw_at_zero()
-    if q0 == 0.0:
-        raise NumericError(f"Q(0) cancels to 0 at A = {big_a}: the law is 0/0")
+    # refuse Q(0) once cancellation leaves it fewer than about 8 digits
+    if qf.tag.case_id == "case1":  # (1 + d)^(-1/theta) does not cancel
+        scale = 0.0
+    else:  # a difference of powers, or a log near 0 at theta = 0
+        scale = 1.0 if theta == 0.0 else max(big_a ** (-theta), (big_a - q) ** (-theta))
+    if q0 == 0.0 or abs(q0) < 1e-8 * scale:
+        raise NumericError(f"Q(0) = {q0} cancels at A = {big_a}: the law loses its digits")
     if qf.tag.case_id == "case1":
         qsq = Series.affine(1.0, -1.0, order).pow(-theta) + p.d
         qsq = qsq.pow(-1.0 / theta)

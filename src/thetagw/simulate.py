@@ -345,7 +345,8 @@ class EmpiricalTails:
         p = self.tail(kind)
         return np.sqrt(p * (1.0 - p) / self.replicates)
 
-    def wilson(self, kind: str, z: float = _WILSON_Z):
+    def wilson(self, kind: str):
+        z = _WILSON_Z
         p = self.tail(kind)
         r = self.replicates
         denom = 1.0 + z * z / r

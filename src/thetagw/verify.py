@@ -8,7 +8,7 @@ pgf and against quadrature of the generator flow, and a small Monte Carlo
 smoke test on the two-point branch whose absorption law is elementary.
 
 Each check yields a VerifyCheck(name, target, value, tol, passed); a suite is
-just a list of them. The default suite covers one canonical parameter set for
+just a list of them. The suite covers one canonical parameter set for
 every case.
 """
 
@@ -41,6 +41,11 @@ CANONICAL_SETS: tuple[dict[str, float], ...] = (
     {"theta": 0.0, "a": 0.5, "A": 2.0, "q": 1.0},
     {"theta": -0.5, "a": 0.5, "A": 2.0, "q": 1.0},
 )
+
+#: tolerance of the identity checks, the embedding's included
+_IDENTITY_TOL = 1e-10
+#: tolerance of the quadrature residual of the generator flow
+_QUAD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,7 @@ def verify_set(p: ThetaParams, tag: CaseTag | None = None) -> list[VerifyCheck]:
     worst = 0.0
     for n in range(1, 21):
         worst = max(worst, float(np.max(np.abs(eval_fn(p, n, grid) - compose_iterate(p, n, grid)))))
-    out.append(_check("iterate_identity", cid, worst, 1e-10))
+    out.append(_check("iterate_identity", cid, worst, _IDENTITY_TOL))
 
     diff = np.abs(pmf(p, 50) - pmf_oracle(p, 50))
     out.append(_check("pmf_oracle", cid, float(diff.max()), 1e-9))
@@ -109,18 +114,18 @@ def verify_set(p: ThetaParams, tag: CaseTag | None = None) -> list[VerifyCheck]:
             abs(tails.t0_tail(n) - (p.q - eval_fn(p, n, 0.0))),
             abs(tails.t1_tail(n) - (eval_fn(p, n, 1.0) - p.q)),
         )
-    out.append(_check("absorption_vs_iteration", cid, worst, 1e-10))
+    out.append(_check("absorption_vs_iteration", cid, worst, _IDENTITY_TOL))
 
     qf = q_function(p)
     s = np.linspace(0.0, p.q, 40) if p.q > 0.0 else np.zeros(1)
     lhs = qf.raw(eval_f(p, s))
     rhs = qf.gamma * qf.raw(s)
-    out.append(_check("q_functional_eq", cid, float(np.max(np.abs(lhs - rhs))), 1e-10))
+    out.append(_check("q_functional_eq", cid, float(np.max(np.abs(lhs - rhs))), _IDENTITY_TOL))
 
     e = build_embedding(p)
-    out.append(_check("embed_one_step", cid, _embed_one_step_err(e, grid), 1e-10))
+    out.append(_check("embed_one_step", cid, _embed_one_step_err(e, grid), _IDENTITY_TOL))
     worst = max(_embed_quad_residuals(e, (0.5, 1.0, 2.0)))
-    out.append(_check("embed_quadrature", cid, worst, 1e-6))
+    out.append(_check("embed_quadrature", cid, worst, _QUAD_TOL))
     return out
 
 
@@ -133,14 +138,11 @@ def _case6_mc_smoke(seed: int) -> VerifyCheck:
     return VerifyCheck("case6_mc_mean", "case6", dev, 4.0 * se, dev < 4.0 * se)
 
 
-def verify_suite(
-    sets: list[dict[str, float]] | None = None, seed: int = 0
-) -> list[VerifyCheck]:
-    """Identity checks over the given sets (default: one per case) plus the
-    two-point-branch Monte Carlo smoke test."""
+def verify_suite(seed: int = 0) -> list[VerifyCheck]:
+    """Identity checks over one set per case plus the two-point-branch Monte
+    Carlo smoke test."""
     out: list[VerifyCheck] = []
-    for raw in sets if sets is not None else list(CANONICAL_SETS):
-        p, tag = validate_classify(raw)
-        out.extend(verify_set(p, tag))
+    for raw in CANONICAL_SETS:
+        out.extend(verify_set(*validate_classify(raw)))
     out.append(_case6_mc_smoke(seed))
     return out

@@ -234,6 +234,7 @@ def test_pmf_above_the_route_cap_exits_3(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["qprocess", "--theta=1", "--a=0.5", "--q=0.5", "--A=1e17"],  # Q(0) cancels to 0
+    ["qprocess", "--theta=1", "--a=0.5", "--q=0.5", "--A=1e10"],  # Q(0) keeps ~7 digits
     ["qprocess", "--theta=1", "--a=0.5", "--q=0.5", "--A=1e200"],  # (A - q)^2 overflows
     ["embed", "--theta=0", "--a=0.5897969762292109", "--A=1.780146358319437e160",
      "--q=0.22588312696234158", "--k-max=10"],  # h(x) - x rounds to 0 on the path
@@ -241,7 +242,7 @@ def test_pmf_above_the_route_cap_exits_3(capsys):
      "--q=0.9999999999999953", "--k-max=10"],
     ["embed", "--theta=5e-324", "--a=0.5", "--q=0.99999", "--k-max=10"],  # D rounds to 0
     ["pmf", "--theta=-0.0001", "--a=0.5", "--q=0.5", "--k-max=20"],  # C(10^4, j) overflows
-], ids=["qprocess-A-1e17", "qprocess-A-1e200", "embed-A-1e160", "embed-q-near-A",
+], ids=["qprocess-A-1e17", "qprocess-A-1e10", "qprocess-A-1e200", "embed-A-1e160", "embed-q-near-A",
         "embed-theta-5e-324", "pmf-theta-minus-1e-4"])
 def test_unrepresentable_values_exit_4(capsys, argv):
     # admissible laws whose values leave the float range end in the numeric

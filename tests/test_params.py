@@ -12,6 +12,7 @@ from thetagw import (
     InconsistentParamsError,
     ThetaParams,
     UnclassifiableError,
+    case_of,
     dual_transform,
     eval_f,
     from_linear_fractional,
@@ -229,3 +230,38 @@ def test_direct_construction_range_checks():
         ThetaParams(theta=1.0, a=0.5, c=1.0, big_a=0.5, q=0.5)
     with pytest.raises(DomainError):
         ThetaParams(theta=1.0, a=0.5, c=float("nan"), big_a=1.0, q=0.5)
+
+
+def _direct(**kw):
+    return ThetaParams(**{"theta": 1.0, "a": 0.5, "c": 1.0, "big_a": 1.0, "q": 0.5, **kw})
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: _direct(theta=1.5), DomainError),
+    (lambda: _direct(a=0.0), DomainError),
+    (lambda: _direct(c=-1.0), DomainError),
+    (lambda: _direct(q=1.5), DomainError),
+    (lambda: case_of(_direct(theta=0.0, a=2.0)), UnclassifiableError),
+    (lambda: case_of(_direct(theta=-0.5, a=2.0)), UnclassifiableError),
+    (lambda: validate_classify({"theta": 1.0, "a": 0.5, "q": 0.5, "A": 0.5}), DomainError),
+    (lambda: validate_classify({"theta": 1.0, "a": 0.5, "c": -1.0}), DomainError),
+    (lambda: validate_classify({"theta": 1.0, "a": 2.0, "q": 1.0}), DomainError),
+    (lambda: validate_classify({"theta": 1.0, "a": 2.0, "c": 0.0}), DomainError),
+    (lambda: validate_classify({"theta": 1.0, "a": 0.5, "c": 0.0}), DomainError),
+    (lambda: validate_classify({"theta": 1.0, "a": 2.0, "c": 1.0, "q": 0.5}),
+     InconsistentParamsError),
+    (lambda: validate_classify({"theta": 0.0, "a": 0.5, "q": 0.25, "c": 2.0}),
+     InconsistentParamsError),
+    (lambda: validate_classify({"theta": 1.0, "a": 0.5, "c": 0.1}), UnclassifiableError),
+    (lambda: validate_classify({"theta": 1.0, "a": 1.0, "c": 1.0, "A": 2.0}),
+     UnclassifiableError),
+    (lambda: from_linear_fractional(0.2, 0.0), DomainError),
+], ids=[
+    "direct-theta", "direct-a", "direct-c", "direct-q", "case_of-theta0-a2",
+    "case_of-negative-theta-a2", "A-below-1", "c-negative", "a2-q-only", "a2-c0",
+    "c0-no-q", "a2-q-not-1", "theta0-c-not-1-a", "c-gives-q-below-0", "a1-A2", "lf-pr-0",
+])
+def test_every_rejection_rule(call, error):
+    # one input per raise statement in params.py that the other tests leave unrun
+    with pytest.raises(error):
+        call()
