@@ -12,6 +12,8 @@ import pytest
 from thetagw import cli
 from thetagw.errors import NumericError
 
+from conftest import DESK_RAW
+
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
@@ -333,7 +335,6 @@ def test_float_formatting_is_17g():
 
 def _rendering_argvs() -> list[list[str]]:
     """The text and csv forms the perfbench goldens (JSON only) leave unpinned."""
-    from conftest import DESK_RAW
 
     def desk(name):
         return [f"--{k}={v!r}" for k, v in DESK_RAW[name].items()]
