@@ -10,26 +10,19 @@ lattice CDF hug exp(-w a^y) tighter as the exponent shrinks.
 
 import math
 
-from thetagw import conditional_t1_cdf, gumbel_limit, validate_classify
+from thetagw import gumbel_limit
 
 a = 0.5
 q = 0.0
 
 for theta in (-0.1, -0.01, -0.001):
-    probe = gumbel_limit(a, q, 0.0, theta=theta)
-    shift = probe.record.shift
-    params, _ = validate_classify({"theta": theta, "a": a, "q": q, "A": 1.0})
+    rec = gumbel_limit(a, q, theta=theta)
 
     # compare the exact lattice CDF with the limit curve on a window
     # around the centering shift
-    sup = 0.0
-    lo = max(0, math.ceil(shift - 7))
-    for n in range(lo, math.ceil(shift) + 13):
-        exact = conditional_t1_cdf(params, n)
-        y = n - shift
-        limit = math.exp(-probe.record.w * a ** y)
-        sup = max(sup, abs(exact - limit))
-    print(f"theta = {theta:>7}: centering shift {shift:8.3f}, sup |exact - limit| = {sup:.5f}")
+    rows = rec.lattice(math.ceil(rec.shift) + 12)
+    sup = max(abs(exact - limit) for _, exact, limit in rows)
+    print(f"theta = {theta:>7}: centering shift {rec.shift:8.3f}, sup |exact - limit| = {sup:.5f}")
 
 print()
 print("limit curve itself (w = 1):")

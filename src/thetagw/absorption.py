@@ -16,8 +16,8 @@ error estimate must stay below 1e-9 * max(1, sum), else NumericError.
 
 The late-explosion limit law: when the one-step escape mass is small the
 conditional law of T_1, shifted by log_a(eps), approaches the curve
-exp(-w a^y). gumbel_limit packages eps, the regime parameter r, the weight w,
-and exact-vs-limit evaluation on the integer lattice.
+exp(-w a^y). gumbel_limit packages eps, the regime parameter r and the weight
+w; GumbelLimit.lattice sets the exact law against the limit on the lattice.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "expected_absorption",
     "conditional_t1_cdf",
     "GumbelLimit",
-    "GumbelEval",
     "gumbel_limit",
     "EULER_GAMMA",
 ]
@@ -300,98 +299,78 @@ class GumbelLimit:
     shift: float  # log_a(eps), the centering applied to T_1
 
     def cdf(self, y: float) -> float:
-        """The limit cdf exp(-w a^y) at y."""
-        return math.exp(-self.w * self.a**y)
+        """The limit cdf exp(-w a^y) at y; 0 where a^y overflows."""
+        try:
+            return math.exp(-self.w * self.a**y)
+        except OverflowError:
+            return 0.0
 
+    def lattice(self, n_max: int) -> list[tuple[float, float, float]]:
+        """(y, exact, limit) rows: the exact conditional cdf against the limit.
 
-@dataclass(frozen=True)
-class GumbelEval:
-    record: GumbelLimit
-    y: float
-    limit_cdf: float
-    n_floor: int
-    n_ceil: int
-    exact_floor: float
-    exact_ceil: float
+        T_1 lives on the integers, so with a concrete theta the rows are
+        n = max(0, ceil(shift - 7))..n_max at y = n - shift, exact being
+        P(T_1 <= n | T_1 < infinity). Without one only the limit curve is
+        defined: y = -7, -6.5, ..., 12 with exact nan.
+        """
+        if self.theta is None:
+            return [(k * 0.5, math.nan, self.cdf(k * 0.5)) for k in range(-14, 25)]
+        p, _ = validate_classify({"theta": self.theta, "a": self.a, "A": self.big_a, "q": self.q})
+        n_lo = max(0, math.ceil(self.shift - 7.0))
+        if n_max < n_lo:
+            raise DomainError(f"n_max = {n_max} is below the lattice start {n_lo}")
+        return [
+            (n - self.shift, float(conditional_t1_cdf(p, n)), self.cdf(n - self.shift))
+            for n in range(n_lo, n_max + 1)
+        ]
 
 
 def gumbel_limit(
     a: float,
     q: float,
-    y: float,
+    *,
     theta: float | None = None,
     big_a: float = 1.0,
     r: float | None = None,
-) -> GumbelEval:
-    """Exact vs limit law of the shifted explosion time.
+) -> GumbelLimit:
+    """The limit law of the shifted explosion time along a declared path.
 
     The caller fixes a in (0,1) and q in [0,1) and declares the path either
-    through a concrete (theta, big_a) pair or a direct regime value r. With
-    both given they are cross-checked. The exact conditional cdf is reported
-    at the two integers bracketing shift + y, since the time is lattice
-    valued while the limit curve is continuous.
+    through a concrete (theta, big_a) pair or a direct regime value r. A
+    concrete pair fixes r, and with it eps and w; a declared r is then only
+    cross-checked against it.
     """
     if not 0.0 < a < 1.0:
         raise DomainError(f"a must lie in (0,1), got {a}")
     if not 0.0 <= q < 1.0:
         raise DomainError(f"q must lie in [0,1), got {q}")
 
-    if theta is None and r is None:
-        raise RegimeError("declare the regime: give theta (with big_a) or r directly")
     if theta is not None:
-        if theta > 0.0 or theta <= -1.0:
+        if not -1.0 < theta <= 0.0:
             raise RegimeError(f"the limit regime needs theta in (-1, 0], got {theta}")
-        if theta == 0.0:
-            if big_a <= 1.0:
-                raise RegimeError("theta = 0 with A = 1 has no explosions")
-            r_path = 0.0
-        elif big_a == 1.0:
-            r_path = math.inf
-        else:
-            r_path = abs(theta) * math.log(1.0 / (big_a - 1.0))
-            if r_path <= 0.0:
-                raise RegimeError(f"A = {big_a} >= 2 puts the path outside the regime")
+        if not 1.0 <= big_a < 2.0:
+            raise RegimeError(f"the limit regime needs A in [1, 2), got {big_a}")
+        if theta == 0.0 and big_a == 1.0:
+            raise RegimeError("theta = 0 with A = 1 has no explosions")
+        r_path = math.inf if big_a == 1.0 else abs(theta) * math.log(1.0 / (big_a - 1.0))
         if r is not None and not _r_compatible(r, r_path):
             raise RegimeError(f"declared r={r} is inconsistent with (theta, A) giving {r_path}")
-        r_eff = r_path if r is None else float(r)
-    else:
-        r_eff = float(r)
-        if r_eff < 0.0:
-            raise RegimeError(f"r must lie in [0, inf], got {r}")
+        r = r_path
+    elif r is None:
+        raise RegimeError("declare the regime: give theta (with big_a) or r directly")
+    elif not r >= 0.0:
+        raise RegimeError(f"r must lie in [0, inf], got {r}")
 
-    if r_eff == 0.0:
-        if big_a <= 1.0 or big_a >= 2.0:
+    if r == 0.0:
+        if not 1.0 < big_a < 2.0:
             raise DomainError("the r = 0 branch needs A in (1, 2) so that eps > 0")
-        eps = 1.0 / math.log(1.0 / (big_a - 1.0))
-        w = 1.0
+        eps, w = 1.0 / math.log(1.0 / (big_a - 1.0)), 1.0
     else:
-        eps = abs(theta) if theta is not None else math.nan
-        w = 1.0 - math.exp(-r_eff)  # exactly 1.0 at r = inf
+        eps = abs(theta) if theta is not None else math.nan  # no centering without theta
+        w = -math.expm1(-r)  # 1 - e^(-r), exactly 1.0 at r = inf
     mean = (math.log(w) - EULER_GAMMA) / math.log(a)
-    shift = math.log(eps) / math.log(a) if eps > 0.0 else math.nan
-    record = GumbelLimit(
-        a=a, q=q, theta=theta, big_a=big_a, eps=eps, r=r_eff, w=w, mean=mean, shift=shift
-    )
-
-    # only the limit curve is defined without a concrete (theta, A) pair
-    n_floor = n_ceil = -1
-    exact_floor = exact_ceil = math.nan
-    if theta is not None and not math.isnan(shift):
-        params, _ = validate_classify({"theta": theta, "a": a, "A": big_a, "q": q})
-        n_floor = math.floor(shift + y)
-        n_ceil = math.ceil(shift + y)
-        exact_floor, exact_ceil = (
-            float(conditional_t1_cdf(params, n)) if n >= 0 else 0.0 for n in (n_floor, n_ceil)
-        )
-    return GumbelEval(
-        record=record,
-        y=float(y),
-        limit_cdf=record.cdf(y),
-        n_floor=n_floor,
-        n_ceil=n_ceil,
-        exact_floor=exact_floor,
-        exact_ceil=exact_ceil,
-    )
+    shift = math.log(eps) / math.log(a)  # nan with eps
+    return GumbelLimit(a, q, theta, big_a, eps, float(r), w, mean, shift)
 
 
 def _r_compatible(declared: float, from_path: float) -> bool:

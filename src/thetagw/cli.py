@@ -279,22 +279,12 @@ def _cmd_absorb(opts):
           n=(_rows, 50, "largest lattice index"),
           r=(_finite, None, "limit regime parameter when theta is not given"))
 def _cmd_gumbel(opts):
-    a, q, theta = opts["a"], opts["q"], opts["theta"]
+    a, q = opts["a"], opts["q"]
     if a is None or q is None:
         raise DomainError("gumbel needs --a and --q")
     big_a = opts["A"] if opts["A"] is not None else 1.0  # A = 1 as in validate_classify
-    rec = absorption.gumbel_limit(a, q, 0.0, theta=theta, big_a=big_a, r=opts["r"]).record
-    if theta is not None:
-        params, _ = validate_classify({"theta": theta, "a": a, "A": big_a, "q": q})
-        n_lo = max(0, int(math.ceil(rec.shift - 7.0)))
-        if opts["n"] < n_lo:
-            raise DomainError("--n is below the start of the informative lattice")
-        # the explosion time lives on integers; index rows by n - shift
-        lattice = [(n - rec.shift, float(absorption.conditional_t1_cdf(params, n)))
-                   for n in range(n_lo, opts["n"] + 1)]
-    else:
-        lattice = [(k * 0.5, math.nan) for k in range(-14, 25)]
-    rows = [[y, exact, rec.cdf(y)] for y, exact in lattice]
+    rec = absorption.gumbel_limit(a, q, theta=opts["theta"], big_a=big_a, r=opts["r"])
+    rows = rec.lattice(opts["n"])
     payload = {
         **_record(rec, big_a="A"),
         "rows": [{"y": y, "exact": e, "limit": l} for y, e, l in rows],

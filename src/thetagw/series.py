@@ -122,7 +122,9 @@ class Series:
         """Real power via the Miller recurrence; needs a positive constant term.
 
         With v = u**alpha the identity u*v' = alpha*u'*v pins every
-        coefficient:  m*u0*v_m = sum_{j=1..m} (j*(alpha+1) - m) * u_j * v_{m-j}.
+        coefficient:  m*u0*v_m = sum_{j=1..m} (j*alpha + (j - m)) * u_j * v_{m-j}.
+        Spelled this way the factor at j = m is m*alpha rounded once, so it
+        keeps its digits however small alpha is.
         Only the nonzero u_j enter the sum, so an affine base costs O(order).
         A row of more than _SCALAR_TERMS terms forms them in numpy, left to
         right as written, and takes one fsum: bitwise equal to a generator.
@@ -136,13 +138,13 @@ class Series:
         v = np.zeros(n + 1)
         v[0] = u[0] ** alpha
         nz = np.flatnonzero(u[1:]) + 1  # zero terms leave an exact sum as it is
-        ja, uz, js = nz * (alpha + 1.0), u[nz], nz.tolist()
+        ja, uz, js = nz * alpha, u[nz], nz.tolist()
         for m in range(1, n + 1):
             c = bisect_right(js, m)
             if c <= _SCALAR_TERMS:
-                acc = math.fsum((j * (alpha + 1.0) - m) * u[j] * v[m - j] for j in js[:c])
+                acc = math.fsum((j * alpha + (j - m)) * u[j] * v[m - j] for j in js[:c])
             else:
-                acc = math.fsum(((ja[:c] - m) * uz[:c] * v[m - nz[:c]]).tolist())
+                acc = math.fsum(((ja[:c] + (nz[:c] - m)) * uz[:c] * v[m - nz[:c]]).tolist())
             v[m] = acc / (m * u[0])
         return Series(v)
 

@@ -5,9 +5,10 @@ behind them), estimates the absorption-time tails empirically, and reports the
 sup deviation from the closed forms.
 
 Replicate i draws from its own counter-based stream, that of
-Generator(Philox(key=[master_seed, i])) (under antithetic pairing, 2j+1 takes
-1 - u of stream 2j), so its outcome depends on that key alone: counts are
-byte-identical for any worker count, chunking, batching or scheduling order.
+Generator(Philox(key=np.array([master_seed, i], dtype=np.uint64))) (under
+antithetic pairing, 2j+1 takes 1 - u of stream 2j), so its outcome depends on
+that key alone: counts are byte-identical for any worker count, chunking,
+batching or scheduling order.
 One Philox per call reaches any (replicate, position) by re-keying, instead
 of a generator built per replicate.
 
@@ -113,7 +114,10 @@ _EXT, _EXP, _HOR, _CAP = range(4)  # indices into _OUTCOMES
 class _Streams:
     """Uniforms of any (replicate, position) from one re-keyed Philox.
 
-    Replicate i reads the stream of Generator(Philox(key=[master_seed, i])).
+    Replicate i reads the stream of
+    Generator(Philox(key=np.array([master_seed, i], dtype=np.uint64))). numpy
+    reads a plain list key through float64 once the seed passes 2^63 - 1, and
+    that can name another stream.
     Under antithetic pairing replicates 2j and 2j+1 share stream 2j and the
     odd one takes 1 - u. Re-keying sets the counter to pos // 4 with an empty
     buffer, because numpy advances the counter before it fills its four-draw

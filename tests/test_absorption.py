@@ -218,66 +218,83 @@ def test_conditional_t1_cdf(desk):
 
 
 def test_gumbel_record_theta_path():
-    ge = gumbel_limit(0.5, 0.0, 0.0, theta=-0.1, big_a=1.0)
-    rec = ge.record
+    rec = gumbel_limit(0.5, 0.0, theta=-0.1, big_a=1.0)
     assert rec.r == math.inf and rec.w == 1.0
     assert rec.eps == 0.1
     assert rec.shift == pytest.approx(math.log(0.1) / math.log(0.5), rel=1e-14)
     # Gumbel mean on the log_a scale
     assert rec.mean == pytest.approx(-0.5772156649015329 / math.log(0.5), rel=1e-12)
-    assert ge.limit_cdf == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert rec.cdf(0.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
 def test_gumbel_exact_brackets_limit():
     # deviation shrinks as theta -> 0-; light version of the sweep
     devs = []
     for theta in (-0.1, -0.01):
-        ge0 = gumbel_limit(0.5, 0.0, 0.0, theta=theta)
-        shift = ge0.record.shift
-        worst = 0.0
-        for n in range(0, int(shift) + 40):
-            ev = gumbel_limit(0.5, 0.0, n - shift, theta=theta)
-            worst = max(worst, abs(ev.exact_floor - ev.limit_cdf))
-        devs.append(worst)
+        rec = gumbel_limit(0.5, 0.0, theta=theta)
+        rows = rec.lattice(int(rec.shift) + 39)
+        devs.append(max(abs(exact - limit) for _, exact, limit in rows))
     assert devs[1] < devs[0] < 0.05
+
+
+@pytest.mark.parametrize("theta, big_a, q", [
+    (-0.1, 1.0, 0.0), (-0.01, 1.0, 0.3), (-0.5, 1.2, 0.6), (0.0, 1.5, 0.0), (-1e-3, 1.9, 0.1),
+])
+def test_gumbel_lattice_is_the_exact_law(theta, big_a, q):
+    # row n is (n - shift, P(T_1 <= n | T_1 < inf), exp(-w a^(n - shift))), bit for bit
+    rec = gumbel_limit(0.5, q, theta=theta, big_a=big_a)
+    p, _ = validate_classify({"theta": theta, "a": 0.5, "A": big_a, "q": q})
+    n_lo = max(0, math.ceil(rec.shift - 7.0))
+    rows = rec.lattice(n_lo + 30)
+    assert len(rows) == 31
+    for n, (y, exact, limit) in enumerate(rows, start=n_lo):
+        assert y == n - rec.shift
+        assert exact == float(conditional_t1_cdf(p, n))
+        assert limit == rec.cdf(n - rec.shift)
+    with pytest.raises(DomainError):
+        rec.lattice(n_lo - 1)
 
 
 def test_gumbel_r_zero_branch():
     # theta = 0 with A in (1, 2): eps = 1/ln(1/(A-1)), w = 1
-    ge = gumbel_limit(0.5, 0.0, 1.0, theta=0.0, big_a=1.5)
-    assert ge.record.r == 0.0 and ge.record.w == 1.0
-    assert ge.record.eps == pytest.approx(1.0 / math.log(2.0), rel=1e-14)
-    assert ge.exact_floor >= 0.0
+    rec = gumbel_limit(0.5, 0.0, theta=0.0, big_a=1.5)
+    assert rec.r == 0.0 and rec.w == 1.0
+    assert rec.eps == pytest.approx(1.0 / math.log(2.0), rel=1e-14)
+    assert all(exact >= 0.0 for _, exact, _ in rec.lattice(20))
 
 
 def test_gumbel_finite_r():
     # pick A so the declared r matches the path value
     theta, r = -0.1, 0.5
     big_a = 1.0 + math.exp(-r / abs(theta))
-    ge = gumbel_limit(0.5, 0.0, 0.0, theta=theta, big_a=big_a, r=r)
-    assert ge.record.w == pytest.approx(1.0 - math.exp(-0.5), rel=1e-12)
+    rec = gumbel_limit(0.5, 0.0, theta=theta, big_a=big_a, r=r)
+    assert rec.w == pytest.approx(1.0 - math.exp(-0.5), rel=1e-12)
     with pytest.raises(RegimeError):
-        gumbel_limit(0.5, 0.0, 0.0, theta=theta, big_a=big_a, r=2.5)
+        gumbel_limit(0.5, 0.0, theta=theta, big_a=big_a, r=2.5)
 
 
 def test_gumbel_r_only_is_limit_only():
-    ge = gumbel_limit(0.5, 0.2, 1.0, r=1.0)
-    assert math.isnan(ge.exact_floor) and math.isnan(ge.exact_ceil)
+    rec = gumbel_limit(0.5, 0.2, r=1.0)
+    rows = rec.lattice(50)
+    assert all(math.isnan(exact) for _, exact, _ in rows)
     w = 1.0 - math.exp(-1.0)
-    assert ge.limit_cdf == pytest.approx(math.exp(-w * 0.5), rel=1e-14)
+    assert rec.cdf(1.0) == pytest.approx(math.exp(-w * 0.5), rel=1e-14)
+    assert [(y, limit) for y, _, limit in rows] == [(k / 2, rec.cdf(k / 2)) for k in range(-14, 25)]
 
 
 def test_gumbel_rejections():
     with pytest.raises(RegimeError):
-        gumbel_limit(0.5, 0.0, 0.0, theta=0.5)
+        gumbel_limit(0.5, 0.0, theta=0.5)
     with pytest.raises(RegimeError):
-        gumbel_limit(0.5, 0.0, 0.0, theta=0.0, big_a=1.0)
+        gumbel_limit(0.5, 0.0, theta=0.0, big_a=1.0)
     with pytest.raises(RegimeError):
-        gumbel_limit(0.5, 0.0, 0.0)
+        gumbel_limit(0.5, 0.0)
     with pytest.raises(DomainError):
-        gumbel_limit(1.5, 0.0, 0.0, theta=-0.1)
+        gumbel_limit(1.5, 0.0, theta=-0.1)
     with pytest.raises(DomainError):
-        gumbel_limit(0.5, 1.0, 0.0, theta=-0.1)
+        gumbel_limit(0.5, 1.0, theta=-0.1)
+    with pytest.raises(TypeError):  # the evaluation point y is gone, not read as theta
+        gumbel_limit(0.5, 0.0, 0.0, theta=-0.1)
 
 
 def test_real_valued_n_interpolates(desk):

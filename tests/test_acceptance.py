@@ -223,8 +223,7 @@ def test_criterion_09_explosion_time_limit_law():
     # theta = -0.001
     devs = []
     for theta in (-0.1, -0.01, -0.001):
-        probe = gumbel_limit(0.5, 0.0, 0.0, theta=theta)
-        rec = probe.record
+        rec = gumbel_limit(0.5, 0.0, theta=theta)
         shift = rec.shift
         p, _ = validate_classify({"theta": theta, "a": 0.5, "A": 1.0, "q": 0.0})
         worst = 0.0

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -325,6 +326,14 @@ def test_gumbel_lattice_rows():
     assert all(abs((b - a) - 1.0) < 1e-12 for a, b in zip(ys, ys[1:]))
     devs = [abs(float(ex) - float(lim)) for _, ex, lim in rows]
     assert max(devs) < 0.01
+
+
+def test_gumbel_theta_zero_takes_r_zero(capsys):
+    # theta = 0 fixes r = 0 whatever r is declared: eps = 1/ln(1/(A - 1)), w = 1
+    assert cli.main(["gumbel", "--theta=0", "--A=1.5", "--a=0.5", "--q=0", "--r=0.2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["r"] == 0 and doc["w"] == 1
+    assert doc["eps"] == 1.0 / math.log(2.0)
 
 
 def test_float_formatting_is_17g():

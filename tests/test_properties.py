@@ -161,3 +161,25 @@ def test_cli_exits_with_a_documented_code(command, theta, big_a, law):
         warnings.simplefilter("ignore")
         code = cli.main(argv)
     assert code in (0, 3, 4, 5), (argv, out.getvalue()[-300:])
+
+
+@PROPERTY
+@given(
+    st.one_of(st.just(0.0), st.floats(-1.0, 0.0, exclude_min=True)),
+    st.one_of(st.just(1.0), st.floats(1.0, 2.5)),
+    st.one_of(st.none(), st.sampled_from([0.0, 0.2, 1.0, math.inf])),
+    LOW_A,
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+)
+def test_cli_gumbel_exits_with_a_documented_code(theta, big_a, r, a, q):
+    # 0 ok, 3 outside the regime, 4 numeric; --r takes a finite real only, so
+    # r = inf is a usage error (2): that path is declared through A = 1
+    argv = ["gumbel", f"--theta={theta!r}", f"--A={big_a!r}", f"--a={a!r}", f"--q={q!r}"]
+    if r is not None:
+        argv.append(f"--r={r!r}")
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(out):
+        warnings.simplefilter("ignore")
+        code = cli.main(argv)
+    assert code in ((2,) if r == math.inf else (0, 3, 4)), (argv, out.getvalue()[-300:])

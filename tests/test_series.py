@@ -126,7 +126,7 @@ def _pow_reference(u, alpha):
     nz = (np.flatnonzero(u[1:]) + 1).tolist()
     for m in range(1, n + 1):
         acc = math.fsum(
-            (j * (alpha + 1.0) - m) * u[j] * v[m - j] for j in nz[: bisect_right(nz, m)]
+            (j * alpha + (j - m)) * u[j] * v[m - j] for j in nz[: bisect_right(nz, m)]
         )
         v[m] = acc / (m * u[0])
     return v
@@ -189,3 +189,25 @@ def test_mul_bitwise_equals_generator(order, left, right, seed):
     a, b = _base(order, left, seed), _base(order, right, seed + 1)
     a[::4] *= -1.0  # negative entries times -0.0 give signed-zero products
     assert (Series(a) * Series(b)).coeffs.tobytes() == _mul_reference(a, b).tobytes()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.floats(0.5, 2.0),
+    st.floats(0.5, 2.0),
+    st.booleans(),
+    st.floats(-300.0, 2.0),
+    st.booleans(),
+)
+@example(3, 1.0, 1.0, True, -17.0, False)
+def test_affine_pow_keeps_small_exponents(order, c0, ratio, neg_ratio, log_alpha, neg_alpha):
+    # [s^k] (c0 + c1 s)^alpha = c0^alpha * prod_{i<=k} (alpha - i + 1)/i * (c1/c0),
+    # for |alpha| from 1e-300 to 100; |c1/c0| >= 1/2 keeps the terms normal floats
+    alpha = (-1.0 if neg_alpha else 1.0) * 10.0**log_alpha
+    c1 = (-ratio if neg_ratio else ratio) * c0
+    got = Series.affine(c0, c1, order).pow(alpha).coeffs
+    ref = [c0**alpha]
+    for i in range(1, order + 1):
+        ref.append(ref[-1] * (alpha - (i - 1)) / i * (c1 / c0))
+    assert got.tolist() == pytest.approx(ref, rel=1e-12, abs=0.0)
