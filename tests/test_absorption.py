@@ -280,6 +280,7 @@ def test_gumbel_r_only_is_limit_only():
     w = 1.0 - math.exp(-1.0)
     assert rec.cdf(1.0) == pytest.approx(math.exp(-w * 0.5), rel=1e-14)
     assert [(y, limit) for y, _, limit in rows] == [(k / 2, rec.cdf(k / 2)) for k in range(-14, 25)]
+    assert gumbel_limit(1e-300, 0.0, r=1.0).cdf(-7.0) == 0.0  # where a^y overflows
 
 
 def test_gumbel_rejections():

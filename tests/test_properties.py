@@ -165,7 +165,7 @@ def test_cli_exits_with_a_documented_code(command, theta, big_a, law):
 
 @PROPERTY
 @given(
-    st.one_of(st.just(0.0), st.floats(-1.0, 0.0, exclude_min=True)),
+    st.one_of(st.none(), st.just(0.0), st.floats(-1.0, 0.0, exclude_min=True)),
     st.one_of(st.just(1.0), st.floats(1.0, 2.5)),
     st.one_of(st.none(), st.sampled_from([0.0, 0.2, 1.0, math.inf])),
     LOW_A,
@@ -174,9 +174,8 @@ def test_cli_exits_with_a_documented_code(command, theta, big_a, law):
 def test_cli_gumbel_exits_with_a_documented_code(theta, big_a, r, a, q):
     # 0 ok, 3 outside the regime, 4 numeric; --r takes a finite real only, so
     # r = inf is a usage error (2): that path is declared through A = 1
-    argv = ["gumbel", f"--theta={theta!r}", f"--A={big_a!r}", f"--a={a!r}", f"--q={q!r}"]
-    if r is not None:
-        argv.append(f"--r={r!r}")
+    argv = ["gumbel", f"--A={big_a!r}", f"--a={a!r}", f"--q={q!r}"]
+    argv += [f"--{k}={v!r}" for k, v in (("theta", theta), ("r", r)) if v is not None]
     out = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(out):

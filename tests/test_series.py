@@ -203,7 +203,8 @@ def test_mul_bitwise_equals_generator(order, left, right, seed):
 @example(3, 1.0, 1.0, True, -17.0, False)
 def test_affine_pow_keeps_small_exponents(order, c0, ratio, neg_ratio, log_alpha, neg_alpha):
     # [s^k] (c0 + c1 s)^alpha = c0^alpha * prod_{i<=k} (alpha - i + 1)/i * (c1/c0),
-    # for |alpha| from 1e-300 to 100; |c1/c0| >= 1/2 keeps the terms normal floats
+    # for |alpha| from 1e-300 to 100; |c1/c0| >= 1/2 keeps the terms normal floats.
+    # The factor is spelled alpha - (i - 1), so that the first one is alpha itself
     alpha = (-1.0 if neg_alpha else 1.0) * 10.0**log_alpha
     c1 = (-ratio if neg_ratio else ratio) * c0
     got = Series.affine(c0, c1, order).pow(alpha).coeffs
