@@ -77,7 +77,6 @@ class AbsorptionTails:
     def __init__(self, p: ThetaParams):
         self.params = p
         self.tag: CaseTag = case_of(p)
-        self.extinction_mass = p.q
         self.explosion_mass = 0.0 if self.tag.regular else 1.0 - p.q
 
     # -- closed forms ----------------------------------------------------
@@ -226,9 +225,8 @@ def _tail_sum(tail_fn) -> float:
 
 
 def expected_absorption(p: ThetaParams) -> ExpectedAbsorption:
-    tag = case_of(p)
     tails = absorption_tails(p)
-    q = p.q
+    tag, q = tails.tag, p.q
 
     if tag.case_id == "case6":
         exact = 1.0 / (1.0 - p.a)
@@ -268,11 +266,10 @@ def _null_conditioning(event: str) -> float:
 
 def conditional_t1_cdf(p: ThetaParams, n) -> float:
     """P(T_1 <= n | T_1 < infinity) for laws with positive escape mass."""
-    tag = case_of(p)
     tails = absorption_tails(p)
     if tails.explosion_mass <= 0.0:
         raise RegimeError(
-            f"{tag.case_id} has explosion probability 0; the conditional law is undefined"
+            f"{tails.tag.case_id} has explosion probability 0; the conditional law is undefined"
         )
     nn = np.asarray(n, dtype=float)
     val = np.where(nn < 0.0, 0.0, 1.0 - tails.t1_tail(np.maximum(nn, 0.0)) / (1.0 - p.q))

@@ -56,6 +56,7 @@ class Embedding:
     form: str  # "mu" | "aq" | "log" | "const"
     lam: float
     mu: float  # h'(1), may be inf; the mu of the mu form
+    norm: float  # h's denominator: D in the aq form, E in the log form, else nan
     # h(1): 1 for proper h, q for the two-point branch; the A > 1 laws with
     # q < 1 keep an instantaneous escape mass, so h(1) < 1 there too
     h_at_1: float = field(init=False)
@@ -68,6 +69,7 @@ def build_embedding(p: ThetaParams) -> Embedding:
     tag = case_of(p)
     theta, a, q, big_a = p.theta, p.a, p.q, p.big_a
     cid = tag.case_id
+    norm = math.nan
     if cid == "case6":
         form, lam, mu = "const", math.log(1.0 / a), 0.0
     elif cid == "case1":
@@ -83,29 +85,29 @@ def build_embedding(p: ThetaParams) -> Embedding:
             1.0 / a
         )
     elif theta == 0.0:
-        ee = 1.0 + math.log(big_a) - math.log(big_a - q)
-        form, lam = "log", ee * math.log(1.0 / a)
+        norm = 1.0 + math.log(big_a) - math.log(big_a - q)
+        form, lam = "log", norm * math.log(1.0 / a)
         if big_a == 1.0:
             mu = math.inf
         else:
-            mu = 1.0 + (math.log((big_a - q) / (big_a - 1.0)) - 1.0) / ee
+            mu = 1.0 + (math.log((big_a - q) / (big_a - 1.0)) - 1.0) / norm
     else:
+        norm = (1.0 + theta) * big_a**theta - (big_a - q) ** theta
         form, lam = "aq", (
             (1.0 + 1.0 / theta) * big_a**theta * (big_a - q) ** (-theta) - 1.0 / theta
         ) * math.log(1.0 / a)
         if big_a == 1.0:
             mu = math.inf
         else:
-            dd = (1.0 + theta) * big_a**theta - (big_a - q) ** theta
             num = (big_a - q) ** theta - (1.0 + theta) * (big_a - 1.0) ** theta
-            mu = 1.0 + _ratio(num, dd, "h's D")
+            mu = 1.0 + _ratio(num, norm, "h's D")
     if not lam > 0.0:
         raise NumericError(f"rate came out nonpositive ({lam}) for {cid}")
     if form == "mu" and not 0.0 < mu <= 1.0 + 1.0 / theta:
         raise DomainError(
             f"offspring mean parameter {mu} outside (0, 1+1/theta] for {cid}"
         )
-    e = Embedding(params=p, tag=tag, form=form, lam=lam, mu=mu)
+    e = Embedding(params=p, tag=tag, form=form, lam=lam, mu=mu, norm=norm)
     hq = h_eval(e, q)
     if abs(hq - q) > 1e-12:
         raise NumericError(f"h({q}) = {hq} != q for {cid}")
@@ -132,16 +134,12 @@ def h_eval(e: Embedding, s):
         one_m = 1.0 - ss
         val = 1.0 - mu * one_m + mu / (1.0 + theta) * one_m ** (1.0 + theta)
     elif e.form == "aq":
-        dd = (1.0 + theta) * big_a**theta - (big_a - q) ** theta
-        val = ss + ((big_a - ss) ** (1.0 + theta) - (big_a - q) ** theta * (big_a - ss)) / dd
+        val = ss + ((big_a - ss) ** (1.0 + theta) - (big_a - q) ** theta * (big_a - ss)) / e.norm
     else:  # log
-        ee = 1.0 + math.log(big_a) - math.log(big_a - q)
         with np.errstate(divide="ignore", invalid="ignore"):
-            raw = ss + (big_a - ss) * (np.log(big_a - ss) - math.log(big_a - q)) / ee
-        # (A-s)ln(A-s) -> 0 as s -> A; only reachable when A = 1
+            raw = ss + (big_a - ss) * (np.log(big_a - ss) - math.log(big_a - q)) / e.norm
+        # (A-s)ln(A-s) -> 0 as s -> A; only reachable when A = 1, where h(1) = 1
         val = np.where(ss == big_a, ss + 0.0, raw)
-        if big_a == 1.0:
-            val = np.where(ss == 1.0, 1.0, val)
     return float(val) if np.ndim(s) == 0 else val
 
 
@@ -160,11 +158,10 @@ def h_coeffs(e: Embedding, order: int) -> SeriesTruncation:
         ser = 1.0 - mu * base + (mu / (1.0 + theta)) * base.pow(1.0 + theta)
         coeffs = ser.coeffs.copy()
     elif e.form == "aq":
-        dd = (1.0 + theta) * big_a**theta - (big_a - q) ** theta
         base = Series.affine(big_a, -1.0, order)
         ser = Series.identity(order) + (
             base.pow(1.0 + theta) - (big_a - q) ** theta * base
-        ) * (1.0 / dd)
+        ) * (1.0 / e.norm)
         coeffs = ser.coeffs.copy()
     else:
         # A = 1: h_0 = -L/(1-L) with L = ln(1-q), h_k = (1-h_0)/(k(k-1));
@@ -188,9 +185,7 @@ def h_coeffs(e: Embedding, order: int) -> SeriesTruncation:
 
 
 def semigroup_F(e: Embedding, t: float, s):
-    """F_t(s) for real t >= 0; F_0 = id and F_1 is the one-step pgf."""
-    if not t >= 0.0:  # NaN fails too
-        raise DomainError("the semigroup runs forward only")
+    """F_t(s) for real t >= 0, else DomainError; F_0 = id, F_1 the one-step pgf."""
     return eval_fn(e.params, t, s)
 
 

@@ -220,14 +220,8 @@ def theta0_scaled_tail(p: ThetaParams, n_lo: int, n_hi: int) -> np.ndarray:
     a = p.a
     p1_scaled = (p.big_a - p.q) ** (1.0 - a) * a * p.big_a**a
     k = np.arange(2, n_hi + 1, dtype=float)
-    scaled = p1_scaled * np.cumprod((k - 1.0 - a) / k)
-    out = np.empty(n_hi - n_lo + 1)
-    if n_lo == 1:
-        out[0] = p1_scaled
-        out[1:] = scaled[: n_hi - 1]
-    else:
-        out[:] = scaled[n_lo - 2 : n_hi - 1]
-    return out
+    scaled = np.concatenate(([p1_scaled], p1_scaled * np.cumprod((k - 1.0 - a) / k)))
+    return scaled[n_lo - 1 :]
 
 
 def _cumulative(escape: float, masses: np.ndarray) -> np.ndarray:

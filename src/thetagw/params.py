@@ -60,6 +60,24 @@ _CONSISTENCY_RTOL = 1e-10
 #: |theta| below this (but nonzero) is accepted with a conditioning warning
 _THETA_CONDITIONING = 1e-5  # the closed form rounds by about eps/|theta|
 
+#: the admissible range of each coordinate, keyed as validate_classify reads it
+_RANGES = {
+    "theta": ("[-1, 1]", lambda v: -1.0 <= v <= 1.0),
+    "a": ("(0, inf)", lambda v: 0.0 < v < math.inf),
+    "c": ("[0, inf)", lambda v: 0.0 <= v < math.inf),
+    "A": ("[1, inf)", lambda v: 1.0 <= v < math.inf),
+    "q": ("[0, 1]", lambda v: 0.0 <= v <= 1.0),
+}
+
+
+def _in_range(key: str, value) -> float:
+    """float(value), or DomainError unless it lies in key's range (nan never does)."""
+    value = float(value)
+    interval, admits = _RANGES[key]
+    if not admits(value):
+        raise DomainError(f"{key} must lie in {interval}, got {value}")
+    return value
+
 
 class Criticality(enum.Enum):
     SUBCRITICAL = "Subcritical"
@@ -96,21 +114,8 @@ class ThetaParams:
     q: float
 
     def __post_init__(self) -> None:
-        for name in ("theta", "a", "c", "big_a", "q"):
-            value = getattr(self, name)
-            object.__setattr__(self, name, float(value))
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {value!r}")
-        if not -1.0 <= self.theta <= 1.0:
-            raise DomainError(f"theta must lie in [-1, 1], got {self.theta}")
-        if self.a <= 0.0:
-            raise DomainError(f"a must be positive, got {self.a}")
-        if self.c < 0.0:
-            raise DomainError(f"c must be nonnegative, got {self.c}")
-        if self.big_a < 1.0:
-            raise DomainError(f"A must be >= 1, got {self.big_a}")
-        if not 0.0 <= self.q <= 1.0:
-            raise DomainError(f"q must lie in [0, 1], got {self.q}")
+        for name, key in zip(("theta", "a", "c", "big_a", "q"), _RANGES):
+            object.__setattr__(self, name, _in_range(key, getattr(self, name)))
 
     @property
     def d(self) -> float:
@@ -168,18 +173,18 @@ def validate_classify(raw: Mapping[str, object]) -> tuple[ThetaParams, CaseTag]:
     if unknown:
         raise DomainError(f"unknown parameter keys: {sorted(unknown)}")
     try:
-        theta = float(raw["theta"])  # type: ignore[arg-type]
-        a = float(raw["a"])  # type: ignore[arg-type]
+        theta = _in_range("theta", raw["theta"])
+        a = _in_range("a", raw["a"])
     except KeyError as exc:
         raise DomainError(f"missing required parameter {exc}") from None
-    big_a = float(raw.get("A", 1.0))  # type: ignore[arg-type]
-    c_in = raw.get("c")
-    q_in = raw.get("q")
-    c = None if c_in is None else float(c_in)  # type: ignore[arg-type]
-    q = None if q_in is None else float(q_in)  # type: ignore[arg-type]
-
-    if not math.isfinite(theta) or not -1.0 <= theta <= 1.0:
-        raise DomainError(f"theta must lie in [-1, 1], got {theta}")
+    big_a = _in_range("A", raw.get("A", 1.0))
+    c_in, q_in = raw.get("c"), raw.get("q")
+    if c_in is None and q_in is None:
+        raise DomainError("one of c or q is required")
+    # the raw values are checked before c or q is derived from them: with
+    # A < 1 or q > 1, (A - q)^(-theta) turns complex
+    c = None if c_in is None else _in_range("c", c_in)
+    q = None if q_in is None else _in_range("q", q_in)
     if 0.0 < abs(theta) < _THETA_CONDITIONING:
         warnings.warn(
             f"theta={theta} is within {_THETA_CONDITIONING} of the theta=0 "
@@ -187,16 +192,6 @@ def validate_classify(raw: Mapping[str, object]) -> tuple[ThetaParams, CaseTag]:
             ConditioningWarning,
             stacklevel=2,
         )
-    if not math.isfinite(a) or a <= 0.0:
-        raise DomainError(f"a must be positive, got {a}")
-    if not math.isfinite(big_a) or big_a < 1.0:
-        raise DomainError(f"A must be >= 1, got {big_a}")
-    if c is None and q is None:
-        raise DomainError("one of c or q is required")
-    if c is not None and (not math.isfinite(c) or c < 0.0):
-        raise DomainError(f"c must be nonnegative, got {c}")
-    if q is not None and (not math.isfinite(q) or not 0.0 <= q <= 1.0):
-        raise DomainError(f"q must lie in [0, 1], got {q}")
 
     if theta > 0.0 and a >= 1.0:
         # Cases 1 and 2: defined through c, with q pinned at A = 1.

@@ -121,12 +121,6 @@ class QFunction:
             normalizer = _power(p.big_a - p.q, p.theta + 1.0) / p.theta
         return normalizer * self.raw(s)
 
-    def raw_at_zero(self) -> float:
-        return self.raw(0.0)
-
-    def __call__(self, s):
-        return self.raw(s)
-
 
 def q_function(p: ThetaParams) -> QFunction:
     return QFunction(p)
@@ -219,7 +213,7 @@ def conditional_limit_b(p: ThetaParams, order: int) -> LimitLaw:
     if p.q <= 0.0:
         raise DomainError("q = 0: conditioning event has probability 0")
     theta, q, big_a = p.theta, p.q, p.big_a
-    q0 = qf.raw_at_zero()
+    q0 = qf.raw(0.0)
     # refuse Q(0) once cancellation leaves it fewer than about 8 digits
     if qf.tag.case_id == "case1":  # (1 + d)^(-1/theta) does not cancel
         scale = 0.0
