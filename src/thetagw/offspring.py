@@ -8,7 +8,9 @@ Four disjoint pmf routes, dispatched on theta:
   where B is the triangle B_{i,n} = (n-2-i*theta) B_{i,n-1}
   + (1+i*theta) B_{i-1,n-1}, seeded with B_{1,2} = 1+theta. The recursion is
   run on row-scaled values B_{i,n} x^i A^{1-n} / n! so nothing overflows even
-  for tables of length 10^4.
+  for tables of length 10^4. For theta < 0 the rows change sign and their
+  sums cancel; pmf warns (ConditioningWarning) from the first order whose
+  error estimate passes 1e-9.
 - theta = -1/m for integer m >= 2: the pgf is A minus the m-th power of
   a*(A-s)^(1/m) + c, a finite binomial sum of fractional-power series; each
   series has a two-term coefficient ratio, so the whole pmf costs O(m*K) and
@@ -27,11 +29,12 @@ largest order pmf computes: 10^6 for the O(K) routes, 10^4 for the triangle.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, TruncationError
+from .errors import ConditioningWarning, DomainError, NumericError, TruncationError
 from .params import ThetaParams, case_of, scalar_summary
 from .pgf import _clamp_masses, series_coeffs
 
@@ -111,11 +114,20 @@ def _pmf_triangle(p: ThetaParams, order: int) -> np.ndarray:
         probs[2] = pref * w[1]
         idx = np.arange(order + 1, dtype=float)
         grow = 1.0 + idx * theta
+        watch = theta < 0.0  # for theta > 0 every w is >= 0, so nothing cancels
         for n in range(3, order + 1):
             w[1:n] = ((n - 2.0 - idx[1:n] * theta) * w[1:n] + grow[1:n] * x * w[0 : n - 1]) / (
                 n * big_a
             )
             probs[n] = pref * math.fsum(w[1:n])
+            # each w carries about n rounding errors of its own size
+            if watch and pref * math.fsum(np.abs(w[1:n])) * n * 2.0**-53 > 1e-9:
+                warnings.warn(
+                    f"the triangle cancels from order {n} on: masses may be off by over 1e-9",
+                    ConditioningWarning,
+                    stacklevel=3,
+                )
+                watch = False
     return probs
 
 

@@ -139,7 +139,7 @@ def eval_fn_prime(p: ThetaParams, t: float, s):
             if math.isinf(a_t):
                 # the t -> inf limit: a_t**(-1/theta) and everything else go to 0
                 out = np.zeros_like(arr)
-            elif theta > 0.0:
+            elif theta > 0.0 and np.any(arr == big_a):
                 # inf * 0 at s = A; the limit is a_t**(-1/theta)
                 out = np.where(arr == big_a, a_t ** (-1.0 / theta), out)
     return float(out) if np.ndim(s) == 0 else out

@@ -26,6 +26,7 @@ Derived distributions, all extracted as power series:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,10 +129,10 @@ def q_function(p: ThetaParams) -> QFunction:
 
 def _slope_at_q(p: ThetaParams, n: int) -> float:
     """f_n'(q), the kernel's normalizer; it underflows to 0 for a > 1 and
-    large n, where the kernel would be 0/0."""
+    large n, and below 1/DBL_MAX for subnormal a, where 1/f_n'(q) overflows."""
     den = eval_fn_prime(p, n, p.q)
-    if den == 0.0:
-        raise OverflowGuardError(f"f_n'(q) underflows to 0 at n = {n}")
+    if den * sys.float_info.max < 1.0:
+        raise OverflowGuardError(f"f_n'(q) = {den} at n = {n}: its inverse overflows")
     return den
 
 

@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from thetagw import (
+    ConditioningWarning,
     DomainError,
     INFINITE,
     OffspringTable,
@@ -110,6 +112,15 @@ def test_theta0_ratio_and_scaled_tail(desk):
         theta0_scaled_tail(desk["case3"][0], 1, 5)
 
 
+def test_theta0_scaled_tail_from_one(desk):
+    # the window from n = 1 is the same product as any later window
+    p, _ = desk["case8"]
+    full = theta0_scaled_tail(p, 1, 40)
+    assert full.size == 40
+    for k in range(1, 41):
+        assert full[k - 1] == theta0_scaled_tail(p, k, 40)[0]
+
+
 def test_theta0_tail_exponent(desk):
     # p_n A^n n^(1+a) must flatten; check the 5000..10000 window drift
     for name in ("case4", "case8"):
@@ -142,9 +153,39 @@ def test_triangle_nonnegative_for_positive_theta():
 
 def test_triangle_sign_failure_documented():
     # for theta in (-1, 0) with non-integer 1/|theta| the triangle goes
-    # negative; this is expected and is why the pmf route scales rows instead
+    # negative; scaling the rows keeps them finite but not of one sign, so the
+    # pmf route's row sums cancel (test_triangle_warns_where_it_cancels)
     tri = b_triangle(-0.7, 40)
     assert any(np.any(tri.row(n) < 0.0) for n in range(2, 41))
+
+
+# off the -1/m lattice the scaled rows of theta < 0 cancel: p_102 comes out 2.08e-6
+# where the oracle gives 6.20e-6
+CANCELLING = {"theta": -0.891, "a": 0.371, "q": 0.306}
+
+
+def test_triangle_warns_where_it_cancels():
+    # the row error estimate pref * sum |w| * n * 2^-53 first passes 1e-9 at
+    # n = 65; every mass off the oracle by more than 1e-9 lies at or past it
+    p, _ = validate_classify(CANCELLING)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pmf(p, 64)
+        pmf(validate_classify({"theta": 0.3, "a": 0.4, "q": 0.2})[0], 1000)
+    with pytest.warns(ConditioningWarning, match="from order 65 on"):
+        probs = pmf(p, 102)
+    assert np.flatnonzero(np.abs(probs - pmf_oracle(p, 102)) > 1e-9).min() >= 65
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the triangle's row sums cancel for theta in (-1, 0) off the -1/m lattice; "
+    "an FFT of the closed form on a circle would keep the masses"))
+def test_triangle_masses_match_oracle_past_the_warning():
+    p, _ = validate_classify(CANCELLING)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        probs = pmf(p, 102)
+    assert np.max(np.abs(probs - pmf_oracle(p, 102))) < 1e-9
 
 
 @pytest.mark.parametrize("name, cap", [

@@ -265,3 +265,21 @@ def test_every_rejection_rule(call, error):
     # one input per raise statement in params.py that the other tests leave unrun
     with pytest.raises(error):
         call()
+
+
+_OUT_OF_RANGE = {"theta": -1.5, "a": 0.0, "c": -1.0, "A": 0.5, "q": 1.5}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "out"])
+@pytest.mark.parametrize("key", sorted(_OUT_OF_RANGE))
+def test_one_range_rule_for_both_constructors(key, bad):
+    # ThetaParams and validate_classify reject a coordinate with one message
+    value = _OUT_OF_RANGE[key] if bad == "out" else bad
+    field = "big_a" if key == "A" else key
+    with pytest.raises(DomainError) as direct:
+        _direct(**{field: value})
+    raw = {"theta": 1.0, "a": 0.5, "c": 1.0, "A": 1.0, "q": 0.5}
+    with pytest.raises(DomainError) as classified:
+        validate_classify({**raw, key: value})
+    assert str(direct.value) == str(classified.value)
+    assert str(direct.value).startswith(f"{key} must lie in ")

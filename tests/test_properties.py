@@ -10,15 +10,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thetagw import (
+    ConditioningWarning,
     DomainError,
+    NumericError,
     ThetaParams,
     absorption_tails,
     case_of,
     cli,
+    conditional_limit_b,
     eval_fn,
     expected_absorption,
+    fn_series,
+    q_function,
+    q_transition_matrix,
     scalar_summary,
     serialize,
+    stationary_law,
     validate_classify,
 )
 
@@ -182,3 +189,66 @@ def test_cli_gumbel_exits_with_a_documented_code(theta, big_a, r, a, q):
         warnings.simplefilter("ignore")
         code = cli.main(argv)
     assert code in ((2,) if r == math.inf else (0, 3, 4)), (argv, out.getvalue()[-300:])
+
+
+# the conditioned laws of a < 1, against routes that do not share their code.
+# q <= 0.6 keeps the stationary law's mass past J = 60 below 0.6^60 * 60 ~ 3e-12;
+# below q ~ 1e-16 * A the kernel's f_n(0)/q has no digits left (see
+# test_qprocess.py::test_transition_kernel_at_tiny_q)
+COND_Q = st.floats(1e-12, 0.6)
+
+
+def _conditioned(theta, a, big_a, q):
+    """The law, or a rejected example where it is outside the family."""
+    try:
+        return validate_classify({"theta": theta, "a": a, "A": big_a, "q": q})[0]
+    except DomainError:
+        assume(False)
+
+
+def _closed_form_rounding(p):
+    # as in test_iterates_compose: powers of order 1/|theta| round by eps/|theta|
+    return 1e-14 * p.big_a / min(1.0, abs(p.theta) or 1.0)
+
+
+# below a = 1e-300, q - f_n(0) (about a q ln(A/(A - q)) at n = 1) is subnormal
+# and the iterate route has no digits of its own
+@PROPERTY
+@given(THETA, st.floats(1e-300, 1.0, exclude_max=True), BIG_A, COND_Q)
+def test_conditional_limit_b_is_the_yaglom_limit(theta, a, big_a, q):
+    # b_j = lim_n q^j [s^j] f_n / (q - f_n(0)), whose error at n is O(j gamma^n):
+    # gamma^n < 1e-12 and j <= 20 leave it below 2e-11 of the 1e-10. The library
+    # forms Q(0) as a difference of two powers, each of size at most scale, so b
+    # carries Q(0)'s relative rounding, a few ulps of scale / |Q(0)|; it refuses
+    # Q(0) below 1e-8 of scale (NumericError)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        p = _conditioned(theta, a, big_a, q)
+        try:
+            b = conditional_limit_b(p, 20).probs
+        except NumericError:
+            assume(False)
+        n = math.ceil(math.log(1e-12) / math.log(scalar_summary(p).gamma))
+        f_n = fn_series(p, float(n), 20).coeffs
+        yaglom = q ** np.arange(1, 21) * f_n[1:] / absorption_tails(p).t0_tail(n)
+    scale = max(1.0, big_a ** -theta, (big_a - q) ** -theta)
+    cancel = 2.0**-50 * scale / abs(q_function(p).raw(0.0))
+    tol = 1e-10 + _closed_form_rounding(p) + cancel
+    assert np.max(np.abs(yaglom - b)) <= tol, (n, tol)
+
+
+@PROPERTY
+@given(THETA, LOW_A, BIG_A, COND_Q)
+def test_stationary_law_is_stationary(theta, a, big_a, q):
+    # ||pi P - pi|| on j <= 60: the terms past i = 60 are below the 3e-12 of
+    # pi's tail, and 1e-10 leaves room for the 60-term products
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        p = _conditioned(theta, a, big_a, q)
+        pi = stationary_law(p, 60).probs
+        try:
+            kernel = q_transition_matrix(p, 1, 60, 60)
+        except NumericError:  # 1/f'(q) overflows for subnormal a
+            assume(False)
+    tol = 1e-10 + _closed_form_rounding(p)
+    assert np.max(np.abs(pi @ kernel - pi)) <= tol

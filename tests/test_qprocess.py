@@ -7,6 +7,7 @@ import pytest
 
 from thetagw import (
     DomainError,
+    NumericError,
     OverflowGuardError,
     TrivialLawError,
     conditional_limit_b,
@@ -183,3 +184,33 @@ def test_transition_kernel_guards_underflow():
             q_transition_gf(p, 1, n, 0.5)
         with pytest.raises(OverflowGuardError):
             q_transition_matrix(p, n, 2, 2)
+
+
+def test_transition_kernel_small_positive_theta():
+    # f_1'(s) at s = A is a**(-1/theta), which overflows at theta = 1e-3; the
+    # kernel evaluates f_1' at q and s q only, so it must not form that limit
+    p, _ = validate_classify({"theta": 1e-3, "a": 0.12, "A": 2.44, "q": 0.4})
+    kernel = q_transition_matrix(p, 1, 5, 5)
+    assert np.all(np.isfinite(kernel))
+    assert np.all(kernel.sum(axis=1) <= 1.0)
+
+
+def test_transition_kernel_refuses_subnormal_slope():
+    # a = 1e-310 makes f_1'(q) subnormal, so 1/f_1'(q) overflows
+    p, _ = validate_classify({"theta": 0.0, "a": 1e-310, "q": 0.5})
+    with pytest.raises(OverflowGuardError):
+        q_transition_matrix(p, 1, 3, 3)
+    with pytest.raises(OverflowGuardError):
+        q_transition_gf(p, 1, 1, 0.5)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "f_n(sq)/q takes f_n(0) from A minus a power, which keeps only about "
+    "1e-16 * A of it; at q = 1e-25 the kernel's rows sum to -4e9 and beyond"))
+def test_transition_kernel_at_tiny_q():
+    p, _ = validate_classify({"theta": 0.0, "a": 0.5, "A": 2.0, "q": 1e-25})
+    try:
+        kernel = q_transition_matrix(p, 1, 5, 5)
+    except NumericError:  # a refusal would do
+        return
+    assert np.all(kernel >= 0.0) and np.all(kernel.sum(axis=1) <= 1.0 + 1e-9)

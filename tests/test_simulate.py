@@ -18,6 +18,7 @@ from thetagw import (
     absorption_tails,
     build_embedding,
     estimate_tails,
+    h_coeffs,
     ks_distance,
     simulate_ct_skeleton,
     simulate_trajectory,
@@ -413,6 +414,47 @@ def test_ct_skeleton_rejects_other_params(desk):
     cfg = SimConfig(params=desk["case2"][0], replicates=10, n_max=4)
     with pytest.raises(DomainError, match="different laws"):
         simulate_ct_skeleton(e, cfg, dt=1.0)
+
+
+def test_ct_population_cap_censors(desk):
+    # case3 passes z_cap = 20 in about half of its runs; a per-event loop over
+    # the same streams (blocks of 64 waiting times, then 64 offspring draws)
+    # must censor the same runs, each in the bin it reached: a capped run at
+    # the last bin before its time, a run out of time at n_max
+    p, _ = desk["case3"]
+    e = build_embedding(p)
+    dt, cfg = 0.5, SimConfig(params=p, replicates=400, n_max=20, z_cap=20, master_seed=3)
+    with pytest.warns(QualityWarning, match="censored fraction"):
+        emp = simulate_ct_skeleton(e, cfg, dt=dt)
+    escape = max(1.0 - e.h_at_1, 0.0)
+    cells = np.concatenate(([escape], escape + np.cumsum(h_coeffs(e, 4096).coeffs)))
+    horizon = capped = 0
+    certain = []  # per run, the number of bins n with T > n known
+    for i in range(cfg.replicates):
+        rng = np.random.Generator(np.random.Philox(key=np.array([3, i], dtype=np.uint64)))
+        z, t, event = 1, 0.0, 0
+        while True:
+            if event % 64 == 0:
+                block = rng.random(128)
+                wait = -np.log(block[:64])
+            t += float(wait[event % 64]) / (e.lam * z)
+            if t > cfg.n_max * dt:
+                horizon += 1
+                certain.append(cfg.n_max + 1)
+                break
+            k = int(np.searchsorted(cells, block[64 + event % 64], side="right")) - 1
+            event += 1
+            if k < 0 or z + k - 1 == 0:  # exploded or extinct
+                certain.append(min(math.ceil(t / dt), cfg.n_max))
+                break
+            z += k - 1
+            if k == cells.size - 1 or z > cfg.z_cap:
+                capped += 1
+                certain.append(min(max(math.ceil(t / dt) - 1, 0), cfg.n_max) + 1)
+                break
+    assert capped > 0
+    assert emp.censored == horizon + capped
+    assert emp.sum_t == sum(certain)
 
 
 def test_ct_skeleton_case6(desk):
