@@ -20,10 +20,11 @@ Four disjoint pmf routes, dispatched on theta:
 - theta = -1: the exact two-point law p_0 = (1-a)q, p_1 = a.
 
 The independent oracle for all of them is series extraction of the pgf
-(pmf_oracle). Sampling is inverse-CDF on a cumulative table whose first cell
-is the escape mass 1 - f(1); tables extend by doubling on demand and abort
-with TruncationError when a draw is still uncovered at the route's cap, the
-largest order pmf computes: 10^6 for the O(K) routes, 10^4 for the triangle.
+(pmf_oracle). Sampling is inverse-CDF on an OffspringTable of masses, an
+escape mass and a cap; the offspring law's table has escape 1 - f(1) and the
+route's cap, the largest order pmf computes (10^6 for the O(K) routes, 10^4
+for the triangle), extends by doubling on demand and raises TruncationError
+for a draw still uncovered at the cap.
 """
 
 from __future__ import annotations
@@ -254,32 +255,27 @@ def _counts(bounds: np.ndarray, u):
 class OffspringTable:
     """Sampling table: cumulative masses with the escape mass in front.
 
-    boundaries[0] = p_inf and boundaries[k+1] = p_inf + p_0 + ... + p_k, so a
+    masses(order) gives the masses m_0..m_order, escape the mass of an
+    Infinite draw (p_inf) and k_max the largest order masses takes.
+    boundaries[0] = p_inf and boundaries[k+1] = p_inf + m_0 + ... + m_k, so a
     uniform draw u maps to Infinite when u < boundaries[0] and to the count k
     whose cell contains it otherwise. The table starts at 256 entries;
-    extension doubles its length up to the route's cap k_max and reproduces
-    the existing prefix bit for bit (the recursions are deterministic), so
-    draws are stable under extension.
+    extension doubles its length up to k_max. Row k of masses(order) must not
+    depend on order (true of pmf and of h_coeffs), so extension reproduces
+    the existing prefix bit for bit and draws are stable under it.
     """
 
-    def __init__(self, p: ThetaParams):
-        self.params = p
-        summary = scalar_summary(p)
-        self.p_inf = summary.p_inf
-        self.f_at_1 = summary.f_at_1
-        self.k_max = _k_max_of(p)
-        self._rebuild(min(256, self.k_max))
+    def __init__(self, masses, escape: float, k_max: int):
+        self._masses, self.p_inf, self.k_max = masses, escape, k_max
+        self._rebuild(min(256, k_max))
 
     def _rebuild(self, order: int) -> None:
-        probs = pmf(self.params, order)
         self.order = order
-        self.probs = probs
-        self.tail_mass = max(self.f_at_1 - float(np.sum(probs)), 0.0)
-        self.boundaries = _cumulative(self.p_inf, probs)
+        self.boundaries = _cumulative(self.p_inf, self._masses(order))
 
     @property
     def coverage(self) -> float:
-        """Total mass the table resolves exactly (everything but tail_mass)."""
+        """Total mass the table resolves exactly: the escape plus m_0..m_order."""
         return float(self.boundaries[-1])
 
     def ensure_coverage(self, u: float) -> bool:
@@ -299,6 +295,11 @@ class OffspringTable:
             )
         k = int(_counts(self.boundaries, u))
         return INFINITE if k < 0 else k
+
+
+def _pmf_table(p: ThetaParams) -> OffspringTable:
+    """The sampling table of p's offspring law, capped at its pmf route's cap."""
+    return OffspringTable(lambda k: pmf(p, k), scalar_summary(p).p_inf, _k_max_of(p))
 
 
 def sample_offspring(table: OffspringTable, rng: np.random.Generator) -> float:

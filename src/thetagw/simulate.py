@@ -12,14 +12,16 @@ batching or scheduling order.
 One Philox per call reaches any (replicate, position) by re-keying, instead
 of a generator built per replicate.
 
-The discrete simulator steps a batch of up to _BATCH = 4096 replicates
-together, one generation at a time: the live replicates' draws are gathered
-with one index, mapped through the offspring table in one call and reduced
-per replicate. Each replicate reads its stream through a row of _ROW = 64
-uniforms drawn ahead, so a batch holds 4096 x 64 of them (2 MiB). A step
-holds at most _STEP_DRAWS = 2**18 uniforms; a bigger generation is stepped
-in slices of live replicates, a replicate that alone needs more being its own
-slice. So memory is bounded by the batch, not by the replicate count.
+Both simulators step batches of up to _BATCH = 4096 replicates together and
+sample through an OffspringTable. The discrete one steps a generation at a
+time: the live replicates' draws are gathered with one index, mapped through
+the table in one call and reduced per replicate. Each replicate reads its
+stream through a row of _ROW = 64 uniforms drawn ahead, so a batch holds
+4096 x 64 of them (2 MiB). A step holds at most _STEP_DRAWS = 2**18 uniforms;
+a bigger generation is stepped in slices of live replicates, a replicate that
+alone needs more being its own slice. The continuous-time one steps 64
+events a block, 128 uniforms per live run, through a table of h's
+coefficients. So memory is bounded by the batch, not by the replicate count.
 
 Censoring is handled soundly: a censored run is never counted as absorbed.
 It contributes to the certain-knowledge count of {T > n} up to its censoring
@@ -42,7 +44,7 @@ import numpy as np
 from .absorption import AbsorptionTails
 from .embedding import Embedding, h_coeffs
 from .errors import DomainError, QualityWarning
-from .offspring import OffspringTable, _counts, _cumulative
+from .offspring import OffspringTable, _counts, _pmf_table
 from .params import ThetaParams
 
 __all__ = [
@@ -60,7 +62,7 @@ __all__ = [
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CT_ORDER = 4096
 _CT_BLOCK = 64
-_CT_EVENT_CAP = 1_000_000
+_CT_EVENT_CAP = 1_000_000  # a whole number of _CT_BLOCK-event blocks
 _BATCH = 4096  # replicates stepped together
 _STEP_DRAWS = 2**18  # uniforms one generation step holds, but for a lone big replicate
 _ROW = 64  # uniforms each replicate holds drawn ahead
@@ -266,7 +268,7 @@ def simulate_trajectory(cfg: SimConfig, replicate_index: int) -> TrajectoryRecor
         raise DomainError("replicate_index outside [0, replicates)")
     paths = [[1]]
     ahead = _DrawAhead(_Streams(cfg), replicate_index, 1)
-    outcome, gen = _run_batch(cfg, OffspringTable(cfg.params), ahead, paths)
+    outcome, gen = _run_batch(cfg, _pmf_table(cfg.params), ahead, paths)
     status, k = _OUTCOMES[outcome[0]], int(gen[0])
     if status in (Status.EXTINCT, Status.EXPLODED):
         return TrajectoryRecord(tuple(paths[0]), status, absorb_n=k)
@@ -294,7 +296,7 @@ def _tally(cfg: SimConfig, outcome: np.ndarray, key: np.ndarray):
 
 def _chunk_hists(cfg: SimConfig, lo: int, hi: int):
     """_tally of replicates lo..hi-1, stepped in batches of at most _BATCH."""
-    table = OffspringTable(cfg.params)
+    table = _pmf_table(cfg.params)
     streams = _Streams(cfg)
     parts = []
     for b in range(lo, hi, _BATCH):
@@ -441,67 +443,63 @@ def ks_distance(emp: EmpiricalTails, analytic: AbsorptionTails, n_range) -> KSRe
     )
 
 
-def _ct_one(bounds, lam, draw, budget, dt, n_max, z_cap):
-    """One continuous-time path; returns (outcome index, bin key).
+def _ct_batch(cfg: SimConfig, lam: float, dt: float, table: OffspringTable, streams, lo, count):
+    """(outcome, key) of the continuous-time replicates lo..lo+count-1, for _tally.
 
-    draw(n) returns the path's next n uniforms, 128 per 64 events: 64 waiting
-    times, then 64 offspring draws. Absorbed at time t: key = ceil(t/dt),
-    contributing T > n for n*dt < t. Censored knowing T > t: key = the largest
-    bin with n*dt < t.
+    The live runs step 64 events a block, each reading its next 128 uniforms:
+    64 waiting times, then 64 offspring draws. The population before each
+    event and the time after it are cumulative sums in event order, so they
+    are a per-event loop's own floats. A run ends at its first event that is
+    out of time, explodes, lands beyond the capped table, empties or passes
+    z_cap; its later events divide by populations that mean nothing. Absorbed
+    at time t: key = ceil(t/dt); censored knowing T > t: the largest bin n
+    with n*dt < t.
     """
-    beyond = bounds.size - 1
-    z = 1
-    t = 0.0
-    i = _CT_BLOCK
-    outcome = _CAP  # what leaving the loop unabsorbed means
-    for _ in range(_CT_EVENT_CAP):
-        if i == _CT_BLOCK:
-            block = draw(2 * _CT_BLOCK)
-            wait = (-np.log(block[:_CT_BLOCK])).tolist()
-            kids = _counts(bounds, block[_CT_BLOCK:]).tolist()
-            i = 0
-        t += wait[i] / (lam * z)
-        if t > budget:
-            return _HOR, n_max
-        k = kids[i]
-        i += 1
-        if k < 0:
-            outcome = _EXP
+    outcome = np.full(count, _CAP, dtype=np.int8)  # what outliving _CT_EVENT_CAP means
+    t_end, live = np.empty(count), np.arange(count)
+    z, t = np.ones(count, dtype=np.int64), np.zeros(count)  # of the live runs
+    for block in range(_CT_EVENT_CAP // _CT_BLOCK):
+        u = np.empty((live.size, 2 * _CT_BLOCK))
+        for row, j in zip(u, live.tolist()):
+            row[:] = streams.reader(lo + j, 2 * _CT_BLOCK * block)(2 * _CT_BLOCK)
+        table.ensure_coverage(float(u[:, _CT_BLOCK:].max()))
+        kids = _counts(table.boundaries, u[:, _CT_BLOCK:])
+        after = z[:, None] + np.cumsum(kids - 1, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -np.log(u[:, :_CT_BLOCK]) / (lam * (after - kids + 1))
+            times = np.cumsum(np.column_stack((t, step)), axis=1)[:, 1:]
+        out = times > cfg.n_max * dt
+        stop = out | (kids < 0) | (kids > table.order) | (after == 0) | (after > cfg.z_cap)
+        end = np.arange(live.size), stop.argmax(axis=1)
+        ended = stop[end]
+        code = np.select([out[end], kids[end] < 0, after[end] == 0], [_HOR, _EXP, _EXT], _CAP)
+        outcome[live[ended]], t_end[live[ended]] = code[ended], times[end][ended]
+        live, z, t = live[~ended], after[~ended, -1], times[~ended, -1]
+        if not live.size:
             break
-        if k == beyond:
-            break
-        z += k - 1
-        if z == 0:
-            outcome = _EXT
-            break
-        if z > z_cap:
-            break
-    key = int(math.ceil(t / dt))
-    if outcome == _CAP:
-        key = max(key - 1, 0)
-    return outcome, min(key, n_max)
+    t_end[live] = t
+    key = np.clip(np.ceil(t_end / dt) - (outcome == _CAP), 0, cfg.n_max)
+    return outcome, np.where(outcome == _HOR, cfg.n_max, key).astype(np.int64)
 
 
 def simulate_ct_skeleton(e: Embedding, cfg: SimConfig, dt: float) -> EmpiricalTails:
     """Event-driven continuous-time runs binned on the dt-grid.
 
     Waiting times are exponential with rate lambda*Z; one particle branches
-    per event with offspring from the expanded generator, and the escape mass
-    1 - h(1) is an instantaneous Infinite draw. The budget is n_max*dt; time
-    or population overruns censor, never fail. Replicate i reads the same
-    stream as in the discrete simulator, in 128-draw blocks; e embeds cfg.params.
+    per event with offspring from h's coefficients (a table of at most
+    _CT_ORDER = 4096), and the escape mass 1 - h(1) is an instantaneous
+    Infinite draw. The budget is n_max*dt; time or population overruns
+    censor, never fail. Replicate i reads the same stream as in the discrete
+    simulator, in 128-draw blocks; e embeds cfg.params.
     """
     if not dt > 0.0:
         raise DomainError("dt must be positive")
     if e.params != cfg.params:
         raise DomainError("the embedding and cfg.params describe different laws")
-    bounds = _cumulative(max(1.0 - e.h_at_1, 0.0), h_coeffs(e, _CT_ORDER).coeffs)
-    budget = cfg.n_max * dt
+    table = OffspringTable(lambda k: h_coeffs(e, k).coeffs, max(1.0 - e.h_at_1, 0.0), _CT_ORDER)
     streams = _Streams(cfg)
-    outcome = np.empty(cfg.replicates, dtype=np.int8)
-    key = np.empty(cfg.replicates, dtype=np.int64)
-    for i in range(cfg.replicates):
-        outcome[i], key[i] = _ct_one(
-            bounds, e.lam, streams.reader(i), budget, dt, cfg.n_max, cfg.z_cap
-        )
-    return _assemble(cfg, *_tally(cfg, outcome, key), dt=dt)
+    parts = [
+        _tally(cfg, *_ct_batch(cfg, e.lam, dt, table, streams, b, min(_BATCH, cfg.replicates - b)))
+        for b in range(0, cfg.replicates, _BATCH)
+    ]
+    return _assemble(cfg, *(sum(col) for col in zip(*parts)), dt=dt)

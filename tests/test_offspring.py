@@ -13,6 +13,8 @@ from thetagw import (
     INFINITE,
     OffspringTable,
     TruncationError,
+    build_embedding,
+    h_coeffs,
     pmf,
     pmf_oracle,
     sample_offspring,
@@ -21,7 +23,7 @@ from thetagw import (
     validate_classify,
 )
 from thetagw import offspring
-from thetagw.offspring import K_MAX_RATIO, K_MAX_TRIANGLE, b_triangle
+from thetagw.offspring import K_MAX_RATIO, K_MAX_TRIANGLE, _pmf_table, b_triangle
 
 from conftest import DESK_RAW, NINE
 
@@ -197,7 +199,7 @@ def test_pmf_route_cap(desk, name, cap):
     p, _ = desk[name]
     with pytest.raises(DomainError, match="largest this route computes"):
         pmf(p, cap + 1)
-    assert OffspringTable(p).k_max == cap
+    assert _pmf_table(p).k_max == cap
 
 
 def test_mass_accounting(per_case):
@@ -212,7 +214,7 @@ def test_mass_accounting(per_case):
 
 def test_table_layout_and_lookup(desk):
     p, _ = desk["case5b"]
-    table = OffspringTable(p)
+    table = _pmf_table(p)
     s = scalar_summary(p)
     assert table.boundaries[0] == s.p_inf
     assert np.all(np.diff(table.boundaries) >= 0.0)
@@ -221,24 +223,38 @@ def test_table_layout_and_lookup(desk):
     assert table.lookup(s.p_inf + 1e-12) == 0
     # extension on demand: a draw just under coverage cap forces doubling
     before = table.order
-    table.lookup(table.coverage + table.tail_mass * 0.5)
+    table.lookup((table.coverage + 1.0) / 2.0)  # in the mass beyond the table
     assert table.order > before
 
 
 def test_zero_mass_cell_skipped(desk):
     # case5 has p_0 = 0 exactly: the first draw above the escape mass is k=1
     p, _ = desk["case5"]
-    table = OffspringTable(p)
-    assert table.probs[0] == 0.0
+    table = _pmf_table(p)
+    assert table.boundaries[1] == table.boundaries[0]
     assert table.lookup(table.p_inf + 1e-12) == 1
 
 
 def test_table_extension_preserves_prefix(desk):
     p, _ = desk["case3"]
-    t1 = OffspringTable(p)
+    t1 = _pmf_table(p)
     head = t1.boundaries.copy()
     t1._rebuild(4 * t1.order)
     assert np.array_equal(t1.boundaries[: head.size], head)
+
+
+@pytest.mark.parametrize("name", ["case1", "case9b", "case8", "case6"])
+def test_table_from_masses_escape_and_cap(desk, name):
+    # a table of h's coefficients (one embedding form each) grown by doubling
+    # from 256 to its 4096 cap is, bit for bit, the one build at order 4096
+    e = build_embedding(desk[name][0])
+    escape = max(1.0 - e.h_at_1, 0.0)
+    table = OffspringTable(lambda k: h_coeffs(e, k).coeffs, escape, 4096)
+    assert (table.order, table.p_inf) == (256, escape)
+    assert not table.ensure_coverage(math.inf)
+    assert table.order == 4096
+    fixed = np.concatenate(([escape], escape + np.cumsum(h_coeffs(e, 4096).coeffs)))
+    assert np.array_equal(table.boundaries, fixed)
 
 
 def test_table_cap_raises(desk, monkeypatch):
@@ -246,7 +262,7 @@ def test_table_cap_raises(desk, monkeypatch):
     # one doubling from the first build
     monkeypatch.setattr(offspring, "K_MAX_RATIO", 512)
     p, _ = desk["case5"]
-    table = OffspringTable(p)
+    table = _pmf_table(p)
     assert (table.order, table.k_max) == (256, 512)
     with pytest.raises(TruncationError):
         table.lookup(1.0 - 1e-9)
@@ -256,7 +272,7 @@ def test_table_cap_raises(desk, monkeypatch):
 def test_sample_offspring_statistics(desk):
     # case6 supports {0, 1, infinity} with masses (1-a)q, a, 1-f(1)
     p, _ = desk["case6"]
-    table = OffspringTable(p)
+    table = _pmf_table(p)
     rng = np.random.default_rng(7)
     draws = np.array([sample_offspring(table, rng) for _ in range(40000)])
     assert set(np.unique(draws)) == {0.0, 1.0, INFINITE}
@@ -268,7 +284,7 @@ def test_sample_offspring_statistics(desk):
 def test_sample_offspring_escape_rate(desk):
     # case7b has light k^(-3) tails, so 40k raw draws never overrun the table
     p, _ = desk["case7b"]
-    table = OffspringTable(p)
+    table = _pmf_table(p)
     s = scalar_summary(p)
     rng = np.random.default_rng(11)
     draws = np.array([sample_offspring(table, rng) for _ in range(40000)])
@@ -296,7 +312,7 @@ def test_neg_recip_tables_byte_identical(name):
     h = hashlib.sha256()
     for order in [256 * 2**k for k in range(12)] + [10**6]:
         h.update(pmf(p, order).tobytes())
-    table = OffspringTable(p)
+    table = _pmf_table(p)
     table._rebuild(10**6)
     h.update(table.boundaries.tobytes())
     assert h.hexdigest() == want

@@ -24,7 +24,7 @@ from thetagw import (
     simulate_trajectory,
 )
 from thetagw import simulate
-from thetagw.offspring import OffspringTable
+from thetagw.offspring import _pmf_table
 from thetagw.simulate import _DrawAhead, _Streams
 
 
@@ -267,7 +267,7 @@ def test_trajectories_match_sequential_reference(desk, name, kw):
         for anti in (False, True):
             cfg = SimConfig(params=p, replicates=40, master_seed=seed, antithetic=anti,
                             **{"z_cap": 10**6, **kw})
-            table = OffspringTable(p)
+            table = _pmf_table(p)
             for i in range(cfg.replicates):
                 rec = simulate_trajectory(cfg, i)
                 assert (list(rec.sizes), rec.status, rec.absorb_n or rec.censor_n) == \
