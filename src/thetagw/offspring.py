@@ -117,10 +117,16 @@ def _pmf_triangle(p: ThetaParams, order: int) -> np.ndarray:
         grow = 1.0 + idx * theta
         watch = theta < 0.0  # for theta > 0 every w is >= 0, so nothing cancels
         for n in range(3, order + 1):
-            w[1:n] = ((n - 2.0 - idx[1:n] * theta) * w[1:n] + grow[1:n] * x * w[0 : n - 1]) / (
-                n * big_a
-            )
-            probs[n] = pref * math.fsum(w[1:n])
+            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                w[1:n] = ((n - 2.0 - idx[1:n] * theta) * w[1:n] + grow[1:n] * x * w[0 : n - 1]) / (
+                    n * big_a
+                )
+            try:
+                probs[n] = pref * math.fsum(w[1:n])
+            except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
+                probs[n] = math.inf
+            if not math.isfinite(probs[n]):
+                raise NumericError(f"the triangle's scaled rows overflow at order {n}")
             # each w carries about n rounding errors of its own size
             if watch and pref * math.fsum(np.abs(w[1:n])) * n * 2.0**-53 > 1e-9:
                 warnings.warn(

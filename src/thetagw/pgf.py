@@ -126,7 +126,7 @@ def eval_fn_prime(p: ThetaParams, t: float, s):
     arr = _checked_s(p, s)
     a_t, c_t = _iterated_constants(p, t)
     theta, big_a = p.theta, p.big_a
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if theta == 0.0:
             out = (big_a - p.q) ** (1.0 - a_t) * a_t * np.power(big_a - arr, a_t - 1.0)
         elif theta == -1.0:
@@ -141,7 +141,7 @@ def eval_fn_prime(p: ThetaParams, t: float, s):
                 out = np.zeros_like(arr)
             elif theta > 0.0 and np.any(arr == big_a):
                 # inf * 0 at s = A; the limit is a_t**(-1/theta)
-                out = np.where(arr == big_a, a_t ** (-1.0 / theta), out)
+                out = np.where(arr == big_a, np.power(a_t, -1.0 / theta), out)
     return float(out) if np.ndim(s) == 0 else out
 
 

@@ -256,6 +256,20 @@ def test_unrepresentable_values_exit_4(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("theta, k_max", [("-0.891", 2000), ("-0.95", 2000), ("-0.6", 5000)])
+def test_triangle_overflow_exits_4(capsys, theta, k_max):
+    # the triangle's scaled rows of these cancelling laws pass the float range
+    # before k_max: a numeric error naming the order, not the exit 1 of a
+    # bare "-inf + inf in fsum"
+    argv = ["pmf", f"--theta={theta}", "--a=0.371", "--q=0.306", f"--k-max={k_max}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the triangle warns that it cancels
+        assert cli.main(argv) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "scaled rows overflow at order" in out.err
+
+
 def test_huge_moments_saturate(capsys):
     # case3 at a = 5e-324: the mean a^(-1/theta) and a^2 in f''(1) leave the float range
     assert cli.main(["classify", "--theta=1", "--a=5e-324", "--q=0"]) == 0

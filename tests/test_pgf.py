@@ -21,6 +21,7 @@ from thetagw import (
     scalar_summary,
     semigroup_F,
     series_coeffs,
+    validate_classify,
 )
 
 
@@ -165,6 +166,17 @@ def test_saturated_iterate_takes_its_limit(desk):
     assert eval_fn(p, 2000, 0.0) == 1.0
     with pytest.raises(OverflowGuardError):
         fn_series(p, 2000, 8)
+
+
+def test_fn_prime_at_a_reads_inf_past_the_float_range():
+    # theta > 0: f_t'(A) is the limit a_t^(-1/theta), here 0.12^-1000
+    p, _ = validate_classify({"theta": 1e-3, "a": 0.12, "A": 2.44, "q": 0.4})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_fn_prime(p, 1.0, 2.44) == math.inf
+        assert eval_fn_prime(p, 1.0, 2.44 - 5e-15) == math.inf  # read as s = A
+        both = eval_fn_prime(p, 1.0, np.array([1.0, 2.44]))
+    assert math.isfinite(both[0]) and both[1] == math.inf
 
 
 def test_saturated_iterate_without_finite_limit():

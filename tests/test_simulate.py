@@ -24,7 +24,7 @@ from thetagw import (
     simulate_trajectory,
 )
 from thetagw import simulate
-from thetagw.offspring import _pmf_table
+from thetagw.offspring import OffspringTable, _pmf_table
 from thetagw.simulate import _DrawAhead, _Streams
 
 
@@ -416,6 +416,57 @@ def test_ct_skeleton_rejects_other_params(desk):
         simulate_ct_skeleton(e, cfg, dt=1.0)
 
 
+def _ct_reference(e, cfg, dt, event_cap=simulate._CT_EVENT_CAP):
+    """Each continuous-time run by a per-event loop over its own generator,
+    read in blocks of 64 waiting times, then 64 offspring draws, against one
+    fixed table of h at order 4096: the reference the batched stepper must
+    reproduce. Returns (how the run ended, the number of bins n with T > n
+    certain) per run; a run censored knowing T > t counts the bins n*dt < t."""
+    escape = max(1.0 - e.h_at_1, 0.0)
+    cells = np.concatenate(([escape], escape + np.cumsum(h_coeffs(e, 4096).coeffs)))
+    runs = []
+    for i in range(cfg.replicates):
+        stream = i - (i & 1) if cfg.antithetic else i
+        key = np.array([cfg.master_seed, stream], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        z, t, event = 1, 0.0, 0
+        while True:
+            if event == event_cap:
+                runs.append(("events", min(max(math.ceil(t / dt) - 1, 0), cfg.n_max) + 1))
+                break
+            if event % 64 == 0:
+                block = rng.random(128)
+                if cfg.antithetic and i & 1:
+                    block = 1.0 - block
+                wait = -np.log(block[:64])
+            t += float(wait[event % 64]) / (e.lam * z)
+            if t > cfg.n_max * dt:
+                runs.append(("horizon", cfg.n_max + 1))
+                break
+            k = int(np.searchsorted(cells, block[64 + event % 64], side="right")) - 1
+            event += 1
+            if k < 0 or z + k - 1 == 0:
+                runs.append(("exploded" if k < 0 else "extinct", min(math.ceil(t / dt), cfg.n_max)))
+                break
+            z += k - 1
+            if k == cells.size - 1 or z > cfg.z_cap:
+                runs.append(("capped", min(max(math.ceil(t / dt) - 1, 0), cfg.n_max) + 1))
+                break
+    return runs
+
+
+def _assert_counts_match(emp, runs):
+    """The counts of emp are those of the reference runs."""
+    kind = np.array([k for k, _ in runs])
+    certain = np.array([c for _, c in runs])
+    past = certain[:, None] > np.arange(emp.n_max + 1)  # T > n certain
+    assert np.array_equal(emp.t0_counts, past[kind == "extinct"].sum(axis=0))
+    assert np.array_equal(emp.t1_counts, past[kind == "exploded"].sum(axis=0))
+    assert np.array_equal(emp.t_counts, past.sum(axis=0))
+    assert emp.censored == np.isin(kind, ["horizon", "capped", "events"]).sum()
+    assert emp.sum_t == certain.sum()
+
+
 def test_ct_population_cap_censors(desk):
     # case3 passes z_cap = 20 in about half of its runs; a per-event loop over
     # the same streams (blocks of 64 waiting times, then 64 offspring draws)
@@ -426,35 +477,105 @@ def test_ct_population_cap_censors(desk):
     dt, cfg = 0.5, SimConfig(params=p, replicates=400, n_max=20, z_cap=20, master_seed=3)
     with pytest.warns(QualityWarning, match="censored fraction"):
         emp = simulate_ct_skeleton(e, cfg, dt=dt)
-    escape = max(1.0 - e.h_at_1, 0.0)
-    cells = np.concatenate(([escape], escape + np.cumsum(h_coeffs(e, 4096).coeffs)))
-    horizon = capped = 0
-    certain = []  # per run, the number of bins n with T > n known
-    for i in range(cfg.replicates):
-        rng = np.random.Generator(np.random.Philox(key=np.array([3, i], dtype=np.uint64)))
-        z, t, event = 1, 0.0, 0
-        while True:
-            if event % 64 == 0:
-                block = rng.random(128)
-                wait = -np.log(block[:64])
-            t += float(wait[event % 64]) / (e.lam * z)
-            if t > cfg.n_max * dt:
-                horizon += 1
-                certain.append(cfg.n_max + 1)
-                break
-            k = int(np.searchsorted(cells, block[64 + event % 64], side="right")) - 1
-            event += 1
-            if k < 0 or z + k - 1 == 0:  # exploded or extinct
-                certain.append(min(math.ceil(t / dt), cfg.n_max))
-                break
-            z += k - 1
-            if k == cells.size - 1 or z > cfg.z_cap:
-                capped += 1
-                certain.append(min(max(math.ceil(t / dt) - 1, 0), cfg.n_max) + 1)
-                break
+    runs = _ct_reference(e, cfg, dt)
+    horizon = sum(kind == "horizon" for kind, _ in runs)
+    capped = sum(kind == "capped" for kind, _ in runs)
     assert capped > 0
     assert emp.censored == horizon + capped
-    assert emp.sum_t == sum(certain)
+    assert emp.sum_t == sum(certain for _, certain in runs)
+
+
+# label -> (desk set, SimConfig overrides): each embedding form (aq with and
+# without an escape mass), case3 and case4 at a small population cap, an
+# antithetic config, and case5, whose h table grows to its 4096 cap
+CT_REFERENCE_RUNS = {
+    "mu-case1": ("case1", {}),
+    "aq-case7": ("case7", {}),
+    "aq-escape-case9b": ("case9b", {}),
+    "log-case8": ("case8", {}),
+    "const-case6": ("case6", {}),
+    "z-cap-case3": ("case3", dict(z_cap=30)),
+    "z-cap-case4": ("case4", dict(z_cap=30)),
+    "antithetic-case3": ("case3", dict(z_cap=30, antithetic=True)),
+    "table-growth-case5": ("case5", {}),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CT_REFERENCE_RUNS))
+def test_ct_stepper_matches_per_event_loop(desk, monkeypatch, label):
+    name, kw = CT_REFERENCE_RUNS[label]
+    p, _ = desk[name]
+    e = build_embedding(p)
+    cfg = SimConfig(params=p, replicates=300, master_seed=5, **{"n_max": 20, "z_cap": 10**4, **kw})
+    orders = []
+    rebuild = OffspringTable._rebuild
+
+    def recorded(table, order):
+        orders.append(order)
+        rebuild(table, order)
+
+    monkeypatch.setattr(OffspringTable, "_rebuild", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QualityWarning)
+        emp = simulate_ct_skeleton(e, cfg, dt=0.5)
+    _assert_counts_match(emp, _ct_reference(e, cfg, 0.5))
+    assert orders[0] == 256
+    if name == "case5":
+        assert orders[-1] == 4096  # grown by doubling
+    if "z-cap" in label or "antithetic" in label:
+        assert emp.censored > 0
+
+
+def test_ct_event_cap_censors(desk, monkeypatch):
+    # no tier-1 run reaches the 10^6-event cap; at 128 events (two blocks)
+    # case3's growing runs do, and end censored like the per-event loop's
+    monkeypatch.setattr(simulate, "_CT_EVENT_CAP", 128)
+    p, _ = desk["case3"]
+    e = build_embedding(p)
+    cfg = SimConfig(params=p, replicates=200, n_max=20, z_cap=10**4, master_seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QualityWarning)
+        emp = simulate_ct_skeleton(e, cfg, dt=0.5)
+    runs = _ct_reference(e, cfg, 0.5, event_cap=128)
+    assert any(kind == "events" for kind, _ in runs)
+    _assert_counts_match(emp, runs)
+
+
+def test_ct_memory_bounded_by_batch(desk):
+    # continuous-time runs are stepped in batches too, so a 4x longer call
+    # holds no more
+    p, _ = desk["case6"]
+    e = build_embedding(p)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for reps in (5000, 20000):
+            cfg = SimConfig(params=p, replicates=reps, n_max=30, master_seed=1)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            simulate_ct_skeleton(e, cfg, dt=0.5)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+# (desk set, form): at 2 x 10^4 replicates the KS distance of T's tail on the
+# dt = 0.5 grid stays inside the DKW band at alpha = 1e-6, about 0.019
+CT_KS_SETS = [("case1", "mu"), ("case7", "aq"), ("case9b", "aq"), ("case8", "log"),
+              ("case6", "const")]
+
+
+@pytest.mark.parametrize("name, form", CT_KS_SETS)
+def test_ct_skeleton_tails_match_theory(desk, name, form):
+    p, _ = desk[name]
+    e = build_embedding(p)
+    assert e.form == form
+    cfg = SimConfig(params=p, replicates=20000, n_max=20, z_cap=10**4, master_seed=11)
+    emp = simulate_ct_skeleton(e, cfg, dt=0.5)
+    band = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * cfg.replicates))
+    assert ks_distance(emp, absorption_tails(p), range(0, cfg.n_max + 1)).t < band
+    assert emp.censored_fraction < 0.01
 
 
 def test_ct_skeleton_case6(desk):
