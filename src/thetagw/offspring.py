@@ -21,10 +21,10 @@ Four disjoint pmf routes, dispatched on theta:
 
 The independent oracle for all of them is series extraction of the pgf
 (pmf_oracle). Sampling is inverse-CDF on an OffspringTable of masses, an
-escape mass and a cap; the offspring law's table has escape 1 - f(1) and the
-route's cap, the largest order pmf computes (10^6 for the O(K) routes, 10^4
-for the triangle), extends by doubling on demand and raises TruncationError
-for a draw still uncovered at the cap.
+escape mass and a cap. _pmf_table(p), a fresh table of escape 1 - f(1) and
+the largest order pmf computes (10^6 for the O(K) routes, 10^4 for the
+triangle), doubles on demand and raises TruncationError for a draw uncovered
+at the cap; simulate.py caches one per law, up to 2^21 boundaries in all.
 """
 
 from __future__ import annotations
@@ -275,8 +275,9 @@ class OffspringTable:
         self._masses, self.p_inf, self.k_max = masses, escape, k_max
         self._rebuild(min(256, k_max))
 
+    order = property(lambda self: self.boundaries.size - 2)  # a build that raises keeps it
+
     def _rebuild(self, order: int) -> None:
-        self.order = order
         self.boundaries = _cumulative(self.p_inf, self._masses(order))
 
     @property

@@ -23,6 +23,11 @@ alone needs more being its own slice. The continuous-time one steps 64
 events a block, 128 uniforms per live run, through a table of h's
 coefficients. So memory is bounded by the batch, not by the replicate count.
 
+Tables come from one per-process cache keyed by the law (ThetaParams) or the
+Embedding. A table keeps the order it grew to, so only builds warn; row k of
+pmf and h_coeffs does not depend on the order, so warm draws land as cold ones.
+Beside the table in use it holds at most _TABLE_ENTRIES = 2**21 boundaries.
+
 Censoring is handled soundly: a censored run is never counted as absorbed.
 It contributes to the certain-knowledge count of {T > n} up to its censoring
 point and is excluded beyond it; the extinction/explosion tail counts list
@@ -66,6 +71,19 @@ _CT_EVENT_CAP = 1_000_000  # a whole number of _CT_BLOCK-event blocks
 _BATCH = 4096  # replicates stepped together
 _STEP_DRAWS = 2**18  # uniforms one generation step holds, but for a lone big replicate
 _ROW = 64  # uniforms each replicate holds drawn ahead
+_TABLE_ENTRIES = 2**21  # boundaries the cached tables hold (16 MiB), counted as one is taken
+_tables: dict = {}  # OffspringTable by ThetaParams or Embedding, least recently used first
+
+
+def _table(key) -> OffspringTable:
+    """The cached sampling table of a law or an embedding, built on a miss."""
+    table = _tables.pop(key, None) or (
+        _pmf_table(key) if isinstance(key, ThetaParams)
+        else OffspringTable(lambda k: h_coeffs(key, k).coeffs, max(1.0 - key.h_at_1, 0.0), _CT_ORDER))
+    while _tables and sum(t.boundaries.size for t in (table, *_tables.values())) > _TABLE_ENTRIES:
+        del _tables[next(iter(_tables))]
+    _tables[key] = table
+    return table
 
 
 class Status(Enum):
@@ -268,7 +286,7 @@ def simulate_trajectory(cfg: SimConfig, replicate_index: int) -> TrajectoryRecor
         raise DomainError("replicate_index outside [0, replicates)")
     paths = [[1]]
     ahead = _DrawAhead(_Streams(cfg), replicate_index, 1)
-    outcome, gen = _run_batch(cfg, _pmf_table(cfg.params), ahead, paths)
+    outcome, gen = _run_batch(cfg, _table(cfg.params), ahead, paths)
     status, k = _OUTCOMES[outcome[0]], int(gen[0])
     if status in (Status.EXTINCT, Status.EXPLODED):
         return TrajectoryRecord(tuple(paths[0]), status, absorb_n=k)
@@ -296,7 +314,7 @@ def _tally(cfg: SimConfig, outcome: np.ndarray, key: np.ndarray):
 
 def _chunk_hists(cfg: SimConfig, lo: int, hi: int):
     """_tally of replicates lo..hi-1, stepped in batches of at most _BATCH."""
-    table = _pmf_table(cfg.params)
+    table = _table(cfg.params)
     streams = _Streams(cfg)
     parts = []
     for b in range(lo, hi, _BATCH):
@@ -496,7 +514,7 @@ def simulate_ct_skeleton(e: Embedding, cfg: SimConfig, dt: float) -> EmpiricalTa
         raise DomainError("dt must be positive")
     if e.params != cfg.params:
         raise DomainError("the embedding and cfg.params describe different laws")
-    table = OffspringTable(lambda k: h_coeffs(e, k).coeffs, max(1.0 - e.h_at_1, 0.0), _CT_ORDER)
+    table = _table(e)
     streams = _Streams(cfg)
     parts = [
         _tally(cfg, *_ct_batch(cfg, e.lam, dt, table, streams, b, min(_BATCH, cfg.replicates - b)))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from thetagw import validate_classify
+from thetagw import simulate, validate_classify
 
 # canonical desk sets, one per case, plus b-variants used by individual tests
 DESK_RAW = {
@@ -26,6 +26,13 @@ NINE = (
     "case1", "case2", "case3", "case4", "case5",
     "case6", "case7", "case8", "case9",
 )
+
+
+@pytest.fixture(autouse=True)
+def cold_tables():
+    """Each test starts with no cached sampling table, so what it sees of table
+    builds and growth does not depend on the tests run before it."""
+    simulate._tables.clear()
 
 
 @pytest.fixture(scope="session")

@@ -270,6 +270,19 @@ def test_triangle_overflow_exits_4(capsys, theta, k_max):
     assert "scaled rows overflow at order" in out.err
 
 
+def test_failed_table_build_exits_4_every_time(capsys):
+    # p_103 of this law is negative beyond the clamp: the first offspring table
+    # fails to build, and a second run in the same process fails the same way
+    argv = ["simulate", "--theta=-0.891", "--a=0.371", "--q=0.306", "--replicates=200"]
+    for _ in range(2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the triangle warns that it cancels
+            assert cli.main(argv) == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "beyond the 1e-12 clamp" in out.err
+
+
 def test_huge_moments_saturate(capsys):
     # case3 at a = 5e-324: the mean a^(-1/theta) and a^2 in f''(1) leave the float range
     assert cli.main(["classify", "--theta=1", "--a=5e-324", "--q=0"]) == 0

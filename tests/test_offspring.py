@@ -11,6 +11,7 @@ from thetagw import (
     ConditioningWarning,
     DomainError,
     INFINITE,
+    NumericError,
     OffspringTable,
     TruncationError,
     build_embedding,
@@ -255,6 +256,22 @@ def test_table_from_masses_escape_and_cap(desk, name):
     assert table.order == 4096
     fixed = np.concatenate(([escape], escape + np.cumsum(h_coeffs(e, 4096).coeffs)))
     assert np.array_equal(table.boundaries, fixed)
+
+
+def test_failed_extension_keeps_the_table():
+    # a build that raises leaves the order and the boundaries it had, so a
+    # cap test that reads the order still matches the cells
+    def masses(order):
+        if order > 256:
+            raise NumericError("no masses past order 256")
+        return np.full(order + 1, 1e-3)
+
+    table = OffspringTable(masses, 0.0, 4096)
+    head = table.boundaries.copy()
+    with pytest.raises(NumericError, match="past order 256"):
+        table.ensure_coverage(0.9)
+    assert table.order == 256
+    assert np.array_equal(table.boundaries, head)
 
 
 def test_table_cap_raises(desk, monkeypatch):

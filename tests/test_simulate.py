@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from thetagw import (
+    ConditioningWarning,
     DomainError,
+    NumericError,
     QualityWarning,
     SimConfig,
     Status,
@@ -22,6 +24,7 @@ from thetagw import (
     ks_distance,
     simulate_ct_skeleton,
     simulate_trajectory,
+    validate_classify,
 )
 from thetagw import simulate
 from thetagw.offspring import OffspringTable, _pmf_table
@@ -613,3 +616,105 @@ def test_ct_skeleton_deterministic(desk):
     b = simulate_ct_skeleton(e, cfg, dt=0.5)
     assert np.array_equal(a.t_counts, b.t_counts)
     assert a.censored == b.censored
+
+
+# criterion-08 settings; case5's table grows by doubling toward 10^6 entries,
+# case2's stays at 256 (its cells miss 1.8e-12 of mass), so it checks plain reuse
+WARM_RUNS = {
+    "case2": dict(n_max=1000, z_cap=10**6),
+    "case5": dict(n_max=30, z_cap=10**6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARM_RUNS))
+def test_warm_table_counts_equal_cold(desk, name):
+    # a small call, a large one that grows the cached table, the small one
+    # again: a warm table maps every draw to the cell a cold one does
+    p, _ = desk[name]
+
+    def digest(reps):
+        cfg = SimConfig(params=p, replicates=reps, master_seed=2024, **WARM_RUNS[name])
+        return counts_digest(estimate_tails(cfg))
+
+    small = digest(200)
+    order = simulate._tables[p].order
+    large = digest(2000)
+    if name == "case5":
+        assert simulate._tables[p].order > order
+    assert digest(200) == small
+    simulate._tables.clear()
+    assert digest(2000) == large
+
+
+def test_warm_h_table_counts_equal_cold(desk):
+    # case5's h table grows to its 4096 cap in the first call
+    p, _ = desk["case5"]
+    e = build_embedding(p)
+
+    def digest(reps):
+        cfg = SimConfig(params=p, replicates=reps, n_max=20, z_cap=10**4, master_seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QualityWarning)
+            return counts_digest(simulate_ct_skeleton(e, cfg, dt=0.5))
+
+    small = digest(50)
+    assert simulate._tables[e].order == 4096
+    large = digest(500)
+    assert digest(50) == small
+    simulate._tables.clear()
+    assert digest(500) == large
+
+
+def test_warm_table_trajectories_equal_cold(desk):
+    # each record from a cold cache, then again after a large call has grown
+    # case5's cached table
+    cfg = SimConfig(params=desk["case5"][0], replicates=2000, n_max=30, z_cap=10**6,
+                    master_seed=2024)
+    cold = []
+    for i in range(0, 2000, 50):
+        simulate._tables.clear()
+        cold.append(simulate_trajectory(cfg, i))
+    estimate_tails(cfg)
+    assert simulate._tables[cfg.params].order >= 2**19
+    assert [simulate_trajectory(cfg, i) for i in range(0, 2000, 50)] == cold
+
+
+def test_table_cache_bounded_by_entries(desk, monkeypatch):
+    # four 258-boundary tables fit under 1100 boundaries, a fifth does not:
+    # the least recently used go first, never the table in use
+    monkeypatch.setattr(simulate, "_TABLE_ENTRIES", 1100)
+
+    def run(name, **kw):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QualityWarning)
+            estimate_tails(cfg_for(desk, name, **{"replicates": 20, "n_max": 5, **kw}))
+        sizes = [t.boundaries.size for t in simulate._tables.values()]
+        assert list(simulate._tables)[-1] == desk[name][0]  # the table just used
+        assert sum(sizes[:-1]) <= simulate._TABLE_ENTRIES
+        return set(simulate._tables)
+
+    for name in ("case1", "case3", "case6", "case7"):
+        run(name)
+    assert sum(t.boundaries.size for t in simulate._tables.values()) == 4 * 258
+    run("case1")  # now the most recently used
+    kept = run("case8")
+    assert kept == {desk[n][0] for n in ("case6", "case7", "case1", "case8")}
+    # case5's table, taken at 258 boundaries, grows past the bound in use and
+    # stays; the next call drops it and the others it does not fit beside
+    kept = run("case5", replicates=200, n_max=30)
+    assert kept == {desk[n][0] for n in ("case7", "case1", "case8", "case5")}
+    assert simulate._tables[desk["case5"][0]].boundaries.size > 1100
+    assert run("case3") == {desk["case3"][0]}
+
+
+def test_failed_table_build_is_not_cached():
+    # p_103 of this cancelling law is negative beyond the clamp, so the table's
+    # first build fails, the same way on every call
+    p, _ = validate_classify({"theta": -0.891, "a": 0.371, "q": 0.306})
+    cfg = SimConfig(params=p, replicates=200, n_max=30)
+    for _ in range(2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            with pytest.raises(NumericError, match=r"p_103 = .* beyond the 1e-12 clamp"):
+                estimate_tails(cfg)
+        assert p not in simulate._tables
