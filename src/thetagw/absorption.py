@@ -11,8 +11,9 @@ Expected absorption times are tail sums E = sum_{n>=0} P(. > n). The case
 says which diverge: the critical T_0 tail (1 + cn)^(-1/theta) at theta = 1,
 and T for a regular law with q < 1 (survival forever). Every other tail
 decays like a^n or a power; its sum closes geometrically below 1e-13 or, still
-alive at n = 2^14, with an Euler-Maclaurin integral completion whose quad
-error estimate must stay below 1e-9 * max(1, sum), else NumericError.
+alive at n = 2^14, with an Euler-Maclaurin integral completion. The package's
+port of QUADPACK's QAGS computes its integral, and the error estimate must
+stay below 1e-9 * max(1, sum), else NumericError.
 
 The late-explosion limit law: when the one-step escape mass is small the
 conditional law of T_1, shifted by log_a(eps), approaches the curve
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quadpack import quad
 from .errors import ConditioningWarning, DomainError, NumericError, RegimeError
 from .params import CaseTag, ThetaParams, case_of, validate_classify
 from .pgf import compose_iterate
@@ -206,8 +208,6 @@ def _tail_sum(tail_fn) -> float:
     t_full = float(tail_fn(n_sw))
     if t_full <= 0.0:
         return total
-    from scipy.integrate import quad  # imported on first use: it is slow to load
-
     integral, err = quad(
         lambda u: float(tail_fn(1.0 / u)) / u**2,
         0.0,

@@ -8,8 +8,10 @@ expands h into coefficients, and checks the defining identity
 
     integral_{s}^{F_t(s)} dx / (h(x) - x) = lambda * t
 
-by adaptive quadrature. The integrand has a simple pole at the extinction
-limit q (and at 1 for proper h), so callers must keep the path on one side.
+by adaptive quadrature: the package's port of QUADPACK's QAGS, which gives
+scipy.integrate.quad's result bit for bit. The integrand has a simple pole at
+the extinction limit q (and at 1 for proper h), so callers must keep the path
+on one side.
 
 Four shapes of h arise:
 
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._quadpack import quad
 from .errors import DomainError, NumericError, SingularPathError
 from .params import CaseTag, ThetaParams, case_of
 from .pgf import _MASS_CLAMP, SeriesTruncation, _clamp_masses, eval_fn
@@ -212,8 +215,6 @@ def integral_residual(e: Embedding, t: float, s: float) -> float:
 
     def integrand(x: float) -> float:
         return _ratio(1.0, h_eval(e, x) - x, "h(x) - x on the integration path")
-
-    from scipy.integrate import quad  # imported on first use: it is slow to load
 
     value, _err = quad(integrand, s, upper, epsabs=1e-10, epsrel=1e-10, limit=200)
     return value - target

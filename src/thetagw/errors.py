@@ -65,4 +65,6 @@ class ConditioningWarning(UserWarning):
 
 
 class QualityWarning(UserWarning):
-    """A statistical estimate is degraded (for example heavy censoring)."""
+    """A statistical or numerical estimate is degraded: heavy censoring of a
+    Monte Carlo run, or a quadrature that ended on a QUADPACK flag (subinterval
+    limit, roundoff, bad integrand behaviour, divergence)."""

@@ -187,7 +187,7 @@ def test_survival_forever_makes_e_t_infinite(raw):
 
 def test_unresolved_completion_raises(capsys):
     # the tail (1 + n)^(-1/0.99999) sums to about 1.0e5, most of it past any
-    # n the completion can reach; quad's error estimate says so
+    # n the completion can reach; the quadrature's error estimate says so
     from thetagw import cli
 
     p, _ = validate_classify({"theta": 0.99999, "a": 1.0, "c": 1.0})
@@ -195,7 +195,7 @@ def test_unresolved_completion_raises(capsys):
         quiet_expected(p)
     argv = ["absorb", "--theta", "0.99999", "--a", "1", "--c", "1", "--n", "5"]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # quad's IntegrationWarning
+        warnings.simplefilter("ignore")  # the quadrature's QualityWarning
         assert cli.main(argv) == 4
     assert capsys.readouterr().out == ""
 

@@ -333,6 +333,27 @@ def test_embed_reports_checks():
     assert max(doc["checks"]["quad_residuals"]) < 1e-6
 
 
+CASE7 = ("--theta", "0.5", "--a", "0.5", "--A", "2", "--q", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("embed", *CASE7),
+    ("verify", *CASE7),
+    ("absorb", "--theta", "0.5", "--a", "1.0", "--c", "1.0"),  # tail-sum completion
+], ids=["embed-case7", "verify-case7", "absorb-case2h"])
+def test_quadrature_paths_run_without_scipy(argv):
+    # scipy is a test dependency only: the commands that integrate must give
+    # the same stdout, byte for byte, with its import blocked
+    blocked = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['scipy'] = None\n"
+         "from thetagw.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == run_cli(*argv).stdout
+
+
 def test_qprocess_nulls():
     doc = json.loads(run_cli("qprocess", "--theta", "1", "--a", "1",
                              "--c", "1").stdout)
