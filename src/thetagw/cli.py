@@ -432,9 +432,12 @@ def _cmd_verify(opts):
 def _write(dest: str | None, data: str) -> None:
     if dest is None:
         sys.stdout.write(data)
-    else:
+        return
+    try:
         with open(dest, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(data)
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {dest}: {exc}") from exc
 
 
 def run_command(argv=None) -> int:

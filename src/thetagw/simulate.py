@@ -9,19 +9,22 @@ Generator(Philox(key=np.array([master_seed, i], dtype=np.uint64))) (under
 antithetic pairing, 2j+1 takes 1 - u of stream 2j), so its outcome depends on
 that key alone: counts are byte-identical for any worker count, chunking,
 batching or scheduling order.
-One Philox per call reaches any (replicate, position) by re-keying, instead
+One Philox per batch reaches any (replicate, position) by re-keying, instead
 of a generator built per replicate.
 
-Both simulators step batches of up to _BATCH = 4096 replicates together and
-sample through an OffspringTable. The discrete one steps a generation at a
-time: the live replicates' draws are gathered with one index, mapped through
-the table in one call and reduced per replicate. Each replicate reads its
+Both simulators run one batch loop: batches of up to _BATCH = 4096
+replicates are stepped together, each reading its streams through one
+_DrawAhead, and sample through an OffspringTable. Each replicate reads its
 stream through a row of _ROW = 64 uniforms drawn ahead, so a batch holds
-4096 x 64 of them (2 MiB). A step holds at most _STEP_DRAWS = 2**18 uniforms;
-a bigger generation is stepped in slices of live replicates, a replicate that
-alone needs more being its own slice. The continuous-time one steps 64
-events a block, 128 uniforms per live run, through a table of h's
-coefficients. So memory is bounded by the batch, not by the replicate count.
+4096 x 64 of them (2 MiB). The discrete one steps a generation at a time:
+the live replicates' draws are gathered with one index, mapped through the
+table in one call and reduced per replicate. A step holds at most
+_STEP_DRAWS = 2**18 uniforms; a bigger generation is stepped in slices of
+live replicates, a replicate that alone needs more being its own slice. The
+continuous-time one steps 64 events a block through a table of h's
+coefficients; one take gathers 128 uniforms per live run, so a block holds
+4096 x 128 of them plus their int64 index (8 MiB). So memory is bounded by
+the batch, not by the replicate count.
 
 Tables come from one per-process cache keyed by the law (ThetaParams) or the
 Embedding. A table keeps the order it grew to, so only builds warn; row k of
@@ -39,6 +42,7 @@ at that generation, which is sound because such draws are finite and positive.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -103,6 +107,11 @@ class SimConfig:
     antithetic: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("replicates", "n_max", "z_cap", "master_seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer") from None
         if self.replicates < 1:
             raise DomainError("replicates must be >= 1")
         if self.n_max < 1:
@@ -131,20 +140,26 @@ _OUTCOMES = (Status.EXTINCT, Status.EXPLODED, Status.CENSORED_HORIZON, Status.CE
 _EXT, _EXP, _HOR, _CAP = range(4)  # indices into _OUTCOMES
 
 
-class _Streams:
-    """Uniforms of any (replicate, position) from one re-keyed Philox.
+class _DrawAhead:
+    """The uniforms of replicates lo..lo+count-1 of one batch, from one Philox.
 
     Replicate i reads the stream of
     Generator(Philox(key=np.array([master_seed, i], dtype=np.uint64))). numpy
     reads a plain list key through float64 once the seed passes 2^63 - 1, and
     that can name another stream.
     Under antithetic pairing replicates 2j and 2j+1 share stream 2j and the
-    odd one takes 1 - u. Re-keying sets the counter to pos // 4 with an empty
-    buffer, because numpy advances the counter before it fills its four-draw
-    buffer; so a stream is re-keyed only at positions that are multiples of 4.
+    odd one takes 1 - u.
+
+    Replicate lo + j reads rows[j] from off[j] on; pos[j] is its stream
+    position after the row. A replicate whose need runs past the end of its
+    row re-keys the Philox once at pos[j], reads the rest of its need into
+    place and refills its row with the next _ROW uniforms. Re-keying sets the
+    counter to pos // 4 with an empty buffer, because numpy advances the
+    counter before it fills its four-draw buffer; so the pos % 4 draws before
+    pos are read and dropped.
     """
 
-    def __init__(self, cfg: SimConfig):
+    def __init__(self, cfg: SimConfig, lo: int, count: int):
         self._anti = cfg.antithetic
         self._bits = np.random.Philox(key=0)  # re-keyed before every use
         self._gen = np.random.Generator(self._bits)
@@ -157,29 +172,6 @@ class _Streams:
             "has_uint32": 0,
             "uinteger": 0,
         }
-
-    def reader(self, replicate: int, pos: int = 0):
-        """random(n) reading the replicate's stream on from pos, a multiple of 4."""
-        flip = self._anti and bool(replicate & 1)
-        self._state["state"]["key"][1] = replicate - flip
-        self._state["state"]["counter"][0] = pos // 4
-        self._bits.state = self._state
-        if flip:
-            return lambda n: 1.0 - self._gen.random(n)
-        return self._gen.random
-
-
-class _DrawAhead:
-    """Draw-ahead rows of the replicates lo..lo+count-1 of one batch.
-
-    Replicate j reads rows[j] from off[j] on; pos[j] is its stream position
-    after the row. A replicate whose need runs past the end of its row
-    re-keys the stream once, reads the rest of its need into place and
-    refills its row with the next _ROW uniforms.
-    """
-
-    def __init__(self, streams: _Streams, lo: int, count: int):
-        self._streams = streams
         self._lo = lo
         self.count = count
         self._rows = np.empty((count, _ROW))
@@ -205,11 +197,18 @@ class _DrawAhead:
         pos = self._pos[rep].tolist()
         self._off[rep] = 0
         self._pos[rep] += rest + _ROW
+        state = self._state["state"]
         for j, p, r, s in zip(rep.tolist(), pos, rest.tolist(), at.tolist()):
-            k = p % 4  # read from the block start, drop the k draws before p
-            more = self._streams.reader(self._lo + j, p - k)(k + r + _ROW)
-            u[s : s + r] = more[k : k + r]
-            self._rows[j] = more[k + r :]
+            flip = self._anti and (self._lo + j) & 1
+            state["key"][1] = self._lo + j - flip
+            state["counter"][0] = p // 4
+            self._bits.state = self._state
+            if p % 4:
+                self._gen.random(p % 4)  # the draws before p, dropped
+            for a in (u[s : s + r], self._rows[j]):
+                self._gen.random(out=a)
+                if flip:
+                    np.subtract(1.0, a, out=a)
         return u
 
 
@@ -228,7 +227,7 @@ def _slices(ends: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
-def _run_batch(cfg: SimConfig, table: OffspringTable, ahead: _DrawAhead, paths=None):
+def _run_batch(cfg: SimConfig, ahead: _DrawAhead, paths=None):
     """Step the replicates of a batch together, one generation at a time.
 
     Returns (outcome, n): per replicate the index of its Status in _OUTCOMES
@@ -240,6 +239,7 @@ def _run_batch(cfg: SimConfig, table: OffspringTable, ahead: _DrawAhead, paths=N
     certain); Extinct at size 0; CensoredCap above z_cap. When paths is
     given, paths[j] collects the sizes of replicate j.
     """
+    table = _table(cfg.params)
     count = ahead.count
     outcome = np.full(count, _HOR, dtype=np.int8)
     gen = np.full(count, cfg.n_max, dtype=np.int64)
@@ -285,8 +285,7 @@ def simulate_trajectory(cfg: SimConfig, replicate_index: int) -> TrajectoryRecor
     if not 0 <= replicate_index < cfg.replicates:
         raise DomainError("replicate_index outside [0, replicates)")
     paths = [[1]]
-    ahead = _DrawAhead(_Streams(cfg), replicate_index, 1)
-    outcome, gen = _run_batch(cfg, _table(cfg.params), ahead, paths)
+    outcome, gen = _run_batch(cfg, _DrawAhead(cfg, replicate_index, 1), paths)
     status, k = _OUTCOMES[outcome[0]], int(gen[0])
     if status in (Status.EXTINCT, Status.EXPLODED):
         return TrajectoryRecord(tuple(paths[0]), status, absorb_n=k)
@@ -312,14 +311,13 @@ def _tally(cfg: SimConfig, outcome: np.ndarray, key: np.ndarray):
     )
 
 
-def _chunk_hists(cfg: SimConfig, lo: int, hi: int):
-    """_tally of replicates lo..hi-1, stepped in batches of at most _BATCH."""
-    table = _table(cfg.params)
-    streams = _Streams(cfg)
+def _chunk_hists(cfg: SimConfig, lo: int, hi: int, step, *args):
+    """_tally of replicates lo..hi-1, stepped by step(cfg, ahead, *args) in
+    batches of at most _BATCH."""
     parts = []
     for b in range(lo, hi, _BATCH):
-        ahead = _DrawAhead(streams, b, min(_BATCH, hi - b))
-        parts.append(_tally(cfg, *_run_batch(cfg, table, ahead)))
+        ahead = _DrawAhead(cfg, b, min(_BATCH, hi - b))
+        parts.append(_tally(cfg, *step(cfg, ahead, *args)))
         del ahead  # its rows, before the next batch's are made
     return tuple(sum(col) for col in zip(*parts))
 
@@ -430,12 +428,13 @@ def estimate_tails(cfg: SimConfig, workers: int = 1) -> EmpiricalTails:
     workers = min(workers, os.cpu_count() or 1)
     r = cfg.replicates
     if workers == 1 or r < 2 * workers:
-        parts = [_chunk_hists(cfg, 0, r)]
+        parts = [_chunk_hists(cfg, 0, r, _run_batch)]
     else:
         from concurrent.futures import ProcessPoolExecutor  # slow to import; rarely needed
         edges = np.linspace(0, r, min(4 * workers, r) + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_chunk_hists, [cfg] * (len(edges) - 1), edges[:-1], edges[1:]))
+            n = len(edges) - 1
+            parts = list(ex.map(_chunk_hists, [cfg] * n, edges[:-1], edges[1:], [_run_batch] * n))
     return _assemble(cfg, *(sum(col) for col in zip(*parts)))
 
 
@@ -461,25 +460,26 @@ def ks_distance(emp: EmpiricalTails, analytic: AbsorptionTails, n_range) -> KSRe
     )
 
 
-def _ct_batch(cfg: SimConfig, lam: float, dt: float, table: OffspringTable, streams, lo, count):
-    """(outcome, key) of the continuous-time replicates lo..lo+count-1, for _tally.
+def _ct_batch(cfg: SimConfig, ahead: _DrawAhead, e: Embedding, dt: float):
+    """(outcome, key) of the continuous-time replicates of a batch, for _tally.
 
-    The live runs step 64 events a block, each reading its next 128 uniforms:
-    64 waiting times, then 64 offspring draws. The population before each
-    event and the time after it are cumulative sums in event order, so they
-    are a per-event loop's own floats. A run ends at its first event that is
-    out of time, explodes, lands beyond the capped table, empties or passes
-    z_cap; its later events divide by populations that mean nothing. Absorbed
-    at time t: key = ceil(t/dt); censored knowing T > t: the largest bin n
-    with n*dt < t.
+    The live runs step 64 events a block. One take gathers each live run's
+    next 128 uniforms: 64 waiting times, then 64 offspring draws. The
+    population before each event and the time after it are cumulative sums in
+    event order, so they are a per-event loop's own floats. A run ends at its
+    first event that is out of time, explodes, lands beyond the capped table,
+    empties or passes z_cap; its later events divide by populations that mean
+    nothing. Absorbed at time t: key = ceil(t/dt); censored knowing T > t: the
+    largest bin n with n*dt < t.
     """
+    table, lam, count = _table(e), e.lam, ahead.count
+    width = 2 * _CT_BLOCK  # uniforms a run reads per block
     outcome = np.full(count, _CAP, dtype=np.int8)  # what outliving _CT_EVENT_CAP means
     t_end, live = np.empty(count), np.arange(count)
     z, t = np.ones(count, dtype=np.int64), np.zeros(count)  # of the live runs
-    for block in range(_CT_EVENT_CAP // _CT_BLOCK):
-        u = np.empty((live.size, 2 * _CT_BLOCK))
-        for row, j in zip(u, live.tolist()):
-            row[:] = streams.reader(lo + j, 2 * _CT_BLOCK * block)(2 * _CT_BLOCK)
+    for _ in range(_CT_EVENT_CAP // _CT_BLOCK):
+        u = ahead.take(live, np.full(live.size, width), np.arange(live.size) * width)
+        u = u.reshape(live.size, width)
         table.ensure_coverage(float(u[:, _CT_BLOCK:].max()))
         kids = _counts(table.boundaries, u[:, _CT_BLOCK:])
         after = z[:, None] + np.cumsum(kids - 1, axis=1)
@@ -514,10 +514,4 @@ def simulate_ct_skeleton(e: Embedding, cfg: SimConfig, dt: float) -> EmpiricalTa
         raise DomainError("dt must be positive")
     if e.params != cfg.params:
         raise DomainError("the embedding and cfg.params describe different laws")
-    table = _table(e)
-    streams = _Streams(cfg)
-    parts = [
-        _tally(cfg, *_ct_batch(cfg, e.lam, dt, table, streams, b, min(_BATCH, cfg.replicates - b)))
-        for b in range(0, cfg.replicates, _BATCH)
-    ]
-    return _assemble(cfg, *(sum(col) for col in zip(*parts)), dt=dt)
+    return _assemble(cfg, *_chunk_hists(cfg, 0, cfg.replicates, _ct_batch, e, dt), dt=dt)

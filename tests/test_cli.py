@@ -229,6 +229,17 @@ def test_domain_exit_codes():
     assert run_cli("classify", "--config", "/does/not/exist.json").returncode == 3
 
 
+def test_unwritable_out_exits_3(tmp_path, capsys):
+    # an --out in a missing directory, or naming a directory, is a parameter
+    # problem like an unreadable --config, not a crash
+    for dest in (tmp_path / "missing" / "x.json", tmp_path):
+        code = cli.main(["classify", "--theta", "1", "--a", "2", "--c", "1", "--out", str(dest)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"cannot write --out {dest}" in err
+        assert "unexpected error" not in err
+
+
 def test_pmf_above_the_route_cap_exits_3(capsys):
     # the triangle route stops at 10^4 before building anything
     assert cli.main(["pmf", "--theta", "1", "--a", "2", "--c", "1", "--k-max", "10001"]) == 3

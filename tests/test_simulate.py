@@ -28,7 +28,7 @@ from thetagw import (
 )
 from thetagw import simulate
 from thetagw.offspring import OffspringTable, _pmf_table
-from thetagw.simulate import _DrawAhead, _Streams
+from thetagw.simulate import _DrawAhead
 
 
 def counts_digest(emp):
@@ -188,20 +188,33 @@ def _fresh_stream(seed, stream, n):
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_rekeyed_streams_match_fresh_generators(desk, seed, antithetic):
     cfg = SimConfig(params=desk["case6"][0], master_seed=seed, antithetic=antithetic)
-    streams = _Streams(cfg)
+
+    def want(rep):
+        u = _fresh_stream(seed, rep - (rep & 1) if antithetic else rep, 400)
+        return 1.0 - u if antithetic and rep & 1 else u
+
+    def take(ahead, k):
+        return ahead.take(np.array([0]), np.array([k]), np.array([0]))
+
     for rep in (0, 1, 6, 7):
-        want = _fresh_stream(seed, rep - (rep & 1) if antithetic else rep, 400)
-        if antithetic and rep & 1:
-            want = 1.0 - want
-        for pos in (0, 4, 8):
+        w = want(rep)
+        # a read-out row at stream position pos re-keys there, and the next
+        # take reads the refilled row; 3 and 5 are not multiples of 4, so the
+        # draws before them are read and dropped
+        for pos in (0, 3, 4, 5, 8):
             for k in (1, 4, 7):
-                assert np.array_equal(streams.reader(rep, pos)(k), want[pos : pos + k])
-        read = streams.reader(rep)
-        assert np.array_equal(np.concatenate((read(3), read(64))), want[:67])
+                ahead = _DrawAhead(cfg, rep, 1)
+                ahead._pos[0] = pos
+                assert np.array_equal(take(ahead, k), w[pos : pos + k])
+                assert np.array_equal(take(ahead, 64), w[pos + k : pos + k + 64])
+        # a read of 3, one of 64 from the row, and one that re-keys at 67
+        ahead = _DrawAhead(cfg, rep, 1)
+        read = np.concatenate([take(ahead, k) for k in (3, 64, 7)])
+        assert np.array_equal(read, w[:74])
     # draw-ahead rows of replicates 6 and 7: takes of growing and shrinking
     # size cross several refills, exceed a row and (replicate 7, in the last
     # row) gather past the array's end, and still read each stream in order
-    ahead = _DrawAhead(streams, 6, 2)
+    ahead = _DrawAhead(cfg, 6, 2)
     takes = [1, 1, 1, 1, 2, 5, 13, 40, 3, 1, 90, 1, 1, 200]
     got = {0: [], 1: []}
     for k in takes:
@@ -209,12 +222,8 @@ def test_rekeyed_streams_match_fresh_generators(desk, seed, antithetic):
         got[0].append(u[:k])
         got[1].append(u[k:])
     for j in (0, 1):
-        rep = 6 + j
-        want = _fresh_stream(seed, 6 if antithetic else rep, 400)
-        if antithetic and rep & 1:
-            want = 1.0 - want
         read = np.concatenate(got[j])
-        assert np.array_equal(read, want[: read.size])
+        assert np.array_equal(read, want(6 + j)[: read.size])
 
 
 def test_memory_bounded_by_batch(desk):
@@ -280,15 +289,24 @@ def test_trajectories_match_sequential_reference(desk, name, kw):
 @pytest.mark.parametrize("name, kw", [
     ("case3", dict(n_max=10, z_cap=2000)),
     ("case5", dict(n_max=30, antithetic=True)),
+    ("ct-case3", dict(n_max=20, z_cap=10**4, antithetic=True)),
 ])
 def test_counts_independent_of_batch_and_step_bounds(desk, monkeypatch, name, kw):
     # tiny batches, steps and draw-ahead force many batches, sliced
-    # generations and one-replicate slices; the counts must not move
-    cfg = SimConfig(params=desk[name][0], replicates=600, master_seed=11,
-                    **{"z_cap": 10**6, **kw})
+    # generations, one-replicate slices and, in continuous time, blocks that
+    # overrun every row; the counts must not move
+    ct = name.startswith("ct-")
+    p = desk[name.removeprefix("ct-")][0]
+    cfg = SimConfig(params=p, replicates=600, master_seed=11, **{"z_cap": 10**6, **kw})
+
+    def run():
+        if ct:
+            return simulate_ct_skeleton(build_embedding(p), cfg, dt=0.5)
+        return estimate_tails(cfg)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QualityWarning)
-        want = counts_digest(estimate_tails(cfg))
+        want = counts_digest(run())
         monkeypatch.setattr(simulate, "_BATCH", 7)
         monkeypatch.setattr(simulate, "_STEP_DRAWS", 40)
         monkeypatch.setattr(simulate, "_ROW", 5)
@@ -301,7 +319,7 @@ def test_counts_independent_of_batch_and_step_bounds(desk, monkeypatch, name, kw
             return u
 
         monkeypatch.setattr(_DrawAhead, "take", checked)
-        assert counts_digest(estimate_tails(cfg)) == want
+        assert counts_digest(run()) == want
 
 
 def test_antithetic_pairing(desk):
@@ -381,6 +399,12 @@ def test_config_validation(desk):
         SimConfig(params=p, n_max=0)
     with pytest.raises(DomainError):
         SimConfig(params=p, master_seed=-1)
+    # counts must be integers; numpy integers are
+    for field in ("replicates", "n_max", "z_cap", "master_seed"):
+        for bad in (1.5, 2.5, 3.5, 2.0, "3", None):
+            with pytest.raises(DomainError, match=field):
+                SimConfig(params=p, **{field: bad})
+        assert getattr(SimConfig(params=p, **{field: np.int64(3)}), field) == 3
     with pytest.raises(DomainError):
         estimate_tails(SimConfig(params=p), workers=0)
 
