@@ -3,11 +3,12 @@
 This is the series-extraction backbone: coefficients are produced by exact
 recurrences (generalized binomial through the J.C.P. Miller power recurrence,
 logarithm through its first-order ODE), never by floating-point
-differentiation. All operations truncate at a fixed order K. Products and
-powers form each row's terms with numpy, in the order of a term-by-term loop,
-and take one math.fsum per row: fsum rounds the exact sum correctly, so the
+differentiation. All operations truncate at a fixed order K. Each coefficient
+of a product or power is math.fsum of its row's terms, formed as a
+term-by-term loop forms them: fsum rounds the exact sum correctly, so the
 coefficients are bitwise the loop's and their error stays at rounding level
-even for K in the hundreds.
+even for K in the hundreds. Dense rows first go 32 at a time through
+_exact_rows, which leaves fsum a few floats a row with the same exact sum.
 
 Only what the closed forms of this family need is implemented: affine seeds,
 ring operations, real powers, logarithms, differentiation and argument
@@ -16,19 +17,49 @@ scaling.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view as _windows
 
 from .errors import UnsupportedFormError
 
 __all__ = ["Series"]
 
-# Pow rows this short (all of an affine base) stay a generator: 1.5 us a row at
-# 1 term against 4-7 us in numpy; the two cross at 5-10 terms (2-core Xeon).
+# A base with this few nonzero terms (an affine one has 1) takes its power as a
+# generator, 1.5 us a row at 1 term; a denser one goes through _exact_rows.
 _SCALAR_TERMS = 8
+# rows per block of _exact_rows: its temporaries are _BLOCK * K floats
+_BLOCK = 32
+
+
+def _exact_rows(terms: np.ndarray) -> list[list[float]] | None:
+    """Per row of terms, a few floats with the row's exact sum; None if a term
+    is not finite or at least 2**(1000 - M), or if 60 passes leave a residual.
+
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31 (2008)
+    189-224): for sigma a power of two >= 2**M * max|r| and 2**M >= width + 2,
+    q = (sigma + r) - sigma and r - q are exact and a row's q add up exactly.
+    Each pass keeps that sum and leaves residuals at least 2**(52 - M) times smaller.
+    """
+    shift = (terms.shape[1] + 1).bit_length()  # M
+    big = np.maximum(terms.max(axis=1), -terms.min(axis=1))  # max|term|, nan on a nan
+    if not (big < 2.0 ** (1000 - shift)).all():
+        return None
+    parts, r = [], terms
+    while big.any():
+        if len(parts) == 60:
+            return None
+        sigma = np.ldexp(1.0, np.frexp(big)[1] + shift)[:, None]
+        q = sigma + r
+        q -= sigma
+        r = r - q
+        parts.append(q.sum(axis=1))
+        big = np.maximum(r.max(axis=1), -r.min(axis=1))
+    return np.transpose(parts).tolist() if parts else [[]] * len(terms)
 
 
 class Series:
@@ -96,16 +127,23 @@ class Series:
         return Series(arr)
 
     def __mul__(self, other: "Series | float") -> "Series":
-        """Cauchy product: row k is one fsum of all the terms a_j * b_(k-j),
-        j = 0..k, formed in numpy (zeros kept); bitwise equal to a generator."""
+        """Cauchy product: row k is the fsum of all the terms a_j * b_(k-j),
+        j = 0..k (zeros kept), bitwise equal to a generator. Rows k0..k0+31
+        go to _exact_rows as one block of terms j = 0..k0+31, 0 past j = k."""
         if not isinstance(other, Series):
             return Series(self.coeffs * float(other))
         self._check_order(other)
         n = self.order
-        a, rb = self.coeffs, other.coeffs[::-1]
+        a, b = self.coeffs, other.coeffs
+        bz = np.concatenate((np.zeros(_BLOCK - 1), b))  # b_i at i + 31
         out = np.empty(n + 1)
-        for k in range(n + 1):
-            out[k] = math.fsum((a[: k + 1] * rb[n - k :]).tolist())
+        for k0 in range(0, n + 1, _BLOCK):
+            rows = min(_BLOCK, n + 1 - k0)
+            bk = _windows(bz, k0 + rows)[_BLOCK - rows : _BLOCK, ::-1]  # row k: b_k..b_0, 0, ...
+            with np.errstate(over="ignore", invalid="ignore"):  # a fallback warns as before
+                parts = _exact_rows(a[: k0 + rows] * bk)
+            for k in range(k0, k0 + rows):
+                out[k] = math.fsum(parts[k - k0] if parts else (a[: k + 1] * b[k::-1]).tolist())
         return Series(out)
 
     __rmul__ = __mul__
@@ -125,27 +163,31 @@ class Series:
         coefficient:  m*u0*v_m = sum_{j=1..m} (j*alpha + (j - m)) * u_j * v_{m-j}.
         Spelled this way the factor at j = m is m*alpha rounded once, so it
         keeps its digits however small alpha is.
-        Only the nonzero u_j enter the sum, so an affine base costs O(order).
-        A row of more than _SCALAR_TERMS terms forms them in numpy, left to
-        right as written, and takes one fsum: bitwise equal to a generator.
+        Only the nonzero u_j enter a generator, so an affine base costs
+        O(order). A denser base works in blocks of rows m0..m0+31: row m0 + r
+        hands its terms j = r+1..r+m0 (on v_(m0-1)..v_0, zeros kept) to
+        _exact_rows and adds its terms j <= r in its one fsum.
         """
         u = self.coeffs
         if not u[0] > 0.0:
             raise UnsupportedFormError(
                 f"series**{alpha} needs a positive constant term, got {u[0]}"
             )
-        n = self.order
-        v = np.zeros(n + 1)
-        v[0] = u[0] ** alpha
-        nz = np.flatnonzero(u[1:]) + 1  # zero terms leave an exact sum as it is
-        ja, uz, js = nz * alpha, u[nz], nz.tolist()
-        for m in range(1, n + 1):
-            c = bisect_right(js, m)
-            if c <= _SCALAR_TERMS:
-                acc = math.fsum((j * alpha + (j - m)) * u[j] * v[m - j] for j in js[:c])
-            else:
-                acc = math.fsum(((ja[:c] + (nz[:c] - m)) * uz[:c] * v[m - nz[:c]]).tolist())
-            v[m] = acc / (m * u[0])
+        n, ul = self.order, list(u)  # numpy scalars: their rounding and overflow warnings
+        v = [u[0] ** alpha]
+        js = (np.flatnonzero(u[1:]) + 1).tolist()  # zero terms leave an exact sum as it is
+        for m0 in range(1, n + 1, _BLOCK):
+            rows, parts = min(_BLOCK, n + 1 - m0), None
+            if len(js) > _SCALAR_TERMS:
+                with np.errstate(over="ignore", invalid="ignore"):  # a fallback warns as before
+                    ja = np.arange(1, m0 + rows) * alpha  # at index j - 1; j - m = i + 1 - m0
+                    factor = _windows(ja, m0) + np.arange(1 - m0, 1)
+                    parts = _exact_rows(factor * _windows(u[1 : m0 + rows], m0) * np.array(v[::-1]))
+            for m in range(m0, m0 + rows):
+                c = bisect_right(js, m - m0 if parts else m)  # parts hold the terms on v_0..v_(m0-1)
+                terms = ((j * alpha + (j - m)) * ul[j] * v[m - j] for j in js[:c])
+                terms = itertools.chain(parts[m - m0], terms) if parts else terms
+                v.append(math.fsum(terms) / (m * ul[0]))
         return Series(v)
 
     def log(self) -> "Series":

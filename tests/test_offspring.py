@@ -52,6 +52,13 @@ def test_pmf_matches_oracle_random_draws():
         assert np.max(np.abs(pmf(p, 50) - pmf_oracle(p, 50)) ) < 1e-9
 
 
+@pytest.mark.parametrize("name", ["case3", "case9b"])
+def test_pmf_matches_oracle_at_order_1024(desk, name):
+    # the orders at which the oracle's dense powers run through many blocks
+    p, _ = desk[name]
+    assert np.max(np.abs(pmf(p, 1024) - pmf_oracle(p, 1024))) < 1e-9
+
+
 def test_two_point_law(desk):
     p, _ = desk["case6"]
     probs = pmf(p, 5)

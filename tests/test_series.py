@@ -1,6 +1,7 @@
 """Series arithmetic against math.comb / scipy reference coefficients."""
 
 import math
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -9,8 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import binom as sp_binom
 
+from thetagw import validate_classify
 from thetagw.errors import UnsupportedFormError
-from thetagw.series import Series
+from thetagw.pgf import fn_series
+from thetagw.series import _SCALAR_TERMS, Series, _exact_rows
+
+from conftest import DESK_RAW
 
 
 def test_constructors():
@@ -189,6 +194,109 @@ def test_mul_bitwise_equals_generator(order, left, right, seed):
     a, b = _base(order, left, seed), _base(order, right, seed + 1)
     a[::4] *= -1.0  # negative entries times -0.0 give signed-zero products
     assert (Series(a) * Series(b)).coeffs.tobytes() == _mul_reference(a, b).tobytes()
+
+
+def _outcome(fn):
+    """The bytes fn returns, or the type and message of what it raises."""
+    try:
+        return fn().tobytes()
+    except Exception as exc:  # the outcome under comparison
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("u_40", [0.0, math.inf])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("alpha", [-7.5, -1.0, 40.0])
+def test_pow_overflow_matches_generator(alpha, sign, u_40, warn):
+    # u_j = 30 * sign at 15 of j = 1..20, so rows go through _exact_rows with a
+    # zero u_j in every window. The coefficients overflow near order 200, or
+    # turn infinite at order 40 without a warning where u_40 is infinite. With
+    # sign -1 and alpha < 0 every term is positive, so the rows past that are
+    # +inf and the zero u_j meet an infinite v in _exact_rows' blocks, a nan
+    # the generator never forms; otherwise fsum meets -inf + inf and raises
+    u = np.zeros(301)
+    u[0] = 1.0
+    u[1:21] = [30.0 * sign * (j % 4 != 0) for j in range(1, 21)]
+    u[40] = sign * u_40
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)  # "error" as pytest has it: an overflow raises
+        ref = _outcome(lambda: _pow_reference(u, alpha))
+        assert _outcome(lambda: Series(u).pow(alpha).coeffs) == ref
+        if warn == "ignore":  # the generator's scalar warnings name another op
+            ref_mul = _outcome(lambda: _mul_reference(u, u))
+            assert _outcome(lambda: (Series(u) * Series(u)).coeffs) == ref_mul
+    if sign < 0.0 and alpha < 0.0 and (warn == "ignore" or u_40):
+        assert np.isinf(np.frombuffer(ref)).sum() > 90
+
+
+@pytest.mark.parametrize("name", ["case3", "case9b"])
+def test_dense_pow_and_mul_bitwise_across_blocks(name, monkeypatch):
+    # fn_series's inner series, the dense base of the oracle's powers, at an
+    # order of 35 blocks and rows of up to 1100 terms
+    p, _ = validate_classify(DESK_RAW[name])
+    calls, real = [], Series.pow
+    monkeypatch.setattr(Series, "pow", lambda s, alpha: calls.append((s.coeffs, alpha)) or real(s, alpha))
+    fn_series(p, 1.0, 1100)
+    monkeypatch.undo()
+    (u, alpha), = [(c, a) for c, a in calls if np.count_nonzero(c[1:]) > _SCALAR_TERMS]
+    v = Series(u).pow(alpha).coeffs
+    assert v.tobytes() == _pow_reference(u, alpha).tobytes()
+    assert (Series(u) * Series(v)).coeffs.tobytes() == _mul_reference(u, v).tobytes()
+
+
+def _block(rows, width, seed, spread, kind):
+    """rows x width terms, magnitudes e**(-spread)..e**spread."""
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal((rows, width)) * np.exp(rng.uniform(-spread, spread, (rows, width)))
+    if kind == "cancel":  # the second half is minus the first: sums of 0 or one term
+        half = width // 2
+        t[:, half : 2 * half] = -t[:, :half]
+    elif kind == "zeros":  # every other row is signed zeros
+        t[::2] = np.copysign(0.0, t[::2])
+    elif kind == "subnormal":  # every other row scaled down to a largest term of 2**-1030
+        t[::2] *= 2.0**-1030 / np.abs(t[::2]).max(axis=1, keepdims=True)
+    return t
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 32),
+    st.integers(1, 1100),
+    SEED,
+    st.floats(0.0, 600.0),
+    st.sampled_from(["plain", "cancel", "zeros", "subnormal"]),
+)
+@example(32, 1100, 0, 600.0, "plain")
+@example(3, 1, 1, 0.0, "zeros")
+@example(5, 1024, 2, 600.0, "subnormal")
+@example(7, 1001, 3, 300.0, "cancel")
+def test_exact_rows_sum_like_fsum(rows, width, seed, spread, kind):
+    t = _block(rows, width, seed, spread, kind)
+    parts = _exact_rows(t)
+    assert parts is not None and len(parts) == rows
+    got = np.array([math.fsum(part) for part in parts])
+    assert got.tobytes() == np.array([math.fsum(row) for row in t.tolist()]).tobytes()
+
+
+def test_exact_rows_refuses_what_it_cannot_split():
+    t = _block(4, 100, 0, 10.0, "plain")
+    t /= np.abs(t).max()
+    for bad in (math.inf, -math.inf, math.nan, -(2.0**993)):  # 2**(1000 - M), M = 7
+        t2 = t.copy()
+        t2[2, 50] = bad
+        assert _exact_rows(t2) is None
+    assert _exact_rows(t * np.nextafter(2.0**993, 0.0)) is not None  # the largest term below it
+    # each pass shrinks the residuals by at least 2**(52 - M) = 2**33 (M = 19):
+    # terms every 16 binades from 2**970 down to 2**-1074 take 60 passes, and
+    # from 2**980 down 61, one more than it makes
+    for top, refused in ((970, False), (980, True)):
+        scales = np.arange(top, -1075, -16)
+        row = np.zeros((1, 2**18))
+        row[0, : scales.size] = np.ldexp(1.0 + np.random.default_rng(1).random(scales.size), scales)
+        parts = _exact_rows(row)
+        assert (parts is None) == refused
+        assert refused or math.fsum(parts[0]) == math.fsum(row[0].tolist())
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
