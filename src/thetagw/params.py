@@ -150,7 +150,10 @@ def _q_from_c(theta: float, a: float, c: float, big_a: float) -> float:
     # inverse of c = (1-a) * (A-q)^(-theta), valid for a < 1, theta != 0
     if c <= 0.0:
         raise DomainError("c must be positive to recover q for a < 1")
-    return big_a - ((1.0 - a) / c) ** (1.0 / theta)
+    try:
+        return big_a - ((1.0 - a) / c) ** (1.0 / theta)
+    except OverflowError:  # A - q past the float range puts q below 0
+        return -math.inf
 
 
 def _check_fixed_point_at_one(theta: float, a: float, big_a: float, q: float) -> None:

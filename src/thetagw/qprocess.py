@@ -234,7 +234,9 @@ def conditional_limit_b(p: ThetaParams, order: int) -> LimitLaw:
 
 
 def critical_limit_w(p: ThetaParams, order: int) -> LimitLaw:
-    """The a = 1 family's analogue of the conditional limit law."""
+    """The a = 1 family's analogue of the conditional limit law: the limit
+    law of Z_n given T_0 = n + 1, the population one generation before
+    extinction."""
     tag = case_of(p)
     if tag.case_id != "case2":
         raise DomainError(f"{tag.case_id} is not critical; this law needs a = 1")

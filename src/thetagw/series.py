@@ -9,6 +9,8 @@ term-by-term loop forms them: fsum rounds the exact sum correctly, so the
 coefficients are bitwise the loop's and their error stays at rounding level
 even for K in the hundreds. Dense rows first go 32 at a time through
 _exact_rows, which leaves fsum a few floats a row with the same exact sum.
+pow and log recur on Python floats, and on numpy scalars from the block of
+rows where one is not finite, so that they warn as a numpy loop does (_extend).
 
 Only what the closed forms of this family need is implemented: affine seeds,
 ring operations, real powers, logarithms, differentiation and argument
@@ -44,22 +46,47 @@ def _exact_rows(terms: np.ndarray) -> list[list[float]] | None:
     189-224): for sigma a power of two >= 2**M * max|r| and 2**M >= width + 2,
     q = (sigma + r) - sigma and r - q are exact and a row's q add up exactly.
     Each pass keeps that sum and leaves residuals at least 2**(52 - M) times smaller.
+    The passes share one q and one residual array; terms is left as it is.
     """
     shift = (terms.shape[1] + 1).bit_length()  # M
     big = np.maximum(terms.max(axis=1), -terms.min(axis=1))  # max|term|, nan on a nan
     if not (big < 2.0 ** (1000 - shift)).all():
         return None
-    parts, r = [], terms
+    parts, r, q = [], terms, np.empty_like(terms)
     while big.any():
         if len(parts) == 60:
             return None
         sigma = np.ldexp(1.0, np.frexp(big)[1] + shift)[:, None]
-        q = sigma + r
+        np.add(sigma, r, out=q)
         q -= sigma
-        r = r - q
+        r = terms - q if r is terms else np.subtract(r, q, out=r)  # terms stay as they are
         parts.append(q.sum(axis=1))
         big = np.maximum(r.max(axis=1), -r.min(axis=1))
     return np.transpose(parts).tolist() if parts else [[]] * len(terms)
+
+
+def _extend(u: np.ndarray, ul: list, v: list, fill, stop: int) -> tuple[list, list]:
+    """Have fill(stop, ul, v) append rows len(v)..stop - 1 to v, row m dividing
+    by m * u_0, where ul lists u; return the last ul and v.
+
+    While ul and v hold Python floats the rows are formed on them; if one of
+    this call's rows is not finite, raises, or meets an infinite m * u_0, the
+    call's rows are formed again on numpy scalars, which ul and v hold from
+    then on. Both round +, *, / and ** alike; only numpy's warn, on overflow
+    and on invalid operations. A finite row formed no inf or nan, and numpy
+    ignores underflow, so the rows kept from Python floats would have warned
+    on nothing."""
+    start = len(v)
+    if type(ul[0]) is float:
+        try:
+            fill(stop, ul, v)
+            if (stop - 1) * ul[0] < math.inf and all(map(math.isfinite, v[start:])):
+                return ul, v
+        except (OverflowError, ValueError):  # ** or fsum past the float range, or inf - inf
+            pass
+        ul, v = list(u), list(np.array(v[:start]))
+    fill(stop, ul, v)
+    return ul, v
 
 
 class Series:
@@ -166,45 +193,52 @@ class Series:
         Only the nonzero u_j enter a generator, so an affine base costs
         O(order). A denser base works in blocks of rows m0..m0+31: row m0 + r
         hands its terms j = r+1..r+m0 (on v_(m0-1)..v_0, zeros kept) to
-        _exact_rows and adds its terms j <= r in its one fsum.
+        _exact_rows and adds its terms j <= r in its one fsum. _extend forms
+        the rows bitwise, and warning, as a generator on numpy scalars does.
         """
         u = self.coeffs
         if not u[0] > 0.0:
             raise UnsupportedFormError(
                 f"series**{alpha} needs a positive constant term, got {u[0]}"
             )
-        n, ul = self.order, list(u)  # numpy scalars: their rounding and overflow warnings
-        v = [u[0] ** alpha]
-        js = (np.flatnonzero(u[1:]) + 1).tolist()  # zero terms leave an exact sum as it is
+        n, alpha, js = self.order, float(alpha), (np.flatnonzero(u[1:]) + 1).tolist()
+
+        def fill(stop, ul, v):  # parts hold the block's terms on v_0..v_(m0-1)
+            for m in range(len(v), stop):
+                c = bisect_right(js, m - m0 if parts else m)  # zero u_j leave an exact sum as it is
+                terms = ((j * alpha + (j - m)) * ul[j] * v[m - j] for j in js[:c])
+                terms = itertools.chain(parts[m - m0], terms) if parts else terms
+                v.append(math.fsum(terms) / (m * ul[0]))
+
+        ul, v = _extend(u, u.tolist(), [], lambda stop, ul, v: v.append(ul[0] ** alpha), 1)
         for m0 in range(1, n + 1, _BLOCK):
             rows, parts = min(_BLOCK, n + 1 - m0), None
             if len(js) > _SCALAR_TERMS:
                 with np.errstate(over="ignore", invalid="ignore"):  # a fallback warns as before
-                    ja = np.arange(1, m0 + rows) * alpha  # at index j - 1; j - m = i + 1 - m0
-                    factor = _windows(ja, m0) + np.arange(1 - m0, 1)
-                    parts = _exact_rows(factor * _windows(u[1 : m0 + rows], m0) * np.array(v[::-1]))
-            for m in range(m0, m0 + rows):
-                c = bisect_right(js, m - m0 if parts else m)  # parts hold the terms on v_0..v_(m0-1)
-                terms = ((j * alpha + (j - m)) * ul[j] * v[m - j] for j in js[:c])
-                terms = itertools.chain(parts[m - m0], terms) if parts else terms
-                v.append(math.fsum(terms) / (m * ul[0]))
+                    # row m0 + r, column i: j = r + 1 + i, j - m = i + 1 - m0, m - j = m0 - 1 - i
+                    t = _windows(np.arange(1, m0 + rows) * alpha, m0) + np.arange(1 - m0, 1)
+                    t *= _windows(u[1 : m0 + rows], m0)
+                    t *= v[::-1]
+                    parts = _exact_rows(t)
+            ul, v = _extend(u, ul, v, fill, m0 + rows)
         return Series(v)
 
     def log(self) -> "Series":
-        """Logarithm via (log u)' * u = u'; needs a positive constant term."""
+        """Logarithm via (log u)' * u = u', rows formed by _extend; needs a
+        positive constant term."""
         u = self.coeffs
         if not u[0] > 0.0:
             raise UnsupportedFormError(
                 f"log(series) needs a positive constant term, got {u[0]}"
             )
-        n = self.order
-        out = np.zeros(n + 1)
-        out[0] = math.log(u[0])
         nz = (np.flatnonzero(u[1:]) + 1).tolist()
-        for k in range(1, n + 1):
-            acc = math.fsum((k - i) * out[k - i] * u[i] for i in nz[: bisect_left(nz, k)])
-            out[k] = (k * u[k] - acc) / (k * u[0])
-        return Series(out)
+
+        def fill(stop, ul, out):
+            for k in range(len(out), stop):
+                acc = math.fsum((k - i) * out[k - i] * ul[i] for i in nz[: bisect_left(nz, k)])
+                out.append((k * ul[k] - acc) / (k * ul[0]) if k else math.log(ul[0]))
+
+        return Series(_extend(u, u.tolist(), [], fill, u.size)[1])
 
     def deriv(self) -> "Series":
         """Coefficients of the derivative, truncated at order - 1."""

@@ -1,6 +1,8 @@
 """Command-line contract: examples, precedence, exit codes, byte stability."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetagw import cli
 from thetagw.errors import NumericError
@@ -225,8 +229,43 @@ def test_domain_exit_codes():
     assert run_cli("classify").returncode == 3
     assert run_cli("iterate", "--theta", "1", "--a", "2", "--c", "1",
                    "--s", "1.5").returncode == 3
+    # c implies q = A - ((1 - a)/c)**(1/theta), a power past the float range
+    assert run_cli("classify", "--theta=1e-3", "--a=0.5", "--c=1e-10").returncode == 3
     # unreadable config counts as a parameter problem, not a crash
     assert run_cli("classify", "--config", "/does/not/exist.json").returncode == 3
+
+
+# a magnitude from 1e-300 to 1e300 of either sign
+EXTREME = st.builds(
+    lambda e, neg: (-1.0 if neg else 1.0) * 10.0**e, st.floats(-300.0, 300.0), st.booleans()
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(["classify", "iterate", "absorb", "pmf", "gumbel", "qprocess", "embed"]),
+    st.fixed_dictionaries({"theta": EXTREME, "a": EXTREME, "c": EXTREME, "q": EXTREME}),
+    st.sampled_from([("c",), ("q",), ("c", "q"), ()]),
+    st.one_of(st.none(), EXTREME),
+    st.integers(0, 20),
+)
+def test_no_analytic_subcommand_exits_1(command, params, law, big_a, rows):
+    # extreme input ends in 0 ok, 3 parameter or 4 numeric, never in 1, the
+    # unexpected error. law names which of c and q are given, and A may be
+    # left out; --k-max and --n stay at most 20 to keep this quick
+    argv = [command, *(f"--{k}={v!r}" for k, v in params.items() if k in ("theta", "a", *law))]
+    if big_a is not None:
+        argv.append(f"--A={big_a!r}")
+    if command in ("pmf", "qprocess", "embed"):
+        argv.append(f"--k-max={rows}")
+    elif command in ("absorb", "gumbel"):
+        argv.append(f"--n={rows}")
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(out):
+        warnings.simplefilter("ignore", UserWarning)  # the library's conditioning and quality notes
+        code = cli.main(argv)
+    assert code in (0, 3, 4), (argv, out.getvalue()[-300:])
 
 
 def test_unwritable_out_exits_3(tmp_path, capsys):

@@ -253,13 +253,16 @@ def _direct(**kw):
     (lambda: validate_classify({"theta": 0.0, "a": 0.5, "q": 0.25, "c": 2.0}),
      InconsistentParamsError),
     (lambda: validate_classify({"theta": 1.0, "a": 0.5, "c": 0.1}), UnclassifiableError),
+    # ((1 - a)/c)**(1/theta) overflows: q = A minus a number past 1e308 is -inf
+    (lambda: validate_classify({"theta": 1e-3, "a": 0.5, "c": 1e-10}), UnclassifiableError),
     (lambda: validate_classify({"theta": 1.0, "a": 1.0, "c": 1.0, "A": 2.0}),
      UnclassifiableError),
     (lambda: from_linear_fractional(0.2, 0.0), DomainError),
 ], ids=[
     "direct-theta", "direct-a", "direct-c", "direct-q", "case_of-theta0-a2",
     "case_of-negative-theta-a2", "A-below-1", "c-negative", "a2-q-only", "a2-c0",
-    "c0-no-q", "a2-q-not-1", "theta0-c-not-1-a", "c-gives-q-below-0", "a1-A2", "lf-pr-0",
+    "c0-no-q", "a2-q-not-1", "theta0-c-not-1-a", "c-gives-q-below-0", "c-gives-q-minus-inf",
+    "a1-A2", "lf-pr-0",
 ])
 def test_every_rejection_rule(call, error):
     # one input per raise statement in params.py that the other tests leave unrun

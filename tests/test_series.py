@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -137,6 +137,17 @@ def _pow_reference(u, alpha):
     return v
 
 
+def _log_reference(u):
+    n = u.size - 1
+    out = np.zeros(n + 1)
+    out[0] = math.log(u[0])
+    nz = (np.flatnonzero(u[1:]) + 1).tolist()
+    for k in range(1, n + 1):
+        acc = math.fsum((k - i) * out[k - i] * u[i] for i in nz[: bisect_left(nz, k)])
+        out[k] = (k * u[k] - acc) / (k * u[0])
+    return out
+
+
 def _mul_reference(a, b):
     out = np.empty(a.size)
     for k in range(a.size):
@@ -208,16 +219,18 @@ def _outcome(fn):
 @pytest.mark.parametrize("u_40", [0.0, math.inf])
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 @pytest.mark.parametrize("alpha", [-7.5, -1.0, 40.0])
-def test_pow_overflow_matches_generator(alpha, sign, u_40, warn):
+def test_pow_overflow_matches_generator(alpha, sign, u_40, warn, terms=15):
     # u_j = 30 * sign at 15 of j = 1..20, so rows go through _exact_rows with a
     # zero u_j in every window. The coefficients overflow near order 200, or
-    # turn infinite at order 40 without a warning where u_40 is infinite. With
-    # sign -1 and alpha < 0 every term is positive, so the rows past that are
-    # +inf and the zero u_j meet an infinite v in _exact_rows' blocks, a nan
-    # the generator never forms; otherwise fsum meets -inf + inf and raises
+    # turn infinite at order 40 without a warning where u_40 is infinite; the
+    # rows switch from Python floats to numpy scalars there. With sign -1 and
+    # alpha < 0 every term is positive, so the rows past that are +inf and the
+    # zero u_j meet an infinite v in _exact_rows' blocks, a nan the generator
+    # never forms; otherwise fsum meets -inf + inf and raises
     u = np.zeros(301)
     u[0] = 1.0
-    u[1:21] = [30.0 * sign * (j % 4 != 0) for j in range(1, 21)]
+    js = [j for j in range(1, 21) if j % 4 != 0][:terms]
+    u[js] = 30.0 * sign
     u[40] = sign * u_40
     with warnings.catch_warnings():
         warnings.simplefilter(warn)  # "error" as pytest has it: an overflow raises
@@ -228,6 +241,65 @@ def test_pow_overflow_matches_generator(alpha, sign, u_40, warn):
             assert _outcome(lambda: (Series(u) * Series(u)).coeffs) == ref_mul
     if sign < 0.0 and alpha < 0.0 and (warn == "ignore" or u_40):
         assert np.isinf(np.frombuffer(ref)).sum() > 90
+
+
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("u_40", [0.0, math.inf])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("alpha", [-7.5, -1.0, 40.0])
+def test_sparse_pow_overflow_matches_generator(alpha, sign, u_40, warn):
+    # u_j = 30 * sign at j = 1, 2, 3, 5, 6, 7, 9, and u_40: at most
+    # _SCALAR_TERMS nonzero u_j, so every row is a generator, switched to numpy
+    # scalars at the first block of rows that overflows or meets u_40 = inf
+    test_pow_overflow_matches_generator(alpha, sign, u_40, warn, terms=_SCALAR_TERMS - 1)
+
+
+@BITWISE
+@given(ORDER, st.sampled_from(["affine", "dense", "sparse"]), SEED)
+@example(300, "affine", 0)
+@example(300, "sparse", 1)
+def test_log_bitwise_equals_generator(order, kind, seed):
+    u = _base(order, kind, seed)
+    if kind == "affine":
+        u[2:] = 0.0
+    ref = _log_reference(u)
+    assert np.isfinite(ref).all()
+    assert Series(u).log().coeffs.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_log_overflow_matches_generator(sign, warn):
+    # log(1 + 30 sign (s + ... + s^7)) has coefficients near 30**k / k, which
+    # overflow near order 200, where the rows switch to numpy scalars: the
+    # generator warns there, and past it its rows are +inf with sign -1, while
+    # with sign 1 fsum meets -inf + inf and raises
+    u = np.zeros(301)
+    u[0] = 1.0
+    u[1:8] = 30.0 * sign
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        ref = _outcome(lambda: _log_reference(u))
+        assert _outcome(lambda: Series(u).log().coeffs) == ref
+    if warn == "error":
+        assert ref == (RuntimeWarning, "overflow encountered in scalar multiply")
+    else:
+        assert np.isinf(np.frombuffer(ref)).sum() > 90 if sign < 0.0 else ref[0] is ValueError
+
+
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("op", ["pow", "log"])
+def test_overflowing_denominator_warns_like_generator(op, warn):
+    # row m divides by m * u_0, which overflows from m = 2 on at u_0 = 1e308
+    # while the rows themselves stay finite
+    u = np.array([1e308, 1.0, 0.0, 0.0])
+    ours, ref = (lambda: Series(u).pow(0.5).coeffs, lambda: _pow_reference(u, 0.5))
+    if op == "log":
+        ours, ref = (lambda: Series(u).log().coeffs, lambda: _log_reference(u))
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        assert _outcome(ours) == _outcome(ref)
+        assert warn == "ignore" or _outcome(ref)[0] is RuntimeWarning
 
 
 @pytest.mark.parametrize("name", ["case3", "case9b"])
@@ -273,7 +345,9 @@ def _block(rows, width, seed, spread, kind):
 @example(7, 1001, 3, 300.0, "cancel")
 def test_exact_rows_sum_like_fsum(rows, width, seed, spread, kind):
     t = _block(rows, width, seed, spread, kind)
+    before = t.tobytes()
     parts = _exact_rows(t)
+    assert t.tobytes() == before  # the block is left as it is
     assert parts is not None and len(parts) == rows
     got = np.array([math.fsum(part) for part in parts])
     assert got.tobytes() == np.array([math.fsum(row) for row in t.tolist()]).tobytes()
