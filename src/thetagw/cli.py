@@ -82,13 +82,6 @@ def _csv_doc(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _CliParser(argparse.ArgumentParser):
-    def error(self, message):  # keep exit code 2 but write to stderr only
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(_USAGE_EXIT)
-
-
 def _real(text: str) -> float:
     try:
         return float(text)
@@ -141,7 +134,7 @@ def _command(name: str, help_text: str, *, tabular: bool = False, **options):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = _CliParser(prog="thetagw", description=__doc__.splitlines()[0])
+    top = argparse.ArgumentParser(prog="thetagw", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
     for name, (help_text, _, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)

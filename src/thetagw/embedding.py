@@ -162,7 +162,7 @@ def h_coeffs(e: Embedding, order: int) -> SeriesTruncation:
         coeffs = ser.coeffs.copy()
     elif e.form == "aq":
         base = Series.affine(big_a, -1.0, order)
-        ser = Series.identity(order) + (
+        ser = Series.affine(0.0, 1.0, order) + (
             base.pow(1.0 + theta) - (big_a - q) ** theta * base
         ) * (1.0 / e.norm)
         coeffs = ser.coeffs.copy()

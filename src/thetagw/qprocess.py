@@ -166,11 +166,11 @@ def q_transition_matrix(p: ThetaParams, n: int, i_max: int, j_max: int) -> np.nd
     order = j_max + 1
     fn = fn_series(p, float(n), order + 1)
     fn_at_sq = fn.scale_arg(p.q)
-    deriv_at_sq = Series(fn.deriv().coeffs[: order + 1]).scale_arg(p.q)
+    deriv_at_sq = fn.deriv().scale_arg(p.q)
     den = _slope_at_q(p, n)
     base = Series(fn_at_sq.coeffs[: order + 1]) * (1.0 / p.q)
     rows = np.empty((i_max, j_max))
-    power = Series.constant(1.0, order)
+    power = Series.affine(1.0, 0.0, order)
     core0 = (deriv_at_sq * (1.0 / den)).mul_s()
     for i in range(1, i_max + 1):
         gf = core0 * power

@@ -7,10 +7,11 @@ differentiation. All operations truncate at a fixed order K. Each coefficient
 of a product or power is math.fsum of its row's terms, formed as a
 term-by-term loop forms them: fsum rounds the exact sum correctly, so the
 coefficients are bitwise the loop's and their error stays at rounding level
-even for K in the hundreds. Dense rows first go 32 at a time through
-_exact_rows, which leaves fsum a few floats a row with the same exact sum.
-pow and log recur on Python floats, and on numpy scalars from the block of
-rows where one is not finite, so that they warn as a numpy loop does (_extend).
+even for K in the hundreds. A product takes one fsum of its k + 1 terms per
+row. A dense power's rows first go 32 at a time through _exact_rows, which
+leaves fsum a few floats a row with the same exact sum. pow and log recur on
+Python floats, and on numpy scalars from the block of rows where one is not
+finite, so that they warn as a numpy loop does (_extend).
 
 Only what the closed forms of this family need is implemented: affine seeds,
 ring operations, real powers, logarithms, differentiation and argument
@@ -103,19 +104,6 @@ class Series:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def constant(cls, value: float, order: int) -> "Series":
-        arr = np.zeros(order + 1)
-        arr[0] = value
-        return cls(arr)
-
-    @classmethod
-    def identity(cls, order: int) -> "Series":
-        arr = np.zeros(order + 1)
-        if order >= 1:
-            arr[1] = 1.0
-        return cls(arr)
-
-    @classmethod
     def affine(cls, c0: float, c1: float, order: int) -> "Series":
         """The polynomial c0 + c1*s, padded to the requested order."""
         arr = np.zeros(order + 1)
@@ -155,23 +143,12 @@ class Series:
 
     def __mul__(self, other: "Series | float") -> "Series":
         """Cauchy product: row k is the fsum of all the terms a_j * b_(k-j),
-        j = 0..k (zeros kept), bitwise equal to a generator. Rows k0..k0+31
-        go to _exact_rows as one block of terms j = 0..k0+31, 0 past j = k."""
+        j = 0..k (zeros kept), bitwise equal to a generator."""
         if not isinstance(other, Series):
             return Series(self.coeffs * float(other))
         self._check_order(other)
-        n = self.order
         a, b = self.coeffs, other.coeffs
-        bz = np.concatenate((np.zeros(_BLOCK - 1), b))  # b_i at i + 31
-        out = np.empty(n + 1)
-        for k0 in range(0, n + 1, _BLOCK):
-            rows = min(_BLOCK, n + 1 - k0)
-            bk = _windows(bz, k0 + rows)[_BLOCK - rows : _BLOCK, ::-1]  # row k: b_k..b_0, 0, ...
-            with np.errstate(over="ignore", invalid="ignore"):  # a fallback warns as before
-                parts = _exact_rows(a[: k0 + rows] * bk)
-            for k in range(k0, k0 + rows):
-                out[k] = math.fsum(parts[k - k0] if parts else (a[: k + 1] * b[k::-1]).tolist())
-        return Series(out)
+        return Series([math.fsum((a[: k + 1] * b[k::-1]).tolist()) for k in range(a.size)])
 
     __rmul__ = __mul__
 
@@ -259,13 +236,6 @@ class Series:
         arr[0] = 0.0
         arr[1:] = self.coeffs[:-1]
         return Series(arr)
-
-    def eval(self, x: float) -> float:
-        """Horner evaluation of the truncated polynomial."""
-        acc = 0.0
-        for ck in self.coeffs[::-1]:
-            acc = acc * x + ck
-        return acc
 
     def __repr__(self) -> str:  # pragma: no cover
         head = ", ".join(f"{v:.6g}" for v in self.coeffs[:6])

@@ -97,6 +97,13 @@ class Status(Enum):
     CENSORED_CAP = "CensoredCap"
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer") from None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     params: ThetaParams
@@ -108,10 +115,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for name in ("replicates", "n_max", "z_cap", "master_seed"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise DomainError(f"{name} must be an integer") from None
+            _integer(name, getattr(self, name))
         if self.replicates < 1:
             raise DomainError("replicates must be >= 1")
         if self.n_max < 1:
@@ -282,7 +286,7 @@ def _run_batch(cfg: SimConfig, ahead: _DrawAhead, paths=None):
 
 def simulate_trajectory(cfg: SimConfig, replicate_index: int) -> TrajectoryRecord:
     """One full path, deterministic given (master_seed, replicate_index)."""
-    if not 0 <= replicate_index < cfg.replicates:
+    if not 0 <= _integer("replicate_index", replicate_index) < cfg.replicates:
         raise DomainError("replicate_index outside [0, replicates)")
     paths = [[1]]
     outcome, gen = _run_batch(cfg, _DrawAhead(cfg, replicate_index, 1), paths)
@@ -423,7 +427,7 @@ def _assemble(cfg: SimConfig, h_ext, h_exp, h_cen, sum_y, sum_y2, dt=None):
 def estimate_tails(cfg: SimConfig, workers: int = 1) -> EmpiricalTails:
     """Aggregate all replicates into tail counts; identical for any workers,
     of which at most os.cpu_count() run."""
-    if workers < 1:
+    if _integer("workers", workers) < 1:
         raise DomainError("workers must be >= 1")
     workers = min(workers, os.cpu_count() or 1)
     r = cfg.replicates

@@ -1,5 +1,6 @@
 """Harmonic function, conditioned chain and the three limit laws."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -162,6 +163,21 @@ def test_chapman_kolmogorov(desk):
     k2 = q_transition_matrix(p, 2, 12, 12)
     composed = (k1 @ k1)[:12, :12]
     assert np.max(np.abs(composed - k2)) < 1e-8
+
+
+# sha256 of the kernels' bytes in the order of the loop below: a change to
+# Series * Series or to fn_series must keep them
+KERNEL_DIGEST = "fc58da6d823fe63f885b1dfbb5e26a6e9e97b3c06860363c0f13dd711cc84710"
+
+
+def test_transition_matrix_bytes_are_pinned(desk):
+    # no CLI command prints the kernel, so no golden covers its bytes
+    digest = hashlib.sha256()
+    for p, _ in desk.values():
+        if p.q > 0.0:
+            for n in (1, 2, 5):
+                digest.update(q_transition_matrix(p, n, 12, 300).tobytes())
+    assert digest.hexdigest() == KERNEL_DIGEST
 
 
 def test_q_zero_degenerate(desk):

@@ -407,6 +407,15 @@ def test_config_validation(desk):
         assert getattr(SimConfig(params=p, **{field: np.int64(3)}), field) == 3
     with pytest.raises(DomainError):
         estimate_tails(SimConfig(params=p), workers=0)
+    # so must a replicate index and a worker count
+    cfg = cfg_for(desk, "case6", replicates=100)
+    for bad in (1.5, 2.5, 2.0, "2", None):
+        with pytest.raises(DomainError, match="replicate_index"):
+            simulate_trajectory(cfg, bad)
+        with pytest.raises(DomainError, match="workers"):
+            estimate_tails(cfg, workers=bad)
+    assert simulate_trajectory(cfg, np.int64(1)) == simulate_trajectory(cfg, 1)
+    assert counts_digest(estimate_tails(cfg, workers=np.int64(1))) == counts_digest(estimate_tails(cfg))
 
 
 def test_workers_clamped_to_cpu_count(desk, monkeypatch):
