@@ -31,7 +31,7 @@ import numpy as np
 
 from ._quadpack import quad
 from .errors import ConditioningWarning, DomainError, NumericError, RegimeError
-from .params import CaseTag, ThetaParams, case_of, validate_classify
+from .params import CaseTag, ThetaParams, _integer, case_of, validate_classify
 from .pgf import compose_iterate
 
 __all__ = [
@@ -310,6 +310,7 @@ class GumbelLimit:
         P(T_1 <= n | T_1 < infinity). Without one only the limit curve is
         defined: y = -7, -6.5, ..., 12 with exact nan.
         """
+        _integer("n_max", n_max, 0)
         if self.theta is None:
             return [(k * 0.5, math.nan, self.cdf(k * 0.5)) for k in range(-14, 25)]
         p, _ = validate_classify({"theta": self.theta, "a": self.a, "A": self.big_a, "q": self.q})

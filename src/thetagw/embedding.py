@@ -38,7 +38,7 @@ import numpy as np
 
 from ._quadpack import quad
 from .errors import DomainError, NumericError, SingularPathError
-from .params import CaseTag, ThetaParams, case_of
+from .params import CaseTag, ThetaParams, _integer, case_of
 from .pgf import _MASS_CLAMP, SeriesTruncation, _clamp_masses, eval_fn
 from .series import Series
 
@@ -148,8 +148,7 @@ def h_eval(e: Embedding, s):
 
 def h_coeffs(e: Embedding, order: int) -> SeriesTruncation:
     """Offspring coefficients h_0..h_order with the unresolved mass bound."""
-    if order < 0:
-        raise DomainError("order must be >= 0")
+    _integer("order", order, 0)
     p = e.params
     theta, q, big_a = p.theta, p.q, p.big_a
     if e.form == "const":

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningWarning, DomainError, NumericError, TruncationError
-from .params import ThetaParams, case_of, scalar_summary
+from .params import ThetaParams, _integer, case_of, scalar_summary
 from .pgf import _clamp_masses, series_coeffs
 
 __all__ = [
@@ -86,8 +86,7 @@ def b_triangle(theta: float, n_max: int) -> BTriangle:
     """Full triangle on explicit request; pmf uses a scaled streaming row."""
     if not -1.0 < theta <= 1.0 or theta == 0.0:
         raise DomainError(f"triangle is defined for theta in (-1,0) or (0,1], got {theta}")
-    if n_max < 2:
-        raise DomainError(f"n_max must be >= 2, got {n_max}")
+    _integer("n_max", n_max, 2)
     t = np.zeros((n_max + 1, n_max + 1))
     t[2, 1] = 1.0 + theta
     idx = np.arange(n_max + 1, dtype=float)
@@ -200,8 +199,7 @@ def _k_max_of(p: ThetaParams) -> int:
 
 def pmf(p: ThetaParams, order: int) -> np.ndarray:
     """Offspring masses p_0..p_order up to the route's cap; clamped at 1e-12."""
-    if order < 0:
-        raise DomainError("order must be >= 0")
+    _integer("order", order, 0)
     case_of(p)
     if order > _k_max_of(p):
         raise DomainError(f"order {order} exceeds {_k_max_of(p)}, the largest this route computes")
@@ -234,8 +232,7 @@ def theta0_scaled_tail(p: ThetaParams, n_lo: int, n_hi: int) -> np.ndarray:
     """
     if p.theta != 0.0:
         raise DomainError("scaled tail is a theta = 0 diagnostic")
-    if not 1 <= n_lo <= n_hi:
-        raise DomainError("need 1 <= n_lo <= n_hi")
+    _integer("n_hi", n_hi, _integer("n_lo", n_lo, 1))
     a = p.a
     p1_scaled = (p.big_a - p.q) ** (1.0 - a) * a * p.big_a**a
     k = np.arange(2, n_hi + 1, dtype=float)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -76,6 +77,18 @@ def _in_range(key: str, value) -> float:
     interval, admits = _RANGES[key]
     if not admits(value):
         raise DomainError(f"{key} must lie in {interval}, got {value}")
+    return value
+
+
+def _integer(name: str, value, low: int) -> int:
+    """value as an int, or DomainError unless it is an integer of at least low
+    (numpy integers are, floats are not)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer") from None
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
     return value
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, OverflowGuardError
-from .params import ThetaParams, case_of, scalar_summary
+from .params import ThetaParams, _integer, case_of, scalar_summary
 from .series import Series
 
 __all__ = [
@@ -173,8 +173,7 @@ def fn_series(p: ThetaParams, t: float, order: int) -> Series:
     Built from generalized-binomial expansions of (A - s) powers (and its
     logarithm for theta = 0), never from numerical differentiation.
     """
-    if order < 0:
-        raise DomainError("order must be >= 0")
+    _integer("order", order, 0)
     a_t, c_t = _iterated_constants(p, t)
     if math.isinf(a_t):
         raise OverflowGuardError(f"a**t overflows at t = {t}; no series of the saturated iterate")

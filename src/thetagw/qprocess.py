@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, NumericError, OverflowGuardError, TrivialLawError
-from .params import ThetaParams, case_of, scalar_summary
+from .params import ThetaParams, _integer, case_of, scalar_summary
 from .pgf import _checked_s, _clamp_masses, eval_fn, eval_fn_prime, fn_series
 from .series import Series
 
@@ -163,7 +163,8 @@ def q_transition_matrix(p: ThetaParams, n: int, i_max: int, j_max: int) -> np.nd
     """
     if p.q <= 0.0:
         raise DomainError("q = 0: the conditioned transition law degenerates")
-    order = j_max + 1
+    order = _integer("j_max", j_max, 0) + 1
+    _integer("i_max", i_max, 0)
     fn = fn_series(p, float(n), order + 1)
     fn_at_sq = fn.scale_arg(p.q)
     deriv_at_sq = fn.deriv().scale_arg(p.q)
@@ -182,6 +183,7 @@ def q_transition_matrix(p: ThetaParams, n: int, i_max: int, j_max: int) -> np.nd
 
 def stationary_law(p: ThetaParams, order: int) -> LimitLaw:
     """Coefficients of s*Q'(sq) with the Q'(q)=1 normalization, j = 1..order."""
+    _integer("order", order, 0)
     qf = q_function(p)
     if qf.trivial:
         raise TrivialLawError("critical family has no stationary conditioned law")
@@ -208,6 +210,7 @@ def conditional_limit_b(p: ThetaParams, order: int) -> LimitLaw:
     gf 1 - Q(sq)/Q(0); independent of how Q is normalized. NumericError when
     cancellation leaves Q(0) fewer than about 8 digits.
     """
+    _integer("order", order, 0)
     qf = q_function(p)
     if qf.trivial:
         raise TrivialLawError("critical family: use critical_limit_w instead")
@@ -237,6 +240,7 @@ def critical_limit_w(p: ThetaParams, order: int) -> LimitLaw:
     """The a = 1 family's analogue of the conditional limit law: the limit
     law of Z_n given T_0 = n + 1, the population one generation before
     extinction."""
+    _integer("order", order, 0)
     tag = case_of(p)
     if tag.case_id != "case2":
         raise DomainError(f"{tag.case_id} is not critical; this law needs a = 1")

@@ -9,9 +9,9 @@ term-by-term loop forms them: fsum rounds the exact sum correctly, so the
 coefficients are bitwise the loop's and their error stays at rounding level
 even for K in the hundreds. A product takes one fsum of its k + 1 terms per
 row. A dense power's rows first go 32 at a time through _exact_rows, which
-leaves fsum a few floats a row with the same exact sum. pow and log recur on
-Python floats, and on numpy scalars from the block of rows where one is not
-finite, so that they warn as a numpy loop does (_extend).
+leaves fsum a few floats a row with the same exact sum. Every row is formed
+on Python floats; a row past the float range (** or fsum overflowing, inf -
+inf, or a coefficient that is not finite) raises NumericError (_formed).
 
 Only what the closed forms of this family need is implemented: affine seeds,
 ring operations, real powers, logarithms, differentiation and argument
@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view as _windows
 
-from .errors import UnsupportedFormError
+from .errors import NumericError, UnsupportedFormError
 
 __all__ = ["Series"]
 
@@ -66,28 +66,17 @@ def _exact_rows(terms: np.ndarray) -> list[list[float]] | None:
     return np.transpose(parts).tolist() if parts else [[]] * len(terms)
 
 
-def _extend(u: np.ndarray, ul: list, v: list, fill, stop: int) -> tuple[list, list]:
-    """Have fill(stop, ul, v) append rows len(v)..stop - 1 to v, row m dividing
-    by m * u_0, where ul lists u; return the last ul and v.
-
-    While ul and v hold Python floats the rows are formed on them; if one of
-    this call's rows is not finite, raises, or meets an infinite m * u_0, the
-    call's rows are formed again on numpy scalars, which ul and v hold from
-    then on. Both round +, *, / and ** alike; only numpy's warn, on overflow
-    and on invalid operations. A finite row formed no inf or nan, and numpy
-    ignores underflow, so the rows kept from Python floats would have warned
-    on nothing."""
-    start = len(v)
-    if type(ul[0]) is float:
-        try:
-            fill(stop, ul, v)
-            if (stop - 1) * ul[0] < math.inf and all(map(math.isfinite, v[start:])):
-                return ul, v
-        except (OverflowError, ValueError):  # ** or fsum past the float range, or inf - inf
-            pass
-        ul, v = list(u), list(np.array(v[:start]))
-    fill(stop, ul, v)
-    return ul, v
+def _formed(rows, what: str) -> list[float]:
+    """rows(), the coefficients of what, with numpy's inf and nan left to this
+    check: NumericError if forming them overflows or one is not finite."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = rows()
+    except (OverflowError, ValueError):  # ** or fsum past the float range, or inf - inf
+        v = None
+    if v is None or not all(map(math.isfinite, v)):
+        raise NumericError(f"a coefficient of {what} passes the float range")
+    return v
 
 
 class Series:
@@ -143,12 +132,17 @@ class Series:
 
     def __mul__(self, other: "Series | float") -> "Series":
         """Cauchy product: row k is the fsum of all the terms a_j * b_(k-j),
-        j = 0..k (zeros kept), bitwise equal to a generator."""
+        j = 0..k (zeros kept), formed on Python floats bitwise as a generator
+        forms them; a row past the float range raises NumericError."""
         if not isinstance(other, Series):
             return Series(self.coeffs * float(other))
         self._check_order(other)
         a, b = self.coeffs, other.coeffs
-        return Series([math.fsum((a[: k + 1] * b[k::-1]).tolist()) for k in range(a.size)])
+
+        def rows():
+            return [math.fsum((a[: k + 1] * b[k::-1]).tolist()) for k in range(a.size)]
+
+        return Series(_formed(rows, "a product"))
 
     __rmul__ = __mul__
 
@@ -170,52 +164,50 @@ class Series:
         Only the nonzero u_j enter a generator, so an affine base costs
         O(order). A denser base works in blocks of rows m0..m0+31: row m0 + r
         hands its terms j = r+1..r+m0 (on v_(m0-1)..v_0, zeros kept) to
-        _exact_rows and adds its terms j <= r in its one fsum. _extend forms
-        the rows bitwise, and warning, as a generator on numpy scalars does.
+        _exact_rows and adds its terms j <= r in its one fsum. The rows are
+        formed on Python floats, bitwise as a generator forms them; a row past
+        the float range raises NumericError.
         """
         u = self.coeffs
         if not u[0] > 0.0:
-            raise UnsupportedFormError(
-                f"series**{alpha} needs a positive constant term, got {u[0]}"
-            )
-        n, alpha, js = self.order, float(alpha), (np.flatnonzero(u[1:]) + 1).tolist()
+            raise UnsupportedFormError(f"series**{alpha} needs a positive constant term, got {u[0]}")
+        n, alpha, js, ul = self.order, float(alpha), (np.flatnonzero(u[1:]) + 1).tolist(), u.tolist()
 
-        def fill(stop, ul, v):  # parts hold the block's terms on v_0..v_(m0-1)
-            for m in range(len(v), stop):
-                c = bisect_right(js, m - m0 if parts else m)  # zero u_j leave an exact sum as it is
-                terms = ((j * alpha + (j - m)) * ul[j] * v[m - j] for j in js[:c])
-                terms = itertools.chain(parts[m - m0], terms) if parts else terms
-                v.append(math.fsum(terms) / (m * ul[0]))
-
-        ul, v = _extend(u, u.tolist(), [], lambda stop, ul, v: v.append(ul[0] ** alpha), 1)
-        for m0 in range(1, n + 1, _BLOCK):
-            rows, parts = min(_BLOCK, n + 1 - m0), None
-            if len(js) > _SCALAR_TERMS:
-                with np.errstate(over="ignore", invalid="ignore"):  # a fallback warns as before
+        def rows():
+            v = [ul[0] ** alpha]
+            for m0 in range(1, n + 1, _BLOCK):
+                stop, parts = min(m0 + _BLOCK, n + 1), None  # parts: terms on v_0..v_(m0-1)
+                if len(js) > _SCALAR_TERMS:  # _exact_rows refuses inf and nan
                     # row m0 + r, column i: j = r + 1 + i, j - m = i + 1 - m0, m - j = m0 - 1 - i
-                    t = _windows(np.arange(1, m0 + rows) * alpha, m0) + np.arange(1 - m0, 1)
-                    t *= _windows(u[1 : m0 + rows], m0)
+                    t = _windows(np.arange(1, stop) * alpha, m0) + np.arange(1 - m0, 1)
+                    t *= _windows(u[1:stop], m0)
                     t *= v[::-1]
                     parts = _exact_rows(t)
-            ul, v = _extend(u, ul, v, fill, m0 + rows)
-        return Series(v)
+                for m in range(m0, stop):
+                    c = bisect_right(js, m - m0 if parts else m)  # zero u_j leave an exact sum as it is
+                    terms = ((j * alpha + (j - m)) * ul[j] * v[m - j] for j in js[:c])
+                    terms = itertools.chain(parts[m - m0], terms) if parts else terms
+                    v.append(math.fsum(terms) / (m * ul[0]))
+            return v
+
+        return Series(_formed(rows, f"series**{alpha}"))
 
     def log(self) -> "Series":
-        """Logarithm via (log u)' * u = u', rows formed by _extend; needs a
-        positive constant term."""
+        """Logarithm via (log u)' * u = u', rows formed on Python floats;
+        needs a positive constant term, NumericError past the float range."""
         u = self.coeffs
         if not u[0] > 0.0:
-            raise UnsupportedFormError(
-                f"log(series) needs a positive constant term, got {u[0]}"
-            )
-        nz = (np.flatnonzero(u[1:]) + 1).tolist()
+            raise UnsupportedFormError(f"log(series) needs a positive constant term, got {u[0]}")
+        nz, ul = (np.flatnonzero(u[1:]) + 1).tolist(), u.tolist()
 
-        def fill(stop, ul, out):
-            for k in range(len(out), stop):
+        def rows():
+            out = [math.log(ul[0])]
+            for k in range(1, len(ul)):
                 acc = math.fsum((k - i) * out[k - i] * ul[i] for i in nz[: bisect_left(nz, k)])
-                out.append((k * ul[k] - acc) / (k * ul[0]) if k else math.log(ul[0]))
+                out.append((k * ul[k] - acc) / (k * ul[0]))
+            return out
 
-        return Series(_extend(u, u.tolist(), [], fill, u.size)[1])
+        return Series(_formed(rows, "log(series)"))
 
     def deriv(self) -> "Series":
         """Coefficients of the derivative, truncated at order - 1."""

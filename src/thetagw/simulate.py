@@ -42,7 +42,6 @@ at that generation, which is sound because such draws are finite and positive.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -54,7 +53,7 @@ from .absorption import AbsorptionTails
 from .embedding import Embedding, h_coeffs
 from .errors import DomainError, QualityWarning
 from .offspring import OffspringTable, _counts, _pmf_table
-from .params import ThetaParams
+from .params import ThetaParams, _integer
 
 __all__ = [
     "Status",
@@ -97,13 +96,6 @@ class Status(Enum):
     CENSORED_CAP = "CensoredCap"
 
 
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer") from None
-
-
 @dataclass(frozen=True)
 class SimConfig:
     params: ThetaParams
@@ -114,15 +106,9 @@ class SimConfig:
     antithetic: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("replicates", "n_max", "z_cap", "master_seed"):
-            _integer(name, getattr(self, name))
-        if self.replicates < 1:
-            raise DomainError("replicates must be >= 1")
-        if self.n_max < 1:
-            raise DomainError("n_max must be >= 1")
-        if self.z_cap < 1:
-            raise DomainError("z_cap must be >= 1")
-        if not 0 <= int(self.master_seed) < 2**64:
+        for name in ("replicates", "n_max", "z_cap"):
+            _integer(name, getattr(self, name), 1)
+        if _integer("master_seed", self.master_seed, 0) >= 2**64:
             raise DomainError("master_seed must fit in 64 bits")
 
 
@@ -286,7 +272,7 @@ def _run_batch(cfg: SimConfig, ahead: _DrawAhead, paths=None):
 
 def simulate_trajectory(cfg: SimConfig, replicate_index: int) -> TrajectoryRecord:
     """One full path, deterministic given (master_seed, replicate_index)."""
-    if not 0 <= _integer("replicate_index", replicate_index) < cfg.replicates:
+    if _integer("replicate_index", replicate_index, 0) >= cfg.replicates:
         raise DomainError("replicate_index outside [0, replicates)")
     paths = [[1]]
     outcome, gen = _run_batch(cfg, _DrawAhead(cfg, replicate_index, 1), paths)
@@ -427,9 +413,7 @@ def _assemble(cfg: SimConfig, h_ext, h_exp, h_cen, sum_y, sum_y2, dt=None):
 def estimate_tails(cfg: SimConfig, workers: int = 1) -> EmpiricalTails:
     """Aggregate all replicates into tail counts; identical for any workers,
     of which at most os.cpu_count() run."""
-    if _integer("workers", workers) < 1:
-        raise DomainError("workers must be >= 1")
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(_integer("workers", workers, 1), os.cpu_count() or 1)
     r = cfg.replicates
     if workers == 1 or r < 2 * workers:
         parts = [_chunk_hists(cfg, 0, r, _run_batch)]
@@ -451,10 +435,10 @@ class KSRecord:
 
 def ks_distance(emp: EmpiricalTails, analytic: AbsorptionTails, n_range) -> KSRecord:
     """Sup over n_range of |empirical tail - closed-form tail|, per time."""
-    n = np.asarray(list(n_range), dtype=np.int64)
+    n = np.array([_integer("generation", k, 0) for k in n_range], dtype=np.int64)
     if n.size == 0:
         raise DomainError("n_range is empty")
-    if n.min() < 0 or n.max() > emp.n_max:
+    if n.max() > emp.n_max:
         raise DomainError("n_range outside the simulated horizon")
     times = n * emp.dt if emp.dt is not None else n
     return KSRecord(
@@ -514,8 +498,8 @@ def simulate_ct_skeleton(e: Embedding, cfg: SimConfig, dt: float) -> EmpiricalTa
     censor, never fail. Replicate i reads the same stream as in the discrete
     simulator, in 128-draw blocks; e embeds cfg.params.
     """
-    if not dt > 0.0:
-        raise DomainError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"dt must lie in (0, inf), got {dt}")
     if e.params != cfg.params:
         raise DomainError("the embedding and cfg.params describe different laws")
     return _assemble(cfg, *_chunk_hists(cfg, 0, cfg.replicates, _ct_batch, e, dt), dt=dt)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import thetagw
 from thetagw import (
     ConditioningWarning,
     Criticality,
@@ -286,3 +287,35 @@ def test_one_range_rule_for_both_constructors(key, bad):
         validate_classify({**raw, key: value})
     assert str(direct.value) == str(classified.value)
     assert str(direct.value).startswith(f"{key} must lie in ")
+
+
+def _law(name):
+    return validate_classify(DESK_RAW[name])[0]
+
+
+# each order or count argument, with a law it applies to
+COUNT_ARGUMENTS = {
+    "pmf": lambda k: thetagw.pmf(_law("case3"), k),
+    "series_coeffs": lambda k: thetagw.series_coeffs(_law("case3"), k),
+    "fn_series": lambda k: thetagw.fn_series(_law("case3"), 1.0, k),
+    "h_coeffs": lambda k: thetagw.h_coeffs(thetagw.build_embedding(_law("case3")), k),
+    "b_triangle": lambda k: thetagw.b_triangle(0.5, k),
+    "lattice": lambda k: thetagw.gumbel_limit(0.5, 0.0, theta=-0.1).lattice(k),
+    "theta0_scaled_tail-n_lo": lambda k: thetagw.theta0_scaled_tail(_law("case4"), k, 5),
+    "theta0_scaled_tail-n_hi": lambda k: thetagw.theta0_scaled_tail(_law("case4"), 1, k),
+    "stationary_law": lambda k: thetagw.stationary_law(_law("case3"), k),
+    "conditional_limit_b": lambda k: thetagw.conditional_limit_b(_law("case3"), k),
+    "critical_limit_w": lambda k: thetagw.critical_limit_w(_law("case2"), k),
+    "q_transition_matrix-i_max": lambda k: thetagw.q_transition_matrix(_law("case3"), 1, k, 3),
+    "q_transition_matrix-j_max": lambda k: thetagw.q_transition_matrix(_law("case3"), 1, 2, k),
+}
+
+
+@pytest.mark.parametrize("value", [-1, 2.5])
+@pytest.mark.parametrize("call", list(COUNT_ARGUMENTS.values()), ids=list(COUNT_ARGUMENTS))
+def test_count_arguments_are_nonnegative_integers(call, value):
+    # one rule, params._integer: a negative or fractional order or count is a
+    # DomainError, never an IndexError, a TypeError or a silently cut table
+    with pytest.raises(DomainError, match="must be"):
+        call(value)
+    call(np.int64(3))  # numpy integers are integers

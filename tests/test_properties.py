@@ -4,8 +4,10 @@ import contextlib
 import io
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -276,3 +278,85 @@ def test_critical_limit_w_is_the_law_before_extinction(theta, c):
     r1, r2, r4 = (_w_at(p, k * 10**4, 30) for k in (1, 2, 4))
     extrapolated = (4.0 * (2.0 * r4 - r2) - (2.0 * r2 - r1)) / 3.0
     assert np.max(np.abs(extrapolated - critical_limit_w(p, 30).probs)) <= 1e-10
+
+
+# -- the tails against the closed forms in decimal -----------------------------
+
+
+def _exact_tail(p, n, s):
+    """q - f_n(0) at s = 0, f_n(1) - q at s = 1: the closed form of the n-th
+    iterate, A - f_n(s) = (a^n (A - s)^(-theta) + (1 - a^n) (A - q)^(-theta))^(-1/theta)
+    and (A - q)^(1 - a^n) (A - s)^(a^n) at theta = 0, in decimal on the exact
+    values of p's floats. 360 digits, because a tail of 1e-300 is a difference
+    of numbers of order 1: 80 would leave it none."""
+    with localcontext() as ctx:
+        ctx.prec = 360
+        theta, a, big_a, q = (Decimal(x) for x in (p.theta, p.a, p.big_a, p.q))
+        an, gap, x = a**n, big_a - q, big_a - s
+        if theta == 0:
+            rest = gap ** (1 - an) * x**an
+        elif x == 0:  # (A - s)^(-theta) is infinite for theta > 0, 0 below
+            rest = 0 if theta > 0 else ((1 - an) * gap**-theta) ** (-1 / theta)
+        else:
+            rest = (an * x**-theta + (1 - an) * gap**-theta) ** (-1 / theta)
+        return float(rest - gap if s == 0 else gap - rest)
+
+
+TAIL_LAW = settings(max_examples=100, derandomize=True, deadline=None)
+# theta in (-1, 1] with |theta| >= 1e-3, a < 1: cases 3, 4, 5 and 7-9, not 1, 2 or 6
+TAIL_THETA = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(-0.99, 0.99).filter(lambda t: abs(t) >= 1e-3)
+)
+TAIL_A = st.floats(0.05, 0.95)
+TAIL_BIG_A = st.one_of(st.just(1.0), st.floats(1.01, 3.0))
+EPS = np.finfo(float).eps
+
+
+def _check_tail(theta, a, big_a, q, s, ulps):
+    """The tail at s (0: t0_tail, 1: t1_tail) within ulps * eps / min(1, |theta|)
+    relative of _exact_tail, at five n from 0 to where a^n reaches 1e-300; an
+    exact tail below 1e-300 is past the promise, and one of 0 must read 0."""
+    try:
+        p, _ = validate_classify({"theta": theta, "a": a, "A": big_a, "q": q})
+    except DomainError:  # A = q = 1 wants a >= 1
+        assume(False)
+    tails = absorption_tails(p)
+    tail = tails.t0_tail if s == 0 else tails.t1_tail
+    tol = ulps * EPS / min(1.0, abs(theta) or 1.0)  # the closed form rounds by about eps/|theta|
+    last = math.ceil(math.log(1e-300) / math.log(a))
+    for n in (0, 1, last // 3, 2 * last // 3, last):
+        exact, got = _exact_tail(p, n, s), tail(n)
+        if exact == 0.0 or exact >= 1e-300:
+            assert abs(got - exact) <= tol * exact, (n, got, exact)
+
+
+@TAIL_LAW
+@given(TAIL_THETA, TAIL_A, TAIL_BIG_A, st.floats(-300.0, math.log10(0.9)))
+def test_t1_tail_keeps_relative_precision(theta, a, big_a, log_q):
+    # q log-uniform down to 1e-300: t1_tail's gap (A - q)/(A - 1) keeps its
+    # digits however small q is
+    _check_tail(theta, a, big_a, 10.0**log_q, 1, ulps=16)
+
+
+@TAIL_LAW
+@given(TAIL_THETA, TAIL_A, TAIL_BIG_A, st.one_of(st.just(0.0), st.floats(1e-3, 0.9)))
+def test_t0_tail_keeps_relative_precision(theta, a, big_a, q):
+    # t0_tail rounds (A - q)/A before it takes the gap, which costs about
+    # eps * A/q relative: below 3000 eps for q >= 1e-3 and A <= 3. The loss
+    # at smaller q is the strict xfail below
+    _check_tail(theta, a, big_a, q, 0, ulps=4096)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "t0_tail takes g0 = 1 - ((A - q)/A)^theta after rounding (A - q)/A, which "
+    "leaves eps * A/q of relative error"))
+def test_t0_tail_keeps_relative_precision_at_small_q():
+    # t0_tail(0) = q exactly. At A = 2 and a = 0.5, for theta = -0.5, 0 and
+    # 0.5, it reads 8.2e-8 relative off at q = 1e-9, and -0.0 or 0.0 at q = 1e-20
+    errors = {}
+    for theta in (-0.5, 0.0, 0.5):
+        for q in (1e-9, 1e-20):
+            p, _ = validate_classify({"theta": theta, "a": 0.5, "A": 2.0, "q": q})
+            assert _exact_tail(p, 0, 0) == q
+            errors[theta, q] = abs(absorption_tails(p).t0_tail(0) - q) / q
+    assert max(errors.values()) <= 16 * EPS, errors

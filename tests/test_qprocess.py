@@ -230,3 +230,12 @@ def test_transition_kernel_at_tiny_q():
     except NumericError:  # a refusal would do
         return
     assert np.all(kernel >= 0.0) and np.all(kernel.sum(axis=1) <= 1.0 + 1e-9)
+
+
+def test_transition_kernel_refuses_rows_past_the_float_range():
+    # the kernel's powers of f_n(sq)/q grow as the rows lose their digits
+    # (see the xfail above); at 60 x 60 they pass the float range, which the
+    # product reports as NumericError, not as a bare ValueError from fsum
+    p, _ = validate_classify({"theta": 0.0, "a": 0.5, "A": 2.0, "q": 1e-25})
+    with pytest.raises(NumericError, match="passes the float range"):
+        q_transition_matrix(p, 1, 60, 60)

@@ -12,7 +12,7 @@ from numpy.polynomial.polynomial import polyval
 from scipy.special import binom as sp_binom
 
 from thetagw import validate_classify
-from thetagw.errors import UnsupportedFormError
+from thetagw.errors import NumericError, UnsupportedFormError
 from thetagw.pgf import fn_series
 from thetagw.series import _SCALAR_TERMS, Series, _exact_rows
 
@@ -208,12 +208,26 @@ def test_mul_bitwise_equals_generator(order, left, right, seed):
     assert (Series(a) * Series(b)).coeffs.tobytes() == _mul_reference(a, b).tobytes()
 
 
-def _outcome(fn):
-    """The bytes fn returns, or the type and message of what it raises."""
-    try:
-        return fn().tobytes()
-    except Exception as exc:  # the outcome under comparison
-        return type(exc), str(exc)
+def _one_rule(ours, ref, warn):
+    """ref, a numpy-scalar generator, runs with its warnings ignored. Where it
+    raises or returns a coefficient that is not finite, ours must raise
+    NumericError; elsewhere it must return ref's bytes. ours runs under warn,
+    "error" as pytest has it, so it must warn of nothing either way. Returns
+    ref's coefficients, or None where it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            want = ref()
+        except (OverflowError, ValueError):  # fsum past the float range, or inf - inf
+            want = None
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        if want is None or not np.isfinite(want).all():
+            with pytest.raises(NumericError, match="passes the float range"):
+                ours()
+        else:
+            assert ours().tobytes() == want.tobytes()
+    return want
 
 
 @pytest.mark.parametrize("warn", ["error", "ignore"])
@@ -223,25 +237,22 @@ def _outcome(fn):
 def test_pow_overflow_matches_generator(alpha, sign, u_40, warn, terms=15):
     # u_j = 30 * sign at 15 of j = 1..20, so rows go through _exact_rows with a
     # zero u_j in every window. The coefficients overflow near order 200, or
-    # turn infinite at order 40 without a warning where u_40 is infinite; the
-    # rows switch from Python floats to numpy scalars there. With sign -1 and
-    # alpha < 0 every term is positive, so the rows past that are +inf and the
-    # zero u_j meet an infinite v in _exact_rows' blocks, a nan the generator
-    # never forms; otherwise fsum meets -inf + inf and raises
+    # turn infinite at order 40 where u_40 is infinite. With sign -1 and
+    # alpha < 0 every term is positive, so the generator's rows past that are
+    # +inf; otherwise its fsum meets -inf + inf and raises. Either way the
+    # power raises NumericError. The product u * u is finite unless u_40 is
+    # infinite, where inf * 0 leaves a nan
     u = np.zeros(301)
     u[0] = 1.0
     js = [j for j in range(1, 21) if j % 4 != 0][:terms]
     u[js] = 30.0 * sign
     u[40] = sign * u_40
-    with warnings.catch_warnings():
-        warnings.simplefilter(warn)  # "error" as pytest has it: an overflow raises
-        ref = _outcome(lambda: _pow_reference(u, alpha))
-        assert _outcome(lambda: Series(u).pow(alpha).coeffs) == ref
-        if warn == "ignore":  # the generator's scalar warnings name another op
-            ref_mul = _outcome(lambda: _mul_reference(u, u))
-            assert _outcome(lambda: (Series(u) * Series(u)).coeffs) == ref_mul
-    if sign < 0.0 and alpha < 0.0 and (warn == "ignore" or u_40):
-        assert np.isinf(np.frombuffer(ref)).sum() > 90
+    want = _one_rule(lambda: Series(u).pow(alpha).coeffs, lambda: _pow_reference(u, alpha), warn)
+    assert want is None or not np.isfinite(want).all()
+    if sign < 0.0 and alpha < 0.0:
+        assert np.isinf(want).sum() > 90
+    product = _one_rule(lambda: (Series(u) * Series(u)).coeffs, lambda: _mul_reference(u, u), warn)
+    assert np.isfinite(product).all() == (not u_40)
 
 
 @pytest.mark.parametrize("warn", ["error", "ignore"])
@@ -250,8 +261,7 @@ def test_pow_overflow_matches_generator(alpha, sign, u_40, warn, terms=15):
 @pytest.mark.parametrize("alpha", [-7.5, -1.0, 40.0])
 def test_sparse_pow_overflow_matches_generator(alpha, sign, u_40, warn):
     # u_j = 30 * sign at j = 1, 2, 3, 5, 6, 7, 9, and u_40: at most
-    # _SCALAR_TERMS nonzero u_j, so every row is a generator, switched to numpy
-    # scalars at the first block of rows that overflows or meets u_40 = inf
+    # _SCALAR_TERMS nonzero u_j, so every row is a generator
     test_pow_overflow_matches_generator(alpha, sign, u_40, warn, terms=_SCALAR_TERMS - 1)
 
 
@@ -272,35 +282,26 @@ def test_log_bitwise_equals_generator(order, kind, seed):
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 def test_log_overflow_matches_generator(sign, warn):
     # log(1 + 30 sign (s + ... + s^7)) has coefficients near 30**k / k, which
-    # overflow near order 200, where the rows switch to numpy scalars: the
-    # generator warns there, and past it its rows are +inf with sign -1, while
-    # with sign 1 fsum meets -inf + inf and raises
+    # overflow near order 200: past it the generator's rows are +inf with
+    # sign -1, while with sign 1 its fsum meets -inf + inf and raises
     u = np.zeros(301)
     u[0] = 1.0
     u[1:8] = 30.0 * sign
-    with warnings.catch_warnings():
-        warnings.simplefilter(warn)
-        ref = _outcome(lambda: _log_reference(u))
-        assert _outcome(lambda: Series(u).log().coeffs) == ref
-    if warn == "error":
-        assert ref == (RuntimeWarning, "overflow encountered in scalar multiply")
-    else:
-        assert np.isinf(np.frombuffer(ref)).sum() > 90 if sign < 0.0 else ref[0] is ValueError
+    want = _one_rule(lambda: Series(u).log().coeffs, lambda: _log_reference(u), warn)
+    assert np.isinf(want).sum() > 90 if sign < 0.0 else want is None
 
 
 @pytest.mark.parametrize("warn", ["error", "ignore"])
 @pytest.mark.parametrize("op", ["pow", "log"])
-def test_overflowing_denominator_warns_like_generator(op, warn):
+def test_overflowing_denominator_keeps_generator_bytes(op, warn):
     # row m divides by m * u_0, which overflows from m = 2 on at u_0 = 1e308
-    # while the rows themselves stay finite
+    # while the rows themselves stay finite: no error and no warning
     u = np.array([1e308, 1.0, 0.0, 0.0])
     ours, ref = (lambda: Series(u).pow(0.5).coeffs, lambda: _pow_reference(u, 0.5))
     if op == "log":
         ours, ref = (lambda: Series(u).log().coeffs, lambda: _log_reference(u))
-    with warnings.catch_warnings():
-        warnings.simplefilter(warn)
-        assert _outcome(ours) == _outcome(ref)
-        assert warn == "ignore" or _outcome(ref)[0] is RuntimeWarning
+    assert 2.0 * float(u[0]) == math.inf
+    assert np.isfinite(_one_rule(ours, ref, warn)).all()
 
 
 @pytest.mark.parametrize("name", ["case3", "case9b"])

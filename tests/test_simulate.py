@@ -389,6 +389,11 @@ def test_ks_range_validation(desk):
         ks_distance(emp, tails, range(0, 0))
     with pytest.raises(DomainError):
         ks_distance(emp, tails, range(0, cfg.n_max + 5))
+    # generations are integers: 1.5 is not read as n = 1
+    for bad in ([1.5], [-1], [0, 2.0], ["1"]):
+        with pytest.raises(DomainError, match="generation"):
+            ks_distance(emp, tails, bad)
+    assert ks_distance(emp, tails, np.arange(3)) == ks_distance(emp, tails, [0, 1, 2])
 
 
 def test_config_validation(desk):
@@ -450,6 +455,14 @@ def test_ct_skeleton_rejects_other_params(desk):
     cfg = SimConfig(params=desk["case2"][0], replicates=10, n_max=4)
     with pytest.raises(DomainError, match="different laws"):
         simulate_ct_skeleton(e, cfg, dt=1.0)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.inf, math.nan])
+def test_ct_skeleton_rejects_dt_outside_0_inf(desk, dt):
+    # an infinite dt would put every absorbed run in bin 0
+    p = desk["case3"][0]
+    with pytest.raises(DomainError, match="dt must lie in"):
+        simulate_ct_skeleton(build_embedding(p), SimConfig(params=p, replicates=10, n_max=4), dt=dt)
 
 
 def _ct_reference(e, cfg, dt, event_cap=simulate._CT_EVENT_CAP):
