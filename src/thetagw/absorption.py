@@ -2,9 +2,11 @@
 
 T_0 is the first generation with no particles, T_1 the first with infinitely
 many, T = min(T_0, T_1). All three tails P(n < . < infinity) have closed
-forms obtained by evaluating the n-th pgf iterate at 0 and 1; this module
-carries the per-case expressions in expm1/log1p form so that tails of size
-1e-300 keep full relative precision, and exposes the n-fold composition as an
+forms obtained by evaluating the n-th pgf iterate at 0 and 1. Both ends go
+through one gap, gap(n, s) = f_n(s) - q: P(n < T_0 < infinity) = -gap(n, 0)
+and P(n < T_1 < infinity) = gap(n, 1). The gap is written in expm1/log1p form
+so that tails of size 1e-300 keep full relative precision; case1 and case2
+keep power forms of their own for T_0. The n-fold composition is exposed as an
 independent oracle.
 
 Expected absorption times are tail sums E = sum_{n>=0} P(. > n). The case
@@ -48,12 +50,10 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015329
 
 
-def _as_n(n, allow_real: bool = True):
+def _as_n(n):
     arr = np.asarray(n, dtype=float)
     if not np.all(arr >= 0.0):  # NaN fails too
         raise DomainError("generation index must be >= 0")
-    if not allow_real and np.any(arr != np.floor(arr)):
-        raise DomainError("generation index must be an integer")
     return arr
 
 
@@ -71,6 +71,9 @@ class AbsorptionTails:
     so nothing to condition on there).
     t_tail(n)  = f_n(1) - f_n(0) = P(process still alive at n)
 
+    Both tails read one gap, _gap(n, s) = f_n(s) - q: t0_tail is -_gap(n, 0)
+    outside case1 and case2, and t1_tail of an explosive law is _gap(n, 1).
+
     Each method takes a scalar or array n; real-valued n is accepted because
     the closed forms interpolate smoothly, which is what the integral
     completion of the expectation sums relies on.
@@ -83,47 +86,44 @@ class AbsorptionTails:
 
     # -- closed forms ----------------------------------------------------
 
+    def _g(self, s: float) -> float:
+        """1 - ((A - q)/(A - s))^theta; 1 at A = s, which theta < 0 reaches at
+        A = 1: the ratio is infinite there and its theta-power 0."""
+        p = self.params
+        if p.big_a == s:
+            return 1.0
+        return 1.0 - ((p.big_a - p.q) / (p.big_a - s)) ** p.theta
+
+    def _gap(self, nn, s: float):
+        """f_n(s) - q at s = 0 or 1, in expm1/log1p form for every case but
+        case1 and case2."""
+        p = self.params
+        theta, a, q, big_a = p.theta, p.a, p.q, p.big_a
+        if self.tag.case_id == "case6":
+            return -(a**nn * (q - s))  # (q - s), not (s - q): t0_tail keeps +0.0 at q = 0
+        if theta == 0.0:
+            # growth rate of the iterate toward q, exact in expm1 form
+            return -(big_a - q) * np.expm1(a**nn * math.log((big_a - s) / (big_a - q)))
+        with np.errstate(divide="ignore"):  # log1p(-1) at A = 1, s = 1, n = 0
+            return -(big_a - q) * np.expm1((-1.0 / theta) * np.log1p(-(a**nn) * self._g(s)))
+
     def t0_tail(self, n):
         nn = _as_n(n)
         p = self.params
-        theta, a, q, big_a = p.theta, p.a, p.q, p.big_a
         cid = self.tag.case_id
         with np.errstate(divide="ignore", over="ignore"):
             if cid == "case1":
-                d = p.d
+                theta, a, d = p.theta, p.a, p.d
                 val = a ** (-nn / theta) * (1.0 + d - d * a ** (-nn)) ** (-1.0 / theta)
             elif cid == "case2":
-                val = (1.0 + p.c * nn) ** (-1.0 / theta)
-            elif cid == "case6":
-                val = q * a**nn
-            elif theta == 0.0:
-                # growth rate of the 0-iterate toward q, exact in expm1 form
-                val = (big_a - q) * np.expm1(a**nn * math.log(big_a / (big_a - q)))
+                val = (1.0 + p.c * nn) ** (-1.0 / p.theta)
             else:
-                g0 = 1.0 - ((big_a - q) / big_a) ** theta
-                val = (big_a - q) * np.expm1((-1.0 / theta) * np.log1p(-(a**nn) * g0))
+                val = -self._gap(nn, 0.0)
         return _ret(n, val)
 
     def t1_tail(self, n):
         nn = _as_n(n)
-        p = self.params
-        theta, a, q, big_a = p.theta, p.a, p.q, p.big_a
-        cid = self.tag.case_id
-        if self.tag.regular:
-            val = np.full_like(nn, 1.0 - q)
-        elif cid == "case6":
-            val = (1.0 - q) * a**nn
-        elif theta == 0.0:
-            val = -(big_a - q) * np.expm1(
-                a**nn * math.log((big_a - 1.0) / (big_a - q))
-            )
-        else:
-            # A = 1 makes the reference ratio infinite; its theta-power is 0
-            g1 = 1.0 if big_a == 1.0 else 1.0 - ((big_a - q) / (big_a - 1.0)) ** theta
-            with np.errstate(divide="ignore"):
-                val = -(big_a - q) * np.expm1(
-                    (-1.0 / theta) * np.log1p(-(a**nn) * g1)
-                )
+        val = np.full_like(nn, 1.0 - self.params.q) if self.tag.regular else self._gap(nn, 1.0)
         return _ret(n, val)
 
     def t_tail(self, n):
@@ -140,8 +140,7 @@ class AbsorptionTails:
             an = a**nn
             val = (big_a - q) ** (1.0 - an) * (big_a**an - (big_a - 1.0) ** an)
         else:
-            g0 = 1.0 - ((big_a - q) / big_a) ** theta
-            g1 = 1.0 if big_a == 1.0 else 1.0 - ((big_a - q) / (big_a - 1.0)) ** theta
+            g0, g1 = self._g(0.0), self._g(1.0)
             an = a**nn
             with np.errstate(divide="ignore"):
                 val = (big_a - q) * (
@@ -153,11 +152,9 @@ class AbsorptionTails:
 
     def via_iteration(self, n: int) -> tuple[float, float]:
         """(q - f_n(0), f_n(1) - q) by n actual compositions of f."""
-        _as_n(n, allow_real=False)
+        n = _integer("n", n, 0)
         p = self.params
-        f0 = compose_iterate(p, int(n), 0.0)
-        f1 = compose_iterate(p, int(n), 1.0)
-        return p.q - f0, f1 - p.q
+        return p.q - compose_iterate(p, n, 0.0), compose_iterate(p, n, 1.0) - p.q
 
 
 def absorption_tails(p: ThetaParams) -> AbsorptionTails:

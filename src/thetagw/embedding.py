@@ -39,7 +39,7 @@ import numpy as np
 from ._quadpack import quad
 from .errors import DomainError, NumericError, SingularPathError
 from .params import CaseTag, ThetaParams, _integer, case_of
-from .pgf import _MASS_CLAMP, SeriesTruncation, _clamp_masses, eval_fn
+from .pgf import _MASS_CLAMP, SeriesTruncation, _clamp_masses, _in_unit, eval_fn
 from .series import Series
 
 __all__ = [
@@ -127,9 +127,7 @@ def _ratio(num: float, den: float, name: str) -> float:
 def h_eval(e: Embedding, s):
     p = e.params
     theta, q, big_a = p.theta, p.q, p.big_a
-    ss = np.asarray(s, dtype=float)
-    if np.any(ss < 0.0) or np.any(ss > 1.0):
-        raise DomainError("h is evaluated on [0, 1]")
+    ss = _in_unit(s)
     if e.form == "const":
         val = np.full_like(ss, q)
     elif e.form == "mu":
@@ -194,8 +192,7 @@ def semigroup_F(e: Embedding, t: float, s):
 def integral_residual(e: Embedding, t: float, s: float) -> float:
     """integral_s^{F_t(s)} dx/(h(x)-x) minus lambda*t; magnitude ~ 0 when the
     flow, the rate, and h are mutually consistent."""
-    if not 0.0 <= s <= 1.0:
-        raise DomainError("s must lie in [0, 1]")
+    _in_unit(s)
     if t == 0.0:
         return 0.0
     q = e.params.q

@@ -106,6 +106,14 @@ def _checked_s(p: ThetaParams, s):
     return np.where(arr > top, p.big_a, arr)
 
 
+def _in_unit(s) -> np.ndarray:
+    """s as a float array, or DomainError unless it lies in [0, 1]."""
+    arr = np.asarray(s, dtype=float)
+    if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):  # NaN fails too
+        raise DomainError("s must lie in [0, 1]")
+    return arr
+
+
 def eval_f(p: ThetaParams, s):
     """Offspring pgf f(s); accepts a scalar or array s in [0, A]."""
     arr = _checked_s(p, s)
@@ -152,10 +160,8 @@ def compose_iterate(p: ThetaParams, n: int, s):
     more than 1e-12 the composition is unsound and OverflowGuardError is
     raised (tiny excursions are clamped).
     """
-    if not float(n).is_integer() or n < 0:
-        raise DomainError(f"composition count must be a nonnegative integer, got {n}")
     value = _checked_s(p, s)
-    for _ in range(int(n)):
+    for _ in range(_integer("n", n, 0)):
         value = eval_f(p, value)
         arr = np.asarray(value, dtype=float)
         if np.any(arr < -1e-12) or np.any(arr > p.big_a + 1e-12):

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, OverflowGuardError, TrivialLawError
 from .params import ThetaParams, _integer, case_of, scalar_summary
-from .pgf import _checked_s, _clamp_masses, eval_fn, eval_fn_prime, fn_series
+from .pgf import _checked_s, _clamp_masses, _in_unit, eval_fn, eval_fn_prime, fn_series
 from .series import Series
 
 __all__ = [
@@ -143,11 +143,8 @@ def q_transition_gf(p: ThetaParams, i: int, n: int, s) -> float:
     """
     if p.q <= 0.0:
         raise DomainError("q = 0: the conditioned transition law degenerates")
-    if i < 1 or n < 1:
-        raise DomainError("need i >= 1 starting particles and n >= 1 steps")
-    ss = np.asarray(s, dtype=float)
-    if np.any(ss < 0.0) or np.any(ss > 1.0):
-        raise DomainError("s must lie in [0, 1]")
+    i, n = _integer("i", i, 1), _integer("n", n, 1)
+    ss = _in_unit(s)
     q = p.q
     core = ss * eval_fn_prime(p, n, ss * q) / _slope_at_q(p, n)
     if i > 1:
@@ -165,6 +162,7 @@ def q_transition_matrix(p: ThetaParams, n: int, i_max: int, j_max: int) -> np.nd
         raise DomainError("q = 0: the conditioned transition law degenerates")
     order = _integer("j_max", j_max, 0) + 1
     _integer("i_max", i_max, 0)
+    _integer("n", n, 1)
     fn = fn_series(p, float(n), order + 1)
     fn_at_sq = fn.scale_arg(p.q)
     deriv_at_sq = fn.deriv().scale_arg(p.q)

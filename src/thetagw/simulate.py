@@ -318,11 +318,6 @@ def _tail_over(hist: np.ndarray) -> np.ndarray:
     return np.concatenate((c[1:], np.zeros(1, dtype=hist.dtype)))
 
 
-def _tail_at_least(hist: np.ndarray) -> np.ndarray:
-    """counts[n] = number of entries with key >= n."""
-    return np.cumsum(hist[::-1])[::-1]
-
-
 @dataclass(frozen=True)
 class EmpiricalTails:
     """Integer tail counts per generation (or per dt-bin when dt is set).
@@ -387,7 +382,7 @@ class EmpiricalTails:
 def _assemble(cfg: SimConfig, h_ext, h_exp, h_cen, sum_y, sum_y2, dt=None):
     t0 = _tail_over(h_ext)
     t1 = _tail_over(h_exp)
-    t = _tail_over(h_ext + h_exp) + _tail_at_least(h_cen)
+    t = _tail_over(h_ext + h_exp + h_cen) + h_cen  # a run censored at n counts at n
     censored = int(h_cen.sum())
     emp = EmpiricalTails(
         replicates=cfg.replicates,

@@ -21,7 +21,9 @@ tails over n < 2^22, where the terms have fallen below 1e-19 of the total:
                              E[T]         = 133665.83432316093
 """
 
+import hashlib
 import math
+import random
 import warnings
 
 import numpy as np
@@ -33,6 +35,7 @@ from thetagw import (
     NumericError,
     RegimeError,
     absorption_tails,
+    case_of,
     conditional_t1_cdf,
     expected_absorption,
     gumbel_limit,
@@ -84,6 +87,53 @@ def test_tails_regular_vs_explosive(desk):
     t_exp = absorption_tails(desk["case5b"][0])
     assert t_exp.explosion_mass == pytest.approx(0.7)
     assert t_exp.t1_tail(40.0) < 1e-11
+
+
+def _digest_laws(draws=320):
+    """About 210 admissible laws over the nine cases from a fixed seed; the
+    edges q = 0, q = 1 and A = 1 and the branch values of theta come up often."""
+    rng = random.Random(2015)
+    laws = []
+    for i in range(draws):
+        theta = rng.choice([0.0, 1.0, -1.0, -0.5, rng.uniform(-1.0, 1.0)])
+        if i % 4:
+            big_a = rng.choice([1.0, rng.uniform(1.0, 3.0)])
+            raw = {"theta": theta, "a": rng.uniform(0.01, 0.99), "A": big_a,
+                   "q": rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)])}
+        else:
+            raw = {"theta": theta, "a": rng.choice([1.0, rng.uniform(1.0, 3.0)]),
+                   "c": rng.uniform(0.01, 3.0)}
+        try:
+            laws.append(validate_classify(raw)[0])
+        except DomainError:
+            pass
+    return laws
+
+
+# sha256 of the tails' bytes over the desk sets and _digest_laws
+TAIL_DIGEST = "8d72d727e3220d7ff4bb42a8de7bd732d2d060d45b306b1aec0ba101c06fe7d9"
+
+
+def test_tail_bytes_are_pinned(desk):
+    # every bit of t0_tail, t1_tail and t_tail, signed zeros included, and the
+    # type of any error raised, at scalar, real and array n; approx in the
+    # tests above would miss a zero that flips its sign
+    laws = [p for p, _ in desk.values()] + _digest_laws()
+    assert len(laws) > 210 and {case_of(p).case_id for p in laws} == {
+        f"case{k}" for k in range(1, 10)}
+    assert {0.0, 1.0} <= {p.q for p in laws} and any(
+        p.big_a == 1.0 and not case_of(p).regular for p in laws)
+    digest = hashlib.sha256()
+    inputs = [*range(61), 2.5, 1e4, np.arange(61.0), -1, math.nan]  # the last two raise
+    for p in laws:
+        tails = absorption_tails(p)
+        for tail in (tails.t0_tail, tails.t1_tail, tails.t_tail):
+            for n in inputs:
+                try:
+                    digest.update(np.asarray(tail(n), dtype=float).tobytes())
+                except Exception as exc:  # its type is what the digest pins
+                    digest.update(type(exc).__name__.encode())
+    assert digest.hexdigest() == TAIL_DIGEST
 
 
 def test_case6_exact_geometric(desk):

@@ -279,9 +279,10 @@ def test_no_analytic_subcommand_exits_1(command, params, law, big_a, rows):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "quad_residuals reads 6.3e-05 against 1e-06: QUADPACK flags roundoff (flag 2) "
-    "integrating 1/(h(x) - x) up to near q at a = 1.2e-17, so the check measures "
-    "the quadrature's loss near q, not the embedding"))
+    "quad_residuals reads 6.3e-05 against 1e-06: the float c fixes q only to "
+    "2.9e-17 relative at a = 1.2e-17, so F_t(s) - q keeps about 5 digits at t = 0.5 "
+    "and none at t = 1; an exact antiderivative of 1/(h(x) - x) misses there too, "
+    "so the cause is the flow's gap to q, not QUADPACK's roundoff"))
 def test_embed_at_tiny_a_passes_its_checks(capsys):
     argv = ["embed", "--theta=-0.14911272520210703", "--a=1.223968043276796e-17",
             "--q=0.0058826748014885475", "--k-max=6"]

@@ -308,13 +308,17 @@ COUNT_ARGUMENTS = {
     "critical_limit_w": lambda k: thetagw.critical_limit_w(_law("case2"), k),
     "q_transition_matrix-i_max": lambda k: thetagw.q_transition_matrix(_law("case3"), 1, k, 3),
     "q_transition_matrix-j_max": lambda k: thetagw.q_transition_matrix(_law("case3"), 1, 2, k),
+    "q_transition_matrix-n": lambda k: thetagw.q_transition_matrix(_law("case3"), k, 2, 3),
+    "q_transition_gf-i": lambda k: thetagw.q_transition_gf(_law("case3"), k, 2, 0.3),
+    "q_transition_gf-n": lambda k: thetagw.q_transition_gf(_law("case3"), 1, k, 0.3),
+    "compose_iterate": lambda k: thetagw.compose_iterate(_law("case3"), k, 0.5),
 }
 
 
-@pytest.mark.parametrize("value", [-1, 2.5])
+@pytest.mark.parametrize("value", [-1, 2.5, 2.0])
 @pytest.mark.parametrize("call", list(COUNT_ARGUMENTS.values()), ids=list(COUNT_ARGUMENTS))
 def test_count_arguments_are_nonnegative_integers(call, value):
-    # one rule, params._integer: a negative or fractional order or count is a
+    # one rule, params._integer: a negative order or count, or any float, is a
     # DomainError, never an IndexError, a TypeError or a silently cut table
     with pytest.raises(DomainError, match="must be"):
         call(value)

@@ -19,6 +19,8 @@ from thetagw import (
     eval_fn_prime,
     fn_series,
     gamma_of,
+    h_eval,
+    q_transition_gf,
     scalar_summary,
     semigroup_F,
     series_coeffs,
@@ -139,7 +141,12 @@ def test_domain_rejections(desk):
     lambda p: series_coeffs(p, 5, t=math.nan),
     lambda p: semigroup_F(build_embedding(p), math.nan, 0.5),
     lambda p: absorption_tails(p).t0_tail(math.nan),
-], ids=["eval_fn_t", "eval_fn_s", "eval_f", "series_coeffs", "semigroup_F", "t0_tail"])
+    lambda p: h_eval(build_embedding(p), math.nan),
+    lambda p: q_transition_gf(p, 1, 2, math.nan),
+], ids=[
+    "eval_fn_t", "eval_fn_s", "eval_f", "series_coeffs", "semigroup_F", "t0_tail", "h_eval",
+    "q_transition_gf",
+])
 def test_nan_fails_domain_guards(desk, call):
     # a guard written as x < 0 lets NaN through to a NaN result
     with pytest.raises(DomainError):

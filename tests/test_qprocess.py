@@ -239,3 +239,10 @@ def test_transition_kernel_refuses_rows_past_the_float_range():
     p, _ = validate_classify({"theta": 0.0, "a": 0.5, "A": 2.0, "q": 1e-25})
     with pytest.raises(NumericError, match="passes the float range"):
         q_transition_matrix(p, 1, 60, 60)
+
+
+def test_transition_kernel_refuses_zero_steps(desk):
+    # n = 0 is no transition: the kernel refuses it, as q_transition_gf does,
+    # rather than returning the identity
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        q_transition_matrix(desk["case3"][0], 0, 3, 3)
