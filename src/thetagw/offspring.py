@@ -1,43 +1,46 @@
 """Offspring distribution: exact masses, the coefficient triangle, sampling.
 
-Four disjoint pmf routes, dispatched on theta:
+Five disjoint pmf routes, dispatched on theta:
 
-- theta in (-1, 0) or (0, 1] generally: p_0 and p_1 in closed form, then
+- theta in (0, 1]: p_0 and p_1 in closed form, then
   p_n = a * A^(1-n) * (a + c*A^theta)^(-(1+theta)/theta) / n! *
         sum_i (c*A^theta / (a + c*A^theta))^i * B_{i,n}
   where B is the triangle B_{i,n} = (n-2-i*theta) B_{i,n-1}
   + (1+i*theta) B_{i-1,n-1}, seeded with B_{1,2} = 1+theta. The recursion is
   run on row-scaled values B_{i,n} x^i A^{1-n} / n! so nothing overflows even
-  for tables of length 10^4. For theta < 0 the rows change sign and their
-  sums cancel; pmf warns (ConditioningWarning) from the first order whose
-  error estimate passes 1e-9.
-- theta = -1/m for integer m >= 2: the pgf is A minus the m-th power of
-  a*(A-s)^(1/m) + c, a finite binomial sum of fractional-power series; each
-  series has a two-term coefficient ratio, so the whole pmf costs O(m*K) and
-  tables can reach 10^6 entries (needed: these laws have k^(-2+1/m) tails).
+  for tables of length 10^4. Every term is >= 0, so the row sums keep their
+  digits.
+- theta in (-1, 0) off the lattice below: series extraction of the pgf
+  (fn_series), whose rows are exact sums. The triangle's rows change sign
+  here and their sums cancel.
+- theta = -1/m for integer 2 <= m <= 1029 (C(m, m/2) is a float): the pgf is
+  A minus the m-th power of a*(A-s)^(1/m) + c, a finite binomial sum of
+  fractional-power series; each series has a two-term coefficient ratio, so
+  the whole pmf costs O(m*K) and tables can reach 10^6 entries (needed: these
+  laws have k^(-2+1/m) tails). A larger m takes the series route.
 - theta = 0: closed p_0, p_1, then the two-term ratio
   p_n = p_{n-1} * (n-a-1) / (n*A), giving the A^(-n) * n^(-1-a) tail.
 - theta = -1: the exact two-point law p_0 = (1-a)q, p_1 = a.
 
-The independent oracle for all of them is series extraction of the pgf
-(pmf_oracle). Sampling is inverse-CDF on an OffspringTable of masses, an
-escape mass and a cap. _pmf_table(p), a fresh table of escape 1 - f(1) and
-the largest order pmf computes (10^6 for the O(K) routes, 10^4 for the
-triangle), doubles on demand and raises TruncationError for a draw uncovered
-at the cap; simulate.py caches one per law, up to 2^21 boundaries in all.
+pmf_oracle is series extraction for every theta: an independent check of the
+other routes, and the series route itself. Sampling is inverse-CDF on an
+OffspringTable of masses, an escape mass and a cap. _pmf_table(p), a fresh
+table of escape 1 - f(1) and the largest order pmf computes (10^6 for the O(K)
+routes, 10^4 for the triangle and series routes), doubles on demand and raises
+TruncationError for a draw uncovered at the cap; simulate.py caches one per
+law, up to 2^21 boundaries in all.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningWarning, DomainError, NumericError, TruncationError
+from .errors import DomainError, NumericError, TruncationError
 from .params import ThetaParams, _integer, case_of, scalar_summary
-from .pgf import _clamp_masses, series_coeffs
+from .pgf import _clamp_masses, fn_series, series_coeffs
 
 __all__ = [
     "BTriangle",
@@ -55,7 +58,7 @@ INFINITE = math.inf
 
 #: largest pmf order per route
 K_MAX_RATIO = 10**6  # theta = 0, -1 and -1/m (O(K))
-K_MAX_TRIANGLE = 10**4  # the triangle route (O(K^2))
+K_MAX_TRIANGLE = 10**4  # the triangle and series routes (O(K^2))
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,6 @@ def _pmf_triangle(p: ThetaParams, order: int) -> np.ndarray:
         probs[2] = pref * w[1]
         idx = np.arange(order + 1, dtype=float)
         grow = 1.0 + idx * theta
-        watch = theta < 0.0  # for theta > 0 every w is >= 0, so nothing cancels
         for n in range(3, order + 1):
             with np.errstate(over="ignore", invalid="ignore"):  # refused just below
                 w[1:n] = ((n - 2.0 - idx[1:n] * theta) * w[1:n] + grow[1:n] * x * w[0 : n - 1]) / (
@@ -126,14 +128,6 @@ def _pmf_triangle(p: ThetaParams, order: int) -> np.ndarray:
                 probs[n] = math.inf
             if not math.isfinite(probs[n]):
                 raise NumericError(f"the triangle's scaled rows overflow at order {n}")
-            # each w carries about n rounding errors of its own size
-            if watch and pref * math.fsum(np.abs(w[1:n])) * n * 2.0**-53 > 1e-9:
-                warnings.warn(
-                    f"the triangle cancels from order {n} on: masses may be off by over 1e-9",
-                    ConditioningWarning,
-                    stacklevel=3,
-                )
-                watch = False
     return probs
 
 
@@ -150,11 +144,12 @@ def _pmf_theta0(p: ThetaParams, order: int) -> np.ndarray:
 
 
 def _neg_recip_m(theta: float) -> int | None:
-    """m >= 2 when theta = -1/m exactly (within float noise), else None."""
+    """m >= 2 when theta = -1/m exactly (within float noise), else None; m stops
+    at 1029, the last m whose C(m, j) are all floats."""
     if not -1.0 < theta < 0.0:
         return None
     m = round(-1.0 / theta)
-    if m >= 2 and abs(theta + 1.0 / m) < 1e-12:
+    if 2 <= m <= 1029 and abs(theta + 1.0 / m) < 1e-12:
         return int(m)
     return None
 
@@ -171,10 +166,7 @@ def _pmf_neg_recip(p: ThetaParams, order: int, m: int) -> np.ndarray:
     w = np.empty(order)
     for j in range(1, m + 1):
         beta = j / m
-        try:
-            pref = math.comb(m, j) * a**j * c ** (m - j)
-        except OverflowError:
-            raise NumericError(f"the theta = -1/{m} route overflows at term {j}") from None
+        pref = math.comb(m, j) * a**j * c ** (m - j)
         if pref == 0.0:
             continue
         # [s^k](A-s)^beta via the ratio (beta-k)/(k+1) * (-1/A)
@@ -213,13 +205,16 @@ def pmf(p: ThetaParams, order: int) -> np.ndarray:
         probs = _pmf_theta0(p, order)
     elif m is not None:
         probs = _pmf_neg_recip(p, order, m)
+    elif p.theta < 0.0:
+        probs = fn_series(p, 1.0, order).coeffs
     else:
         probs = _pmf_triangle(p, order)
     return _clamp_masses(probs, "p")
 
 
 def pmf_oracle(p: ThetaParams, order: int) -> np.ndarray:
-    """Independent pmf route: series extraction of the pgf coefficients."""
+    """Series extraction of the pgf coefficients: independent of every pmf route
+    but the series one (theta in (-1, 0) off the -1/m lattice), which is it."""
     return series_coeffs(p, order).coeffs
 
 

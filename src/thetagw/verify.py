@@ -5,7 +5,9 @@ another: explicit iterates against literal pgf composition, the recursive
 offspring masses against series extraction, the harmonic function against its
 defining functional equation, the interpolated semigroup against the one-step
 pgf and against quadrature of the generator flow, and a small Monte Carlo
-smoke test on the two-point branch whose absorption law is elementary.
+smoke test on the two-point branch whose absorption law is elementary. For
+theta in (-1, 0) off the -1/m lattice pmf is series extraction itself, so the
+pmf_oracle check reads 0 by construction there.
 
 Each check yields a VerifyCheck(name, target, value, tol, passed); a suite is
 just a list of them. The suite covers one canonical parameter set for

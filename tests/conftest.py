@@ -1,5 +1,8 @@
 """Shared fixtures: one canonical parameter set per case plus the variants."""
 
+import math
+
+import numpy as np
 import pytest
 
 from thetagw import simulate, validate_classify
@@ -26,6 +29,19 @@ NINE = (
     "case1", "case2", "case3", "case4", "case5",
     "case6", "case7", "case8", "case9",
 )
+
+
+def fft_pmf(p, order):
+    """Reference masses p_0..p_order of a theta in (-1, 0) law: the pgf's
+    Taylor coefficients from one FFT of f on the circle |s| = r (Abate & Whitt,
+    Oper. Res. Lett. 12 (1992) 245-251). With N >= 16(order + 1) points and
+    r = e^(-40/N), aliasing stays below e^(-40) and r^(-k) amplifies rounding
+    by at most e^2.5."""
+    n = 1 << (16 * (order + 1) - 1).bit_length()
+    r = math.exp(-40.0 / n)
+    s = r * np.exp(2j * np.pi * np.arange(n) / n)
+    f = p.big_a - (p.a * (p.big_a - s) ** -p.theta + p.c) ** (-1.0 / p.theta)
+    return (np.fft.fft(f)[: order + 1] / n).real * r ** -np.arange(order + 1.0)
 
 
 @pytest.fixture(autouse=True)

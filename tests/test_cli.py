@@ -10,14 +10,15 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetagw import cli
+from thetagw import cli, offspring, validate_classify
 from thetagw.errors import NumericError
 
-from conftest import DESK_RAW
+from conftest import DESK_RAW, fft_pmf
 
 
 def run_cli(*args, env_extra=None):
@@ -317,9 +318,8 @@ def test_pmf_above_the_route_cap_exits_3(capsys):
     ["embed", "--theta=1", "--a=0.8747814950131493", "--A=1.0000000000054412",
      "--q=0.9999999999999953", "--k-max=10"],
     ["embed", "--theta=5e-324", "--a=0.5", "--q=0.99999", "--k-max=10"],  # D rounds to 0
-    ["pmf", "--theta=-0.0001", "--a=0.5", "--q=0.5", "--k-max=20"],  # C(10^4, j) overflows
 ], ids=["qprocess-A-1e17", "qprocess-A-1e10", "qprocess-A-1e200", "embed-A-1e160", "embed-q-near-A",
-        "embed-theta-5e-324", "pmf-theta-minus-1e-4"])
+        "embed-theta-5e-324"])
 def test_unrepresentable_values_exit_4(capsys, argv):
     # admissible laws whose values leave the float range end in the numeric
     # error exit, not in the unexpected-error exit 1
@@ -332,28 +332,33 @@ def test_unrepresentable_values_exit_4(capsys, argv):
 @pytest.mark.parametrize("theta, k_max", [("-0.891", 2000), ("-0.95", 2000), ("-0.6", 5000)])
 def test_triangle_overflow_exits_4(capsys, theta, k_max):
     # the triangle's scaled rows of these cancelling laws pass the float range
-    # before k_max: a numeric error naming the order, not the exit 1 of a
-    # bare "-inf + inf in fsum"
+    # before k_max, and it refuses them with a NumericError naming the order
+    # (exit 4), not the exit 1 of a bare "-inf + inf in fsum"; pmf serves them
+    # by the series route, within the 1e-12 clamp of the reference
+    p, _ = validate_classify({"theta": float(theta), "a": 0.371, "q": 0.306})
+    with pytest.raises(NumericError, match="scaled rows overflow at order"):
+        offspring._pmf_triangle(p, k_max)
     argv = ["pmf", f"--theta={theta}", "--a=0.371", "--q=0.306", f"--k-max={k_max}"]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the triangle warns that it cancels
-        assert cli.main(argv) == 4
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert "scaled rows overflow at order" in out.err
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 0
+    probs = np.array(json.loads(capsys.readouterr().out)["p"])
+    assert np.max(np.abs(probs - fft_pmf(p, k_max))) < 1e-12
 
 
-def test_failed_table_build_exits_4_every_time(capsys):
-    # p_103 of this law is negative beyond the clamp: the first offspring table
-    # fails to build, and a second run in the same process fails the same way
+def test_failed_table_build_exits_4_every_time(capsys, monkeypatch):
+    # masses that raise NumericError fail the first offspring table's build,
+    # and a second run in the same process fails the same way
+    def refused(p, order):
+        raise NumericError(f"no masses up to order {order}")
+
+    monkeypatch.setattr(offspring, "pmf", refused)
     argv = ["simulate", "--theta=-0.891", "--a=0.371", "--q=0.306", "--replicates=200"]
     for _ in range(2):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the triangle warns that it cancels
-            assert cli.main(argv) == 4
+        assert cli.main(argv) == 4
         out = capsys.readouterr()
         assert out.out == ""
-        assert "beyond the 1e-12 clamp" in out.err
+        assert "no masses up to order 256" in out.err
 
 
 def test_huge_moments_saturate(capsys):

@@ -1,14 +1,12 @@
-"""Offspring masses: four routes against the series-extraction oracle."""
+"""Offspring masses: each route against the series-extraction oracle."""
 
 import hashlib
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from thetagw import (
-    ConditioningWarning,
     DomainError,
     INFINITE,
     NumericError,
@@ -26,7 +24,7 @@ from thetagw import (
 from thetagw import offspring
 from thetagw.offspring import K_MAX_RATIO, K_MAX_TRIANGLE, _pmf_table, b_triangle
 
-from conftest import DESK_RAW, NINE
+from conftest import DESK_RAW, NINE, fft_pmf
 
 
 def test_pmf_matches_oracle_all_desk_sets(desk):
@@ -164,47 +162,33 @@ def test_triangle_nonnegative_for_positive_theta():
 def test_triangle_sign_failure_documented():
     # for theta in (-1, 0) with non-integer 1/|theta| the triangle goes
     # negative; scaling the rows keeps them finite but not of one sign, so the
-    # pmf route's row sums cancel (test_triangle_warns_where_it_cancels)
+    # row sums would cancel, and pmf takes the series route there instead
     tri = b_triangle(-0.7, 40)
     assert any(np.any(tri.row(n) < 0.0) for n in range(2, 41))
 
 
-# off the -1/m lattice the scaled rows of theta < 0 cancel: p_102 comes out 2.08e-6
-# where the oracle gives 6.20e-6
+# off the -1/m lattice the triangle's scaled rows of theta < 0 cancel: they gave
+# p_102 = 2.08e-6 where the reference gives 6.20e-6, after drifting from order 65
 CANCELLING = {"theta": -0.891, "a": 0.371, "q": 0.306}
 
 
-def test_triangle_warns_where_it_cancels():
-    # the row error estimate pref * sum |w| * n * 2^-53 first passes 1e-9 at
-    # n = 65; every mass off the oracle by more than 1e-9 lies at or past it
-    p, _ = validate_classify(CANCELLING)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        pmf(p, 64)
-        pmf(validate_classify({"theta": 0.3, "a": 0.4, "q": 0.2})[0], 1000)
-    with pytest.warns(ConditioningWarning, match="from order 65 on"):
-        probs = pmf(p, 102)
-    assert np.flatnonzero(np.abs(probs - pmf_oracle(p, 102)) > 1e-9).min() >= 65
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "the triangle's row sums cancel for theta in (-1, 0) off the -1/m lattice; "
-    "an FFT of the closed form on a circle would keep the masses"))
 def test_triangle_masses_match_oracle_past_the_warning():
+    # the series route keeps every mass, also past the order where the
+    # triangle cancelled; the reference is an FFT of the closed form
     p, _ = validate_classify(CANCELLING)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditioningWarning)
-        probs = pmf(p, 102)
-    assert np.max(np.abs(probs - pmf_oracle(p, 102))) < 1e-9
+    probs = pmf(p, 102)
+    assert np.max(np.abs(probs - fft_pmf(p, 102))) < 1e-15
+    assert np.array_equal(probs, pmf_oracle(p, 102))
 
 
 @pytest.mark.parametrize("name, cap", [
     ("case1", K_MAX_TRIANGLE), ("case4", K_MAX_RATIO), ("case5", K_MAX_RATIO),
-    ("case6", K_MAX_RATIO),
+    ("case6", K_MAX_RATIO), ("cancelling", K_MAX_TRIANGLE),
 ])
 def test_pmf_route_cap(desk, name, cap):
-    # the O(K^2) triangle stops at 10^4 before any work, the ratio routes at 10^6
-    p, _ = desk[name]
+    # the O(K^2) triangle and series routes stop at 10^4 before any work, the
+    # ratio routes at 10^6
+    p, _ = desk[name] if name in desk else validate_classify(CANCELLING)
     with pytest.raises(DomainError, match="largest this route computes"):
         pmf(p, cap + 1)
     assert _pmf_table(p).k_max == cap

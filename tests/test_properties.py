@@ -21,9 +21,11 @@ from thetagw import (
     cli,
     conditional_limit_b,
     critical_limit_w,
+    eval_f,
     eval_fn,
     expected_absorption,
     fn_series,
+    pmf,
     q_function,
     q_transition_matrix,
     scalar_summary,
@@ -31,6 +33,8 @@ from thetagw import (
     stationary_law,
     validate_classify,
 )
+
+from conftest import fft_pmf
 
 PROPERTY = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -360,3 +364,33 @@ def test_t0_tail_keeps_relative_precision_at_small_q():
             assert _exact_tail(p, 0, 0) == q
             errors[theta, q] = abs(absorption_tails(p).t0_tail(0) - q) / q
     assert max(errors.values()) <= 16 * EPS, errors
+
+
+# 30 laws with theta in (-1, 0) off the -1/m lattice, where pmf takes the series
+# route, and theta = -1e-4 on it: m = 10^4 is past the binomial route's 1029
+_rng = np.random.default_rng(22)
+NEG_THETA_LAWS = [
+    {"theta": float(_rng.uniform(-0.999, -0.001)), "a": float(_rng.uniform(0.05, 0.95)),
+     "A": 1.0 if _rng.random() < 0.5 else float(_rng.uniform(1.01, 3.0)),
+     "q": float(_rng.uniform(0.0, 0.95))}
+    for _ in range(30)
+] + [{"theta": -1e-4, "a": 0.5, "q": 0.5}]
+
+
+@pytest.mark.parametrize("raw", NEG_THETA_LAWS, ids=lambda raw: f"theta{raw['theta']:.4g}")
+def test_negative_theta_pmf_matches_fft(raw):
+    p, _ = validate_classify(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        head, probs = pmf(p, 256), pmf(p, 2048)
+    assert np.all(probs >= 0.0) and math.fsum(probs) <= eval_f(p, 1.0)
+    assert np.array_equal(head, probs[:257])  # a table's doubling keeps its prefix
+    # a mass the 1e-12 clamp zeroed lies below 1e-12 in the reference; any other
+    # matches it to 1e-13
+    gap = np.abs(probs - fft_pmf(p, 2048))
+    assert np.all(gap <= np.where(probs == 0.0, 1e-12, 1e-13))
+
+
+def test_negative_theta_pmf_prefix_at_the_route_cap():
+    p, _ = validate_classify({"theta": -0.891, "a": 0.371, "q": 0.306})
+    assert np.array_equal(pmf(p, 10**4)[:2049], pmf(p, 2048))

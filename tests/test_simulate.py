@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from thetagw import (
-    ConditioningWarning,
     DomainError,
     NumericError,
     QualityWarning,
@@ -26,7 +25,7 @@ from thetagw import (
     simulate_trajectory,
     validate_classify,
 )
-from thetagw import simulate
+from thetagw import offspring, simulate
 from thetagw.offspring import OffspringTable, _pmf_table
 from thetagw.simulate import _DrawAhead
 
@@ -360,6 +359,19 @@ def test_tails_match_theory_case1(desk):
     emp = estimate_tails(cfg, workers=2)
     ks = ks_distance(emp, absorption_tails(p), range(0, 81))
     assert ks.t0 < 0.02 and ks.t < 0.02
+
+
+def test_tails_match_theory_off_the_lattice():
+    # theta in (-1, 0) off the -1/m lattice: the sampling table comes from the
+    # series route, with no warning, and every tail stays within 4 standard errors
+    p, _ = validate_classify({"theta": -0.891, "a": 0.371, "q": 0.306})
+    cfg = SimConfig(params=p, replicates=20000, n_max=60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        emp = estimate_tails(cfg)
+    ks = ks_distance(emp, absorption_tails(p), range(0, cfg.n_max + 1))
+    for kind in ("t0", "t1", "t"):
+        assert getattr(ks, kind) < 4.0 * emp.se(kind).max(), kind
 
 
 def test_explosive_censoring_quality_warning(desk):
@@ -753,14 +765,16 @@ def test_table_cache_bounded_by_entries(desk, monkeypatch):
     assert run("case3") == {desk["case3"][0]}
 
 
-def test_failed_table_build_is_not_cached():
-    # p_103 of this cancelling law is negative beyond the clamp, so the table's
-    # first build fails, the same way on every call
+def test_failed_table_build_is_not_cached(monkeypatch):
+    # masses that raise NumericError fail the table's first build, the same
+    # way on every call
+    def refused(p, order):
+        raise NumericError(f"no masses up to order {order}")
+
+    monkeypatch.setattr(offspring, "pmf", refused)
     p, _ = validate_classify({"theta": -0.891, "a": 0.371, "q": 0.306})
     cfg = SimConfig(params=p, replicates=200, n_max=30)
     for _ in range(2):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConditioningWarning)
-            with pytest.raises(NumericError, match=r"p_103 = .* beyond the 1e-12 clamp"):
-                estimate_tails(cfg)
+        with pytest.raises(NumericError, match="no masses up to order 256"):
+            estimate_tails(cfg)
         assert p not in simulate._tables
