@@ -110,9 +110,12 @@ def build_embedding(p: ThetaParams) -> Embedding:
         raise DomainError(
             f"offspring mean parameter {mu} outside (0, 1+1/theta] for {cid}"
         )
-    e = Embedding(params=p, tag=tag, form=form, lam=lam, mu=mu, norm=norm)
-    hq = h_eval(e, q)
-    if abs(hq - q) > 1e-12:
+    # (A - s)^(1+theta) past the float range makes h(q) nan, refused just below;
+    # A - 1 <= A - q, so h(1)'s powers are finite wherever h(q)'s are
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = Embedding(params=p, tag=tag, form=form, lam=lam, mu=mu, norm=norm)
+        hq = h_eval(e, q)
+    if not abs(hq - q) <= 1e-12:  # nan fails too
         raise NumericError(f"h({q}) = {hq} != q for {cid}")
     return e
 
@@ -150,8 +153,7 @@ def h_coeffs(e: Embedding, order: int) -> SeriesTruncation:
     p = e.params
     theta, q, big_a = p.theta, p.q, p.big_a
     if e.form == "const":
-        coeffs = np.zeros(order + 1)
-        coeffs[0] = q
+        coeffs = Series.affine(q, 0.0, order).coeffs
     elif e.form == "mu":
         mu = e.mu
         base = Series.affine(1.0, -1.0, order)
@@ -169,11 +171,9 @@ def h_coeffs(e: Embedding, order: int) -> SeriesTruncation:
         q_hat = q / big_a
         ll = math.log(1.0 - q_hat)
         h0 = -ll / (1.0 - ll)
-        coeffs = np.zeros(order + 1)
-        coeffs[0] = h0
+        coeffs = Series.affine(h0, 0.0, order).coeffs
         k = np.arange(2, order + 1, dtype=float)
-        if order >= 2:
-            coeffs[2:] = (1.0 - h0) / (k * (k - 1.0))
+        coeffs[2:] = (1.0 - h0) / (k * (k - 1.0))
         coeffs *= big_a ** (1.0 - np.arange(order + 1, dtype=float))
     if order >= 1:
         if abs(coeffs[1]) > _MASS_CLAMP:

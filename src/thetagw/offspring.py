@@ -1,6 +1,6 @@
 """Offspring distribution: exact masses, the coefficient triangle, sampling.
 
-Five disjoint pmf routes, dispatched on theta:
+Four disjoint pmf routes, dispatched on theta:
 
 - theta in (0, 1]: p_0 and p_1 in closed form, then
   p_n = a * A^(1-n) * (a + c*A^theta)^(-(1+theta)/theta) / n! *
@@ -10,9 +10,10 @@ Five disjoint pmf routes, dispatched on theta:
   run on row-scaled values B_{i,n} x^i A^{1-n} / n! so nothing overflows even
   for tables of length 10^4. Every term is >= 0, so the row sums keep their
   digits.
-- theta in (-1, 0) off the lattice below: series extraction of the pgf
+- theta in [-1, 0) off the lattice below: series extraction of the pgf
   (fn_series), whose rows are exact sums. The triangle's rows change sign
-  here and their sums cancel.
+  here and their sums cancel. At theta = -1 fn_series is the affine series
+  of the two-point law p_0 = (1-a)q, p_1 = a, which costs O(K).
 - theta = -1/m for integer 2 <= m <= 1029 (C(m, m/2) is a float): the pgf is
   A minus the m-th power of a*(A-s)^(1/m) + c, a finite binomial sum of
   fractional-power series; each series has a two-term coefficient ratio, so
@@ -20,13 +21,12 @@ Five disjoint pmf routes, dispatched on theta:
   laws have k^(-2+1/m) tails). A larger m takes the series route.
 - theta = 0: closed p_0, p_1, then the two-term ratio
   p_n = p_{n-1} * (n-a-1) / (n*A), giving the A^(-n) * n^(-1-a) tail.
-- theta = -1: the exact two-point law p_0 = (1-a)q, p_1 = a.
 
 pmf_oracle is series extraction for every theta: an independent check of the
 other routes, and the series route itself. Sampling is inverse-CDF on an
 OffspringTable of masses, an escape mass and a cap. _pmf_table(p), a fresh
 table of escape 1 - f(1) and the largest order pmf computes (10^6 for the O(K)
-routes, 10^4 for the triangle and series routes), doubles on demand and raises
+laws: theta = 0, -1 and -1/m; 10^4 for the rest), doubles on demand and raises
 TruncationError for a draw uncovered at the cap; simulate.py caches one per
 law, up to 2^21 boundaries in all.
 """
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, TruncationError
-from .params import ThetaParams, _integer, case_of, scalar_summary
+from .params import ThetaParams, _integer, _power, case_of, scalar_summary
 from .pgf import _clamp_masses, fn_series, series_coeffs
 
 __all__ = [
@@ -58,7 +58,7 @@ INFINITE = math.inf
 
 #: largest pmf order per route
 K_MAX_RATIO = 10**6  # theta = 0, -1 and -1/m (O(K))
-K_MAX_TRIANGLE = 10**4  # the triangle and series routes (O(K^2))
+K_MAX_TRIANGLE = 10**4  # the triangle, and the series route off theta = -1 (O(K^2))
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def _neg_recip_m(theta: float) -> int | None:
 def _pmf_neg_recip(p: ThetaParams, order: int, m: int) -> np.ndarray:
     a, c, big_a = p.a, p.c, p.big_a
     probs = np.zeros(order + 1)
-    probs[0] = big_a - (a * big_a ** (1.0 / m) + c) ** m
+    probs[0] = big_a - _power(a * big_a ** (1.0 / m) + c, m)
     if order == 0:
         return probs
     # in place, in the order of the plain expressions, so the bits match them
@@ -196,16 +196,11 @@ def pmf(p: ThetaParams, order: int) -> np.ndarray:
     if order > _k_max_of(p):
         raise DomainError(f"order {order} exceeds {_k_max_of(p)}, the largest this route computes")
     m = _neg_recip_m(p.theta)
-    if p.theta == -1.0:
-        probs = np.zeros(order + 1)
-        probs[0] = (1.0 - p.a) * p.q
-        if order >= 1:
-            probs[1] = p.a
-    elif p.theta == 0.0:
+    if p.theta == 0.0:
         probs = _pmf_theta0(p, order)
     elif m is not None:
         probs = _pmf_neg_recip(p, order, m)
-    elif p.theta < 0.0:
+    elif p.theta < 0.0:  # theta = -1 included: fn_series is the affine (1-a)q + a*s
         probs = fn_series(p, 1.0, order).coeffs
     else:
         probs = _pmf_triangle(p, order)
@@ -214,7 +209,7 @@ def pmf(p: ThetaParams, order: int) -> np.ndarray:
 
 def pmf_oracle(p: ThetaParams, order: int) -> np.ndarray:
     """Series extraction of the pgf coefficients: independent of every pmf route
-    but the series one (theta in (-1, 0) off the -1/m lattice), which is it."""
+    but the series one (theta in [-1, 0) off the -1/m lattice), which is it."""
     return series_coeffs(p, order).coeffs
 
 

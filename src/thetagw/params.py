@@ -39,6 +39,7 @@ from .errors import (
     ConditioningWarning,
     DomainError,
     InconsistentParamsError,
+    NumericError,
     UnclassifiableError,
 )
 
@@ -90,6 +91,14 @@ def _integer(name: str, value, low: int) -> int:
     if value < low:
         raise DomainError(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, or NumericError where the float overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise NumericError(f"{base} ** {exponent} overflows a float") from None
 
 
 class Criticality(enum.Enum):
@@ -154,8 +163,7 @@ class ScalarSummary:
 
 
 def _canonical_c(theta: float, a: float, big_a: float, q: float) -> float:
-    if theta == 0.0:
-        return 1.0 - a
+    # at theta = 0, (A - q)**(-0.0) is 1.0 (also at A = q), so c = 1 - a
     return (1.0 - a) * (big_a - q) ** (-theta)
 
 

@@ -137,9 +137,7 @@ def eval_fn_prime(p: ThetaParams, t: float, s):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if theta == 0.0:
             out = (big_a - p.q) ** (1.0 - a_t) * a_t * np.power(big_a - arr, a_t - 1.0)
-        elif theta == -1.0:
-            out = np.full_like(arr, a_t)
-        else:
+        else:  # at theta = -1 both exponents are 0.0 and out is a_t
             inner = a_t * np.power(big_a - arr, -theta) + c_t
             out = a_t * np.power(big_a - arr, -theta - 1.0) * np.power(
                 inner, -(1.0 + theta) / theta

@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, NumericError, OverflowGuardError, TrivialLawError
-from .params import ThetaParams, _integer, case_of, scalar_summary
+from .params import ThetaParams, _integer, _power, case_of, scalar_summary
 from .pgf import _checked_s, _clamp_masses, _in_unit, eval_fn, eval_fn_prime, fn_series
 from .series import Series
 
@@ -76,14 +76,6 @@ class LimitLaw:
 def _law(kind: LawKind, coeffs_from_1: np.ndarray) -> LimitLaw:
     probs = np.array(coeffs_from_1, dtype=float)
     return LimitLaw(kind=kind, probs=_clamp_masses(probs, kind.value, first=1))
-
-
-def _power(base: float, exponent: float) -> float:
-    """base ** exponent, or NumericError where the float overflows."""
-    try:
-        return base**exponent
-    except OverflowError:
-        raise NumericError(f"{base} ** {exponent} overflows a float") from None
 
 
 class QFunction:
@@ -192,10 +184,7 @@ def stationary_law(p: ThetaParams, order: int) -> LimitLaw:
         # s * (1 + d*(1-s)^theta)^(-(1+theta)/theta), q = 1
         inner = Series.affine(1.0, -1.0, order).pow(theta) * p.d + 1.0
         gf = inner.pow(-(1.0 + theta) / theta).mul_s()
-    elif theta == 0.0:
-        # s * (A-q)/(A-sq)
-        gf = (Series.affine(big_a, -q, order).pow(-1.0) * (big_a - q)).mul_s()
-    else:
+    else:  # s * ((A-q)/(A-sq))^(1+theta), theta = 0 included
         gf = (
             Series.affine(big_a, -q, order).pow(-theta - 1.0) * _power(big_a - q, theta + 1.0)
         ).mul_s()
@@ -219,8 +208,8 @@ def conditional_limit_b(p: ThetaParams, order: int) -> LimitLaw:
     # refuse Q(0) once cancellation leaves it fewer than about 8 digits
     if qf.tag.case_id == "case1":  # (1 + d)^(-1/theta) does not cancel
         scale = 0.0
-    else:  # a difference of powers, or a log near 0 at theta = 0
-        scale = 1.0 if theta == 0.0 else max(big_a ** (-theta), (big_a - q) ** (-theta))
+    else:  # a difference of powers, or a log near 0 at theta = 0 (both powers 1)
+        scale = max(big_a ** (-theta), (big_a - q) ** (-theta))
     if q0 == 0.0 or abs(q0) < 1e-8 * scale:
         raise NumericError(f"Q(0) = {q0} cancels at A = {big_a}: the law loses its digits")
     if qf.tag.case_id == "case1":

@@ -348,6 +348,12 @@ def test_gumbel_rejections():
         gumbel_limit(0.5, 0.0, 0.0, theta=-0.1)
 
 
+@pytest.mark.parametrize("r", [-1.0, math.nan])
+def test_gumbel_refuses_r_outside_0_inf(r):
+    with pytest.raises(RegimeError, match="r must lie in"):
+        gumbel_limit(0.5, 0.0, r=r)
+
+
 def test_real_valued_n_interpolates(desk):
     p, _ = desk["case6"]
     tails = absorption_tails(p)

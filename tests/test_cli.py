@@ -318,15 +318,22 @@ def test_pmf_above_the_route_cap_exits_3(capsys):
     ["embed", "--theta=1", "--a=0.8747814950131493", "--A=1.0000000000054412",
      "--q=0.9999999999999953", "--k-max=10"],
     ["embed", "--theta=5e-324", "--a=0.5", "--q=0.99999", "--k-max=10"],  # D rounds to 0
+    # h's aq form: (A - s)^2 overflows, so h(q) reads nan
+    ["embed", "--theta=1.0", "--a=0.2952930482569529", "--q=0.24878911012497618",
+     "--A=1.529916308085258e+237", "--k-max=3"],
+    # the lattice route's p_0 = A - (a A^(1/m) + c)^m, a power past the float range
+    ["pmf", "--theta=-0.001", "--a=1e-300", "--A=1.7976931348623157e308", "--q=0", "--k-max=3"],
 ], ids=["qprocess-A-1e17", "qprocess-A-1e10", "qprocess-A-1e200", "embed-A-1e160", "embed-q-near-A",
-        "embed-theta-5e-324"])
+        "embed-theta-5e-324", "embed-h-of-q-nan", "pmf-lattice-p0"])
 def test_unrepresentable_values_exit_4(capsys, argv):
     # admissible laws whose values leave the float range end in the numeric
-    # error exit, not in the unexpected-error exit 1
+    # error exit, not in the unexpected-error exit 1, and no numpy
+    # RuntimeWarning (an error under this suite's settings) escapes on the way
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # tiny theta is ill-conditioned
+        warnings.simplefilter("ignore", UserWarning)  # tiny theta is ill-conditioned
         assert cli.main(argv) == 4
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("thetagw: numeric error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("theta, k_max", [("-0.891", 2000), ("-0.95", 2000), ("-0.6", 5000)])

@@ -194,6 +194,20 @@ def test_pmf_route_cap(desk, name, cap):
     assert _pmf_table(p).k_max == cap
 
 
+@pytest.mark.parametrize("call, expected", [
+    (lambda desk: b_triangle(0.5, 4).row(1), DomainError),
+    # row 0 at order 0, as at any order: a table's doubling relies on it
+    (lambda desk: pmf(desk["case5b"][0], 0), lambda desk: pmf(desk["case5b"][0], 8)[:1]),
+    (lambda desk: pmf(desk["case6"][0], 0), lambda desk: [0.15]),
+], ids=["triangle-row-1", "lattice-order-0", "two-point-order-0"])
+def test_input_guards(desk, call, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call(desk)
+    else:
+        assert np.array_equal(call(desk), expected(desk))
+
+
 def test_mass_accounting(per_case):
     name, p, tag = per_case
     s = scalar_summary(p)

@@ -21,8 +21,10 @@ from thetagw import (
     cli,
     conditional_limit_b,
     critical_limit_w,
+    dual_transform,
     eval_f,
     eval_fn,
+    eval_fn_prime,
     expected_absorption,
     fn_series,
     pmf,
@@ -33,6 +35,7 @@ from thetagw import (
     stationary_law,
     validate_classify,
 )
+from thetagw.pgf import _iterated_constants
 
 from conftest import fft_pmf
 
@@ -394,3 +397,50 @@ def test_negative_theta_pmf_matches_fft(raw):
 def test_negative_theta_pmf_prefix_at_the_route_cap():
     p, _ = validate_classify({"theta": -0.891, "a": 0.371, "q": 0.306})
     assert np.array_equal(pmf(p, 10**4)[:2049], pmf(p, 2048))
+
+
+# -- theta = -1 and theta = 0 through the general routes --------------------
+
+
+@PROPERTY
+@given(LOW_A, Q)
+def test_two_point_pmf_is_the_affine_law(a, q):
+    # pmf's series route reads theta = -1 off fn_series, the affine (1 - a)q + a*s
+    p, _ = validate_classify({"theta": -1.0, "a": a, "q": q})
+    law = np.array([(1.0 - a) * q, a, 0.0, 0.0, 0.0, 0.0])
+    law[law < 1e-12] = 0.0  # pmf's clamp
+    for k in (0, 1, 5):
+        assert pmf(p, k).tobytes() == law[: k + 1].tobytes()
+
+
+@PROPERTY
+@given(LOW_A, Q, st.one_of(st.integers(0, 40).map(float), st.floats(0.0, 40.0)))
+def test_two_point_slope_is_a_t(a, q, t):
+    # at theta = -1 both exponents of the general derivative are 0.0
+    p, _ = validate_classify({"theta": -1.0, "a": a, "q": q})
+    a_t = _iterated_constants(p, t)[0]
+    for s in (0.0, q, 1.0):
+        assert eval_fn_prime(p, t, s) == a_t
+
+
+@PROPERTY
+@given(LOW_A, BIG_A, st.floats(0.0, 1.0, exclude_min=True))
+def test_theta0_stationary_law_is_geometric(a, big_a, q):
+    # s (A - q)/(A - sq) has masses ((A - q)/A) (q/A)^(j - 1); the power
+    # recurrence rounds a few times a row, so row j keeps 8 j eps relative
+    try:
+        p, _ = validate_classify({"theta": 0.0, "a": a, "A": big_a, "q": q})
+    except DomainError:  # A = q = 1 wants a >= 1
+        assume(False)
+    got = stationary_law(p, 40).probs
+    j = np.arange(1, 41)
+    law = (big_a - q) / big_a * (q / big_a) ** (j - 1.0)
+    near = np.abs(got - law) <= 8 * j * np.finfo(float).eps * law
+    assert np.all(np.where(got == 0.0, law <= 1e-12 * (1.0 + 1e-12), near))
+
+
+@PROPERTY
+@given(LOW_A, st.floats(1.0, 1e300, exclude_min=True), Q)
+def test_theta0_dual_keeps_c_one_minus_a(a, big_a, q):
+    p, _ = validate_classify({"theta": 0.0, "a": a, "A": big_a, "q": q})
+    assert dual_transform(p).c == 1.0 - a

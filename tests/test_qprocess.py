@@ -190,6 +190,16 @@ def test_q_zero_degenerate(desk):
         conditional_limit_b(p, 10)
 
 
+@pytest.mark.parametrize("call", [
+    lambda desk: stationary_law(desk["case3"][0], 5).prob(0),
+    lambda desk: q_transition_matrix(desk["case5"][0], 1, 3, 3),
+], ids=["limit-law-prob-0", "kernel-at-q-0"])
+def test_input_guards(desk, call):
+    # j counts from 1; q = 0 leaves nothing to condition the kernel on
+    with pytest.raises(DomainError):
+        call(desk)
+
+
 def test_transition_kernel_guards_underflow():
     # a = 2, theta = 1/2: f_n'(q) = a**(-2n) underflows from n ~ 540, and a**n
     # itself overflows past n = 1023; the kernel is 0/0 there, not a number

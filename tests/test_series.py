@@ -103,6 +103,12 @@ def test_deriv_and_scale_and_shift():
     assert list(u.mul_s().coeffs) == [0.0, 1.0, 2.0, 3.0]
 
 
+@pytest.mark.parametrize("coeffs, expected", [([3.0], [0.0]), ([3.0, 2.0], [2.0])])
+def test_deriv_at_low_order(coeffs, expected):
+    # a constant's derivative is the order-0 series 0, not an empty one
+    assert list(Series(coeffs).deriv().coeffs) == expected
+
+
 def test_eval_horner():
     u = Series([1.0, -1.0, 0.5])
     x = 0.3

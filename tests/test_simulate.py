@@ -6,6 +6,7 @@ import math
 import os
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -433,6 +434,22 @@ def test_config_validation(desk):
             estimate_tails(cfg, workers=bad)
     assert simulate_trajectory(cfg, np.int64(1)) == simulate_trajectory(cfg, 1)
     assert counts_digest(estimate_tails(cfg, workers=np.int64(1))) == counts_digest(estimate_tails(cfg))
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda cfg: simulate_trajectory(cfg, cfg.replicates), DomainError),
+    (lambda cfg: SimConfig(params=cfg.params, master_seed=2**64), DomainError),
+    (lambda cfg: estimate_tails(cfg).tail("x"), DomainError),
+    # one replicate leaves no variance to estimate: its standard error is inf
+    (lambda cfg: estimate_tails(replace(cfg, replicates=1)).mean_time()[1], math.inf),
+], ids=["replicate-index-past-the-end", "seed-past-64-bits", "unknown-tail-kind", "one-replicate-se"])
+def test_input_guards(desk, call, expected):
+    cfg = cfg_for(desk, "case6", replicates=10, n_max=5)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call(cfg)
+    else:
+        assert call(cfg) == expected
 
 
 def test_workers_clamped_to_cpu_count(desk, monkeypatch):
