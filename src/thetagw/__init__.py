@@ -7,26 +7,39 @@ parameter sets, evaluates offspring laws and explicit iterates, derives
 extinction and explosion time distributions, builds the conditioned
 (never-absorbed) chain and a continuous-time embedding, and checks all of it
 by simulation.
+
+``import thetagw`` loads no module: the first use of a public name imports
+them all, so ``import thetagw.params`` alone, or ``thetagw classify``, never
+loads numpy.
 """
 
-from . import absorption, embedding, errors, offspring, params, pgf, qprocess, simulate, verify
-from .absorption import *  # noqa: F403
-from .embedding import *  # noqa: F403
-from .errors import *  # noqa: F403
-from .offspring import *  # noqa: F403
-from .params import *  # noqa: F403
-from .pgf import *  # noqa: F403
-from .qprocess import *  # noqa: F403
-from .simulate import *  # noqa: F403
-from .verify import *  # noqa: F403
+import importlib
 
 __version__ = "0.1.0"
 
-#: each module's public names, declared once in its own __all__
-__all__ = [
-    name
-    for module in (
-        absorption, embedding, errors, offspring, params, pgf, qprocess, simulate, verify
-    )
-    for name in module.__all__
-]
+#: the modules whose __all__ lists, in this order, make up the package's names
+_MODULES = ("absorption", "embedding", "errors", "offspring", "params", "pgf", "qprocess",
+            "simulate", "verify")
+
+
+def __getattr__(name: str):
+    """Import the modules on first use of a public name (PEP 562).
+
+    A private or submodule name raises at once, so ``from thetagw import cli``
+    leaves the import system to load the CLI alone.
+    """
+    if name == "__all__" or not (name.startswith("_") or name in (*_MODULES, "cli", "series")):
+        if "__all__" not in globals():
+            names = []
+            for mod in _MODULES:
+                module = importlib.import_module(f".{mod}", __name__)
+                globals().update({n: getattr(module, n) for n in module.__all__})
+                names += module.__all__
+            globals()["__all__"] = names
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})

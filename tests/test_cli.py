@@ -439,6 +439,26 @@ def test_quadrature_paths_run_without_scipy(argv):
     assert blocked.stdout == run_cli(*argv).stdout
 
 
+def test_classify_and_refusals_leave_numpy_unloaded():
+    # import thetagw loads no module, classify is scalar arithmetic in params,
+    # and a refusal comes before any handler imports the library it runs
+    script = (
+        "import sys\n"
+        "import thetagw\n"
+        "assert 'numpy' not in sys.modules, 'import thetagw loaded numpy'\n"
+        "from thetagw.cli import main\n"
+        "assert main(['classify', '--theta', '1.0', '--a', '0.5', '--c', '1.0']) == 0\n"
+        "assert main(['pmf', '--theta', '0.0', '--a', '0.5', '--q', '0.25', '--c', '2.0']) == 3\n"
+        "assert 'numpy' not in sys.modules, 'the CLI loaded numpy'\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert '"case_id": "case3"' in r.stdout
+    assert "parameter error: theta = 0 stores c = 1-a" in r.stderr
+
+
 def test_qprocess_nulls():
     doc = json.loads(run_cli("qprocess", "--theta", "1", "--a", "1",
                              "--c", "1").stdout)

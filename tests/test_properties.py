@@ -15,8 +15,10 @@ from thetagw import (
     ConditioningWarning,
     DomainError,
     NumericError,
+    SingularPathError,
     ThetaParams,
     absorption_tails,
+    build_embedding,
     case_of,
     cli,
     conditional_limit_b,
@@ -27,6 +29,9 @@ from thetagw import (
     eval_fn_prime,
     expected_absorption,
     fn_series,
+    h_coeffs,
+    h_eval,
+    integral_residual,
     pmf,
     q_function,
     q_transition_matrix,
@@ -34,6 +39,7 @@ from thetagw import (
     serialize,
     stationary_law,
     validate_classify,
+    verify,
 )
 from thetagw.pgf import _iterated_constants
 
@@ -444,3 +450,108 @@ def test_theta0_stationary_law_is_geometric(a, big_a, q):
 def test_theta0_dual_keeps_c_one_minus_a(a, big_a, q):
     p, _ = validate_classify({"theta": 0.0, "a": a, "A": big_a, "q": q})
     assert dual_transform(p).c == 1.0 - a
+
+
+# -- the continuous-time embedding over the parameter space -----------------
+
+
+def _embedding_laws(count, seed):
+    """count laws: at odds 7 to 3, a log-uniform in [1e-18, 0.95] with A = 1
+    or uniform in [1, 3) and q in [0, 1) (0 or 1 at 0.2), else a = 1 (at 0.25)
+    or uniform in [1, 3) with c in [0.01, 3); theta uniform in [-1, 1), or one
+    of 0, -1, 1 and -0.5 at 0.2. A draw validate_classify refuses (theta <= 0
+    with a >= 1, A = q = 1 with a < 1) is drawn again."""
+    rng = np.random.default_rng(seed)
+    laws = []
+    while len(laws) < count:
+        theta = float(rng.choice([0.0, -1.0, 1.0, -0.5]) if rng.random() < 0.2
+                      else rng.uniform(-1.0, 1.0))
+        if rng.random() < 0.7:
+            raw = {
+                "theta": theta,
+                "a": float(10.0 ** rng.uniform(-18.0, math.log10(0.95))),
+                "A": 1.0 if rng.random() < 0.5 else float(rng.uniform(1.0, 3.0)),
+                "q": float(rng.choice([0.0, 1.0]) if rng.random() < 0.2
+                           else rng.uniform(0.0, 1.0)),
+            }
+        else:
+            raw = {"theta": theta, "a": 1.0 if rng.random() < 0.25 else float(rng.uniform(1.0, 3.0)),
+                   "c": float(rng.uniform(0.01, 3.0))}
+        try:
+            laws.append(validate_classify(raw)[0])
+        except DomainError:
+            continue
+    return laws
+
+
+# all nine case families: 23 case7, 22 case3, 20 case5, 16 case9, 11 case1,
+# 3 case4, 2 each of case2 and case6, 1 case8
+EMBED_LAWS = _embedding_laws(100, 24)
+
+
+def _flow_rate(p, s):
+    """dF_t(s)/dt at t = 0 from the iterate's closed form alone: (A - F_t)^(-theta)
+    = a^t (A - s)^(-theta) + c (a^t - 1)/(a - 1), A - F_t = (A - q)^(1 - a^t)
+    (A - s)^(a^t) at theta = 0, and F_t = a^t s + (1 - a^t) q at theta = -1."""
+    theta, a, c, big_a, q = p.theta, p.a, p.c, p.big_a, p.q
+    ln_a = math.log(a)
+    if theta == -1.0:
+        return ln_a * (s - q)
+    if theta == 0.0:
+        return (big_a - s) * ln_a * (math.log(big_a - q) - math.log(big_a - s))
+    w = (big_a - s) ** -theta
+    dc = c if a == 1.0 else c * ln_a / (a - 1.0)  # dc_t/dt at t = 0
+    return w ** (-1.0 / theta - 1.0) * (ln_a * w + dc) / theta
+
+
+def test_embedding_generator_is_the_flow_rate_at_zero():
+    # lambda (h(s) - s) = dF_t(s)/dt at t = 0 checks the rate and h against the
+    # iterate. The worst gap on this draw is 1.3e-13 of lambda max(h(s), s)
+    for p in EMBED_LAWS:
+        e = build_embedding(p)
+        for s in (0.1, 0.37, 0.8):
+            h = h_eval(e, s)
+            assert abs(e.lam * (h - s) - _flow_rate(p, s)) <= 1e-11 * e.lam * max(h, s), (p, s)
+
+
+def test_h_coeffs_are_masses_that_sum_to_h_at_1():
+    # tail_mass_bound is h(1) less the sum, clipped at 0: a sum past h(1)
+    # would show as a sum plus bound above h(1)
+    for p in EMBED_LAWS:
+        e = build_embedding(p)
+        trunc = h_coeffs(e, 256)
+        assert np.all(trunc.coeffs >= 0.0), p
+        total = float(np.sum(trunc.coeffs)) + trunc.tail_mass_bound
+        assert abs(total - e.h_at_1) <= 4 * EPS, (p, total, e.h_at_1)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the flow check reaches 1e-6 on 21 of these 100 laws, in six case families "
+    "(case3, 4, 5, 7, 8 and 9), all with a below 3e-5: F_t(s) - q keeps few digits "
+    "there, so the path QAGS integrates ends in the wrong place. 202 of the 600 "
+    "points are skipped, as their path meets q, and a time with every point "
+    "skipped reads 0"))
+def test_embedding_flow_check_passes(monkeypatch):
+    points, skipped = [], []
+
+    def counting(e, t, s):
+        points.append((t, s))
+        try:
+            return integral_residual(e, t, s)
+        except SingularPathError:
+            skipped.append((t, s))
+            raise
+
+    monkeypatch.setattr(verify, "integral_residual", counting)
+    failed = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the quadrature's flag notes
+        for p in EMBED_LAWS:
+            e = build_embedding(p)
+            worst = max(verify._embed_quad_residuals(e, (0.5, 1.0, 2.0)))
+            if not worst < verify._QUAD_TOL:
+                failed[e.tag.case_id, p.theta, p.a, p.big_a, p.q] = worst
+    assert not failed, (
+        f"{len(failed)} of {len(EMBED_LAWS)} laws fail, and {len(skipped)} of "
+        f"{len(points)} points were skipped: {failed}"
+    )
