@@ -26,7 +26,7 @@ import sys
 import time
 
 from .errors import DomainError, NumericError
-from .params import scalar_summary, serialize, validate_classify
+from .params import K_MAX_RATIO, scalar_summary, serialize, validate_classify
 
 _USAGE_EXIT = 2
 _DOMAIN_EXIT = 3
@@ -104,7 +104,6 @@ def _finite(text: str) -> float:
 
 def _rows(text: str) -> int:
     """A whole row count no larger than the largest table the library builds."""
-    from .offspring import K_MAX_RATIO
     x = _real(text)
     if not (x.is_integer() and 0 <= x <= K_MAX_RATIO):
         raise argparse.ArgumentTypeError(

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, TruncationError
-from .params import ThetaParams, _integer, _power, case_of, scalar_summary
+from .params import K_MAX_RATIO, ThetaParams, _integer, _power, case_of, scalar_summary
 from .pgf import _clamp_masses, fn_series, series_coeffs
 
 __all__ = [
@@ -56,8 +56,7 @@ __all__ = [
 #: value returned for an explosive offspring draw
 INFINITE = math.inf
 
-#: largest pmf order per route
-K_MAX_RATIO = 10**6  # theta = 0, -1 and -1/m (O(K))
+#: largest pmf order per route; K_MAX_RATIO, in params, caps the O(K) ones
 K_MAX_TRIANGLE = 10**4  # the triangle, and the series route off theta = -1 (O(K^2))
 
 

@@ -59,6 +59,9 @@ __all__ = [
 #: relative tolerance used when two redundant parameters are cross-checked
 _CONSISTENCY_RTOL = 1e-10
 
+#: largest pmf order of the O(K) routes (theta = 0, -1 and -1/m), and the CLI's row cap
+K_MAX_RATIO = 10**6
+
 #: |theta| below this (but nonzero) is accepted with a conditioning warning
 _THETA_CONDITIONING = 1e-5  # the closed form rounds by about eps/|theta|
 

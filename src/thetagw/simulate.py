@@ -5,10 +5,9 @@ behind them), estimates the absorption-time tails empirically, and reports the
 sup deviation from the closed forms.
 
 Replicate i draws from its own counter-based stream, that of
-Generator(Philox(key=np.array([master_seed, i], dtype=np.uint64))) (under
-antithetic pairing, 2j+1 takes 1 - u of stream 2j), so its outcome depends on
-that key alone: counts are byte-identical for any worker count, chunking,
-batching or scheduling order.
+Generator(Philox(key=np.array([master_seed, i], dtype=np.uint64))), so its
+outcome depends on that key alone: counts are byte-identical for any worker
+count, chunking, batching or scheduling order.
 One Philox per batch reaches any (replicate, position) by re-keying, instead
 of a generator built per replicate.
 
@@ -67,7 +66,6 @@ __all__ = [
     "simulate_ct_skeleton",
 ]
 
-_WILSON_Z = 1.959963984540054  # two-sided 95%
 _CT_ORDER = 4096
 _CT_BLOCK = 64
 _CT_EVENT_CAP = 1_000_000  # a whole number of _CT_BLOCK-event blocks
@@ -103,7 +101,6 @@ class SimConfig:
     n_max: int = 200
     z_cap: int = 10_000_000
     master_seed: int = 0
-    antithetic: bool = False
 
     def __post_init__(self) -> None:
         for name in ("replicates", "n_max", "z_cap"):
@@ -137,8 +134,6 @@ class _DrawAhead:
     Generator(Philox(key=np.array([master_seed, i], dtype=np.uint64))). numpy
     reads a plain list key through float64 once the seed passes 2^63 - 1, and
     that can name another stream.
-    Under antithetic pairing replicates 2j and 2j+1 share stream 2j and the
-    odd one takes 1 - u.
 
     Replicate lo + j reads rows[j] from off[j] on; pos[j] is its stream
     position after the row. A replicate whose need runs past the end of its
@@ -150,7 +145,6 @@ class _DrawAhead:
     """
 
     def __init__(self, cfg: SimConfig, lo: int, count: int):
-        self._anti = cfg.antithetic
         self._bits = np.random.Philox(key=0)  # re-keyed before every use
         self._gen = np.random.Generator(self._bits)
         # plain lists: the state setter reads them faster than arrays
@@ -189,16 +183,13 @@ class _DrawAhead:
         self._pos[rep] += rest + _ROW
         state = self._state["state"]
         for j, p, r, s in zip(rep.tolist(), pos, rest.tolist(), at.tolist()):
-            flip = self._anti and (self._lo + j) & 1
-            state["key"][1] = self._lo + j - flip
+            state["key"][1] = self._lo + j
             state["counter"][0] = p // 4
             self._bits.state = self._state
             if p % 4:
                 self._gen.random(p % 4)  # the draws before p, dropped
-            for a in (u[s : s + r], self._rows[j]):
-                self._gen.random(out=a)
-                if flip:
-                    np.subtract(1.0, a, out=a)
+            self._gen.random(out=u[s : s + r])
+            self._gen.random(out=self._rows[j])
         return u
 
 
@@ -351,15 +342,6 @@ class EmpiricalTails:
     def se(self, kind: str) -> np.ndarray:
         p = self.tail(kind)
         return np.sqrt(p * (1.0 - p) / self.replicates)
-
-    def wilson(self, kind: str):
-        z = _WILSON_Z
-        p = self.tail(kind)
-        r = self.replicates
-        denom = 1.0 + z * z / r
-        center = (p + z * z / (2.0 * r)) / denom
-        half = (z / denom) * np.sqrt(p * (1.0 - p) / r + z * z / (4.0 * r * r))
-        return np.clip(center - half, 0.0, 1.0), np.clip(center + half, 0.0, 1.0)
 
     @property
     def censored_fraction(self) -> float:

@@ -180,12 +180,14 @@ GUMBEL = ["gumbel", "--theta", "-0.5", "--a", "0.5", "--q", "0.3"]
     (["absorb", *P6], {"n": [1]}, 3),
     (["classify", "--a", "0.5", "--q", "0.3"], {"theta": "x"}, 3),
     (["classify", *P6], {"format": "xml"}, 3),
+    (["pmf", *P6], {"k_max": 1000001}, 3),
     (["absorb", *P6, "--n", "1e30"], None, 2),
     (["absorb", *P6, "--n", "nan"], None, 2),
     (["absorb", *P6, "--n", "2.5"], None, 2),
     ([*GUMBEL, "--n", "nan"], None, 2),
     ([*GUMBEL, "--n", "1e30"], None, 2),
     (["pmf", *P6, "--k-max", "100000000000"], None, 2),
+    (["pmf", *P6, "--k-max", "1000001"], None, 2),
     (["qprocess", *P6, "--k-max", "-3"], None, 2),
     (["iterate", *P6, "--n", "nan"], None, 2),
     (["iterate", *P6, "--s", "nan"], None, 2),
@@ -194,8 +196,9 @@ GUMBEL = ["gumbel", "--theta", "-0.5", "--a", "0.5", "--q", "0.3"]
     (["simulate", *P6, "--replicates", "10", "--n-max", "0"], None, 3),
 ], ids=[
     "config-seed", "config-k_max", "config-n-list", "config-theta", "config-format",
-    "absorb-n-huge", "absorb-n-nan", "absorb-n-fraction", "gumbel-n-nan", "gumbel-n-huge",
-    "pmf-k-max-huge", "qprocess-k-max-negative", "iterate-n-nan", "iterate-s-nan", "embed-t-nan",
+    "config-k_max-past-cap", "absorb-n-huge", "absorb-n-nan", "absorb-n-fraction",
+    "gumbel-n-nan", "gumbel-n-huge", "pmf-k-max-huge", "pmf-k-max-past-cap",
+    "qprocess-k-max-negative", "iterate-n-nan", "iterate-s-nan", "embed-t-nan",
     "simulate-n-max-huge", "simulate-n-max-zero",
 ])
 def test_bad_input_exit_codes(tmp_path, capsys, argv, cfg, code):
@@ -449,6 +452,8 @@ def test_classify_and_refusals_leave_numpy_unloaded():
         "from thetagw.cli import main\n"
         "assert main(['classify', '--theta', '1.0', '--a', '0.5', '--c', '1.0']) == 0\n"
         "assert main(['pmf', '--theta', '0.0', '--a', '0.5', '--q', '0.25', '--c', '2.0']) == 3\n"
+        "assert main(['pmf', '--theta', '0.0', '--a', '0.5', '--q', '0.25', '--c', '2.0',\n"
+        "             '--k-max', '5']) == 3\n"
         "assert 'numpy' not in sys.modules, 'the CLI loaded numpy'\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
