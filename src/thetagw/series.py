@@ -9,9 +9,11 @@ term-by-term loop forms them: fsum rounds the exact sum correctly, so the
 coefficients are bitwise the loop's and their error stays at rounding level
 even for K in the hundreds. A product takes one fsum of its k + 1 terms per
 row. A dense power's rows first go 32 at a time through _exact_rows, which
-leaves fsum a few floats a row with the same exact sum. Every row is formed
-on Python floats; a row past the float range (** or fsum overflowing, inf -
-inf, or a coefficient that is not finite) raises NumericError (_formed).
+leaves fsum a few floats a row with the same exact sum. A row of one term
+(an affine base's power or logarithm) is that term + 0.0, its fsum: -0.0
+turns +0.0, inf and nan pass. Every row is formed on Python floats; a row
+past the float range (** or fsum overflowing, inf - inf, or a coefficient
+that is not finite) raises NumericError (_formed).
 
 Only what the closed forms of this family need is implemented: affine seeds,
 ring operations, real powers, logarithms, differentiation and argument
@@ -32,8 +34,8 @@ from .errors import NumericError, UnsupportedFormError
 
 __all__ = ["Series"]
 
-# A base with this few nonzero terms (an affine one has 1) takes its power as a
-# generator, 1.5 us a row at 1 term; a denser one goes through _exact_rows.
+# A base with 2 to this many nonzero terms takes its power as a generator, 0.6-1.4 us
+# a row (one term: 0.2 us, as term + 0.0); a denser one goes through _exact_rows.
 _SCALAR_TERMS = 8
 # rows per block of _exact_rows: its temporaries are _BLOCK * K floats
 _BLOCK = 32
@@ -161,8 +163,9 @@ class Series:
         coefficient:  m*u0*v_m = sum_{j=1..m} (j*alpha + (j - m)) * u_j * v_{m-j}.
         Spelled this way the factor at j = m is m*alpha rounded once, so it
         keeps its digits however small alpha is.
-        Only the nonzero u_j enter a generator, so an affine base costs
-        O(order). A denser base works in blocks of rows m0..m0+31: row m0 + r
+        With one nonzero u_j, as an affine base has, row m is its one term
+        + 0.0, which is that term's fsum. Up to _SCALAR_TERMS nonzero u_j
+        enter a generator. A denser base works in blocks of rows m0..m0+31: row m0 + r
         hands its terms j = r+1..r+m0 (on v_(m0-1)..v_0, zeros kept) to
         _exact_rows and adds its terms j <= r in its one fsum. The rows are
         formed on Python floats, bitwise as a generator forms them; a row past
@@ -175,6 +178,12 @@ class Series:
 
         def rows():
             v = [ul[0] ** alpha]
+            if len(js) == 1:  # one term a row, which fsum returns as term + 0.0
+                (j,), u0 = js, ul[0]
+                v += [0.0] * (j - 1)  # rows m < j: fsum of no terms
+                for m in range(j, n + 1):
+                    v.append(((j * alpha + (j - m)) * ul[j] * v[m - j] + 0.0) / (m * u0))
+                return v
             for m0 in range(1, n + 1, _BLOCK):
                 stop, parts = min(m0 + _BLOCK, n + 1), None  # parts: terms on v_0..v_(m0-1)
                 if len(js) > _SCALAR_TERMS:  # _exact_rows refuses inf and nan
@@ -193,7 +202,8 @@ class Series:
         return Series(_formed(rows, f"series**{alpha}"))
 
     def log(self) -> "Series":
-        """Logarithm via (log u)' * u = u', rows formed on Python floats;
+        """Logarithm via (log u)' * u = u', rows formed on Python floats, a
+        row of one term (an affine base) as that term + 0.0 without fsum;
         needs a positive constant term, NumericError past the float range."""
         u = self.coeffs
         if not u[0] > 0.0:
@@ -203,7 +213,11 @@ class Series:
         def rows():
             out = [math.log(ul[0])]
             for k in range(1, len(ul)):
-                acc = math.fsum((k - i) * out[k - i] * ul[i] for i in nz[: bisect_left(nz, k)])
+                if len(nz) == 1:  # as in pow: at most one term, its fsum is term + 0.0
+                    i = nz[0]
+                    acc = (k - i) * out[k - i] * ul[i] + 0.0 if k > i else 0.0
+                else:
+                    acc = math.fsum((k - i) * out[k - i] * ul[i] for i in nz[: bisect_left(nz, k)])
                 out.append((k * ul[k] - acc) / (k * ul[0]))
             return out
 

@@ -175,11 +175,14 @@ def _base(order, kind, seed):
         u[1:][rng.random(order) < 0.3] = -0.0
     elif kind in (8, 9):
         u[kind + 1 :] = 0.0  # every row from m = kind on has exactly kind terms
+    elif kind == "one":  # one nonzero u_j (j = 1 as in an affine base, or j > 1), ±0.0 elsewhere
+        j = 1 if order < 2 or rng.random() < 0.5 else int(rng.integers(2, order + 1))
+        u[1:] = np.where(np.arange(1, order + 1) == j, u[1:], np.copysign(0.0, u[1:]))
     return u
 
 
 ORDER = st.integers(0, 300)
-KIND = st.sampled_from(["dense", "sparse", "signed_zero", 8, 9])
+KIND = st.sampled_from(["dense", "sparse", "signed_zero", 8, 9, "one"])
 SEED = st.integers(0, 2**32 - 1)
 # the integers, then what fn_series passes: -theta and -1/theta, and a_t > 0;
 # |theta| >= 0.01 keeps |alpha| <= 100, inside the bound of _base
@@ -198,6 +201,11 @@ BITWISE = settings(max_examples=60, derandomize=True, deadline=None)
 @example(9, "dense", 0, -0.5)
 @example(40, 8, 1, 2.5)
 @example(40, 9, 2, -2.0)
+# one term a row (u_1 > 0, u_1 < 0, u_10 < 0): at an integer alpha the factor
+# j*alpha + (j - m) vanishes, and the lone -0.0 terms must come out as +0.0
+@example(40, "one", 5, 1.0)
+@example(60, "one", 0, 2.0)
+@example(40, "one", 3, 3.0)
 def test_pow_bitwise_equals_generator(order, kind, seed, alpha):
     u = _base(order, kind, seed)
     ref = _pow_reference(u, alpha)
@@ -240,8 +248,8 @@ def _one_rule(ours, ref, warn):
 @pytest.mark.parametrize("u_40", [0.0, math.inf])
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 @pytest.mark.parametrize("alpha", [-7.5, -1.0, 40.0])
-def test_pow_overflow_matches_generator(alpha, sign, u_40, warn, terms=15):
-    # u_j = 30 * sign at 15 of j = 1..20, so rows go through _exact_rows with a
+def test_pow_overflow_matches_generator(alpha, sign, u_40, warn, terms=15, u_j=30.0):
+    # By default u_j = 30 * sign at 15 of j = 1..20, so rows go through _exact_rows with a
     # zero u_j in every window. The coefficients overflow near order 200, or
     # turn infinite at order 40 where u_40 is infinite. With sign -1 and
     # alpha < 0 every term is positive, so the generator's rows past that are
@@ -251,7 +259,7 @@ def test_pow_overflow_matches_generator(alpha, sign, u_40, warn, terms=15):
     u = np.zeros(301)
     u[0] = 1.0
     js = [j for j in range(1, 21) if j % 4 != 0][:terms]
-    u[js] = 30.0 * sign
+    u[js] = u_j * sign
     u[40] = sign * u_40
     want = _one_rule(lambda: Series(u).pow(alpha).coeffs, lambda: _pow_reference(u, alpha), warn)
     assert want is None or not np.isfinite(want).all()
@@ -271,10 +279,22 @@ def test_sparse_pow_overflow_matches_generator(alpha, sign, u_40, warn):
     test_pow_overflow_matches_generator(alpha, sign, u_40, warn, terms=_SCALAR_TERMS - 1)
 
 
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("u_40", [0.0, math.inf])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("alpha", [-7.5, -1.0, 40.0])
+def test_one_term_pow_overflow_matches_generator(alpha, sign, u_40, warn):
+    # u = 1 + 1e10 * sign * s, and u_40: with u_40 = 0 every row is one term,
+    # formed as term + 0.0. The coefficients turn infinite near order 30, so
+    # at alpha = 40, where the factor of row 41 is 0, that row is 0 * inf = nan
+    test_pow_overflow_matches_generator(alpha, sign, u_40, warn, terms=1, u_j=1e10)
+
+
 @BITWISE
-@given(ORDER, st.sampled_from(["affine", "dense", "sparse"]), SEED)
+@given(ORDER, st.sampled_from(["affine", "dense", "sparse", "one"]), SEED)
 @example(300, "affine", 0)
 @example(300, "sparse", 1)
+@example(300, "one", 4)  # u_15 alone among signed zeros
 def test_log_bitwise_equals_generator(order, kind, seed):
     u = _base(order, kind, seed)
     if kind == "affine":
@@ -282,6 +302,22 @@ def test_log_bitwise_equals_generator(order, kind, seed):
     ref = _log_reference(u)
     assert np.isfinite(ref).all()
     assert Series(u).log().coeffs.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [-0.37, 2.0])
+def test_affine_pow_and_log_call_no_fsum(alpha, monkeypatch):
+    # every row of an affine base is one term, formed as term + 0.0: a fall
+    # back to the generator route would call math.fsum
+    u = Series.affine(1.3, -1.0, 1024)
+    want = _pow_reference(u.coeffs, alpha), _log_reference(u.coeffs)
+
+    def no_fsum(terms):
+        raise AssertionError("math.fsum called on a one-term row")
+
+    monkeypatch.setattr(math, "fsum", no_fsum)
+    got = u.pow(alpha).coeffs, u.log().coeffs
+    monkeypatch.undo()
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 @pytest.mark.parametrize("warn", ["error", "ignore"])
