@@ -3,11 +3,11 @@
 T_0 is the first generation with no particles, T_1 the first with infinitely
 many, T = min(T_0, T_1). All three tails P(n < . < infinity) have closed
 forms obtained by evaluating the n-th pgf iterate at 0 and 1. Both ends go
-through one gap, gap(n, s) = f_n(s) - q: P(n < T_0 < infinity) = -gap(n, 0)
+through pgf's gap, gap(n, s) = f_n(s) - q: P(n < T_0 < infinity) = -gap(n, 0)
 and P(n < T_1 < infinity) = gap(n, 1). The gap is written in expm1/log1p form
-so that tails of size 1e-300 keep full relative precision; case1 and case2
-keep power forms of their own for T_0. The n-fold composition is exposed as an
-independent oracle.
+so that tails of size 1e-300 keep full relative precision. It needs a < 1, so
+case1 and case2 (where A - q = 0) keep power forms of their own for T_0. The
+n-fold composition is exposed as an independent oracle.
 
 Expected absorption times are tail sums E = sum_{n>=0} P(. > n). The case
 says which diverge: the critical T_0 tail (1 + cn)^(-1/theta) at theta = 1,
@@ -34,7 +34,7 @@ import numpy as np
 from ._quadpack import quad
 from .errors import ConditioningWarning, DomainError, NumericError, RegimeError
 from .params import CaseTag, ThetaParams, _integer, case_of, validate_classify
-from .pgf import compose_iterate
+from .pgf import _g, _gap, compose_iterate
 
 __all__ = [
     "AbsorptionTails",
@@ -71,8 +71,8 @@ class AbsorptionTails:
     so nothing to condition on there).
     t_tail(n)  = f_n(1) - f_n(0) = P(process still alive at n)
 
-    Both tails read one gap, _gap(n, s) = f_n(s) - q: t0_tail is -_gap(n, 0)
-    outside case1 and case2, and t1_tail of an explosive law is _gap(n, 1).
+    t0_tail is -gap(n, 0) outside case1 and case2, and t1_tail of an explosive
+    law is gap(n, 1), with pgf's gap(n, s) = f_n(s) - q; t_tail reads pgf's _g.
 
     Each method takes a scalar or array n; real-valued n is accepted because
     the closed forms interpolate smoothly, which is what the integral
@@ -83,29 +83,6 @@ class AbsorptionTails:
         self.params = p
         self.tag: CaseTag = case_of(p)
         self.explosion_mass = 0.0 if self.tag.regular else 1.0 - p.q
-
-    # -- closed forms ----------------------------------------------------
-
-    def _g(self, s: float) -> float:
-        """1 - ((A - q)/(A - s))^theta; 1 at A = s, which theta < 0 reaches at
-        A = 1: the ratio is infinite there and its theta-power 0."""
-        p = self.params
-        if p.big_a == s:
-            return 1.0
-        return 1.0 - ((p.big_a - p.q) / (p.big_a - s)) ** p.theta
-
-    def _gap(self, nn, s: float):
-        """f_n(s) - q at s = 0 or 1, in expm1/log1p form for every case but
-        case1 and case2."""
-        p = self.params
-        theta, a, q, big_a = p.theta, p.a, p.q, p.big_a
-        if self.tag.case_id == "case6":
-            return -(a**nn * (q - s))  # (q - s), not (s - q): t0_tail keeps +0.0 at q = 0
-        if theta == 0.0:
-            # growth rate of the iterate toward q, exact in expm1 form
-            return -(big_a - q) * np.expm1(a**nn * math.log((big_a - s) / (big_a - q)))
-        with np.errstate(divide="ignore"):  # log1p(-1) at A = 1, s = 1, n = 0
-            return -(big_a - q) * np.expm1((-1.0 / theta) * np.log1p(-(a**nn) * self._g(s)))
 
     def t0_tail(self, n):
         nn = _as_n(n)
@@ -118,12 +95,12 @@ class AbsorptionTails:
             elif cid == "case2":
                 val = (1.0 + p.c * nn) ** (-1.0 / p.theta)
             else:
-                val = -self._gap(nn, 0.0)
+                val = -_gap(p, nn, 0.0)
         return _ret(n, val)
 
     def t1_tail(self, n):
         nn = _as_n(n)
-        val = np.full_like(nn, 1.0 - self.params.q) if self.tag.regular else self._gap(nn, 1.0)
+        val = np.full_like(nn, 1.0 - self.params.q) if self.tag.regular else _gap(self.params, nn, 1.0)
         return _ret(n, val)
 
     def t_tail(self, n):
@@ -140,7 +117,7 @@ class AbsorptionTails:
             an = a**nn
             val = (big_a - q) ** (1.0 - an) * (big_a**an - (big_a - 1.0) ** an)
         else:
-            g0, g1 = self._g(0.0), self._g(1.0)
+            g0, g1 = _g(p, 0.0), _g(p, 1.0)
             an = a**nn
             with np.errstate(divide="ignore"):
                 val = (big_a - q) * (

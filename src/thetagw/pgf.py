@@ -4,7 +4,8 @@ The family is closed under composition: the n-th iterate has the same shape
 with a replaced by a**n and c replaced by c*(a**n - 1)/(a - 1) (or n*c when
 a = 1), and n may be any nonnegative real t, which is what the continuous-time
 embedding uses. compose_iterate is the deliberately naive n-fold composition
-kept as an oracle against the closed form.
+kept as an oracle against the closed form. _gap(p, n, s) = f_n(s) - q holds at
+any s in [0, A] and real n for a < 1 (not case1 or case2: A - q = 0 there).
 
 Arguments live in [0, A]; s = A is evaluated by the continuous limit (for
 theta > 0 the inner bracket diverges and f(A) = A). Rounding just outside
@@ -127,6 +128,29 @@ def eval_fn(p: ThetaParams, t: float, s):
     a_t, c_t = _iterated_constants(p, t)
     out = _eval_family(p.theta, a_t, c_t, p.big_a, p.q, arr)
     return float(out) if np.ndim(s) == 0 else out
+
+
+def _g(p: ThetaParams, s: float) -> float:
+    """1 - ((A - q)/(A - s))^theta; at s = A its theta < 0 limit 1 (the ratio
+    is infinite and its theta-power 0), read there for theta < 0 only."""
+    if p.big_a == s:
+        return 1.0
+    return 1.0 - ((p.big_a - p.q) / (p.big_a - s)) ** p.theta
+
+
+def _gap(p: ThetaParams, n, s: float):
+    """f_n(s) - q in expm1/log1p form, so that a gap of 1e-300 keeps its relative
+    precision; n is real (scalar or array), and f_n(A) - q = A - q for theta >= 0."""
+    theta, a, q, big_a = p.theta, p.a, p.q, p.big_a
+    if theta == -1.0:
+        return -(a**n * (q - s))  # (q - s), not (s - q): t0_tail keeps +0.0 at q = 0
+    if theta >= 0.0 and s == big_a:  # the forms below reach it only as a limit
+        return np.full(np.shape(n), big_a - q)
+    if theta == 0.0:
+        # growth rate of the iterate toward q, exact in expm1 form
+        return -(big_a - q) * np.expm1(a**n * math.log((big_a - s) / (big_a - q)))
+    with np.errstate(divide="ignore"):  # log1p(-1) at A = 1, s = 1, n = 0
+        return -(big_a - q) * np.expm1((-1.0 / theta) * np.log1p(-(a**n) * _g(p, s)))
 
 
 def eval_fn_prime(p: ThetaParams, t: float, s):

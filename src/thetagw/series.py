@@ -8,8 +8,8 @@ of a product or power is math.fsum of its row's terms, formed as a
 term-by-term loop forms them: fsum rounds the exact sum correctly, so the
 coefficients are bitwise the loop's and their error stays at rounding level
 even for K in the hundreds. A product takes one fsum of its k + 1 terms per
-row. A dense power's rows first go 32 at a time through _exact_rows, which
-leaves fsum a few floats a row with the same exact sum. A row of one term
+row. A power's rows first go 32 at a time through _exact_rows, which leaves
+fsum a few floats a row with the same exact sum. A row of one term
 (an affine base's power or logarithm) is that term + 0.0, its fsum: -0.0
 turns +0.0, inf and nan pass. Every row is formed on Python floats; a row
 past the float range (** or fsum overflowing, inf - inf, or a coefficient
@@ -34,9 +34,6 @@ from .errors import NumericError, UnsupportedFormError
 
 __all__ = ["Series"]
 
-# A base with 2 to this many nonzero terms takes its power as a generator, 0.6-1.4 us
-# a row (one term: 0.2 us, as term + 0.0); a denser one goes through _exact_rows.
-_SCALAR_TERMS = 8
 # rows per block of _exact_rows: its temporaries are _BLOCK * K floats
 _BLOCK = 32
 
@@ -164,10 +161,10 @@ class Series:
         Spelled this way the factor at j = m is m*alpha rounded once, so it
         keeps its digits however small alpha is.
         With one nonzero u_j, as an affine base has, row m is its one term
-        + 0.0, which is that term's fsum. Up to _SCALAR_TERMS nonzero u_j
-        enter a generator. A denser base works in blocks of rows m0..m0+31: row m0 + r
-        hands its terms j = r+1..r+m0 (on v_(m0-1)..v_0, zeros kept) to
-        _exact_rows and adds its terms j <= r in its one fsum. The rows are
+        + 0.0, which is that term's fsum. Any other base works in blocks of
+        rows m0..m0+31: row m0 + r hands its terms j = r+1..r+m0 (on
+        v_(m0-1)..v_0, zeros kept) to _exact_rows and adds its terms j <= r in
+        its one fsum (all in one fsum if _exact_rows refuses). The rows are
         formed on Python floats, bitwise as a generator forms them; a row past
         the float range raises NumericError.
         """
@@ -186,7 +183,7 @@ class Series:
                 return v
             for m0 in range(1, n + 1, _BLOCK):
                 stop, parts = min(m0 + _BLOCK, n + 1), None  # parts: terms on v_0..v_(m0-1)
-                if len(js) > _SCALAR_TERMS:  # _exact_rows refuses inf and nan
+                if js:  # _exact_rows refuses inf and nan
                     # row m0 + r, column i: j = r + 1 + i, j - m = i + 1 - m0, m - j = m0 - 1 - i
                     t = _windows(np.arange(1, stop) * alpha, m0) + np.arange(1 - m0, 1)
                     t *= _windows(u[1:stop], m0)

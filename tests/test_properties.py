@@ -41,7 +41,7 @@ from thetagw import (
     validate_classify,
     verify,
 )
-from thetagw.pgf import _iterated_constants
+from thetagw.pgf import _gap, _iterated_constants
 
 from conftest import fft_pmf
 
@@ -296,23 +296,23 @@ def test_critical_limit_w_is_the_law_before_extinction(theta, c):
 # -- the tails against the closed forms in decimal -----------------------------
 
 
-def _exact_tail(p, n, s):
-    """q - f_n(0) at s = 0, f_n(1) - q at s = 1: the closed form of the n-th
+def _exact_gap(p, n, s):
+    """f_n(s) - q at any s in [0, A] and real n: the closed form of the n-th
     iterate, A - f_n(s) = (a^n (A - s)^(-theta) + (1 - a^n) (A - q)^(-theta))^(-1/theta)
     and (A - q)^(1 - a^n) (A - s)^(a^n) at theta = 0, in decimal on the exact
-    values of p's floats. 360 digits, because a tail of 1e-300 is a difference
-    of numbers of order 1: 80 would leave it none."""
+    values of p's floats and s. 360 digits, because a tail of 1e-300 is a
+    difference of numbers of order 1: 80 would leave it none."""
     with localcontext() as ctx:
         ctx.prec = 360
-        theta, a, big_a, q = (Decimal(x) for x in (p.theta, p.a, p.big_a, p.q))
-        an, gap, x = a**n, big_a - q, big_a - s
+        theta, a, big_a, q, s = (Decimal(x) for x in (p.theta, p.a, p.big_a, p.q, s))
+        an, gap, x = a ** Decimal(n), big_a - q, big_a - s
         if theta == 0:
             rest = gap ** (1 - an) * x**an
         elif x == 0:  # (A - s)^(-theta) is infinite for theta > 0, 0 below
             rest = 0 if theta > 0 else ((1 - an) * gap**-theta) ** (-1 / theta)
         else:
             rest = (an * x**-theta + (1 - an) * gap**-theta) ** (-1 / theta)
-        return float(rest - gap if s == 0 else gap - rest)
+        return float(gap - rest)
 
 
 TAIL_LAW = settings(max_examples=100, derandomize=True, deadline=None)
@@ -327,7 +327,7 @@ EPS = np.finfo(float).eps
 
 def _check_tail(theta, a, big_a, q, s, ulps):
     """The tail at s (0: t0_tail, 1: t1_tail) within ulps * eps / min(1, |theta|)
-    relative of _exact_tail, at five n from 0 to where a^n reaches 1e-300; an
+    relative of _exact_gap, at five n from 0 to where a^n reaches 1e-300; an
     exact tail below 1e-300 is past the promise, and one of 0 must read 0."""
     try:
         p, _ = validate_classify({"theta": theta, "a": a, "A": big_a, "q": q})
@@ -338,7 +338,7 @@ def _check_tail(theta, a, big_a, q, s, ulps):
     tol = ulps * EPS / min(1.0, abs(theta) or 1.0)  # the closed form rounds by about eps/|theta|
     last = math.ceil(math.log(1e-300) / math.log(a))
     for n in (0, 1, last // 3, 2 * last // 3, last):
-        exact, got = _exact_tail(p, n, s), tail(n)
+        exact, got = _exact_gap(p, n, s) if s else -_exact_gap(p, n, 0), tail(n)
         if exact == 0.0 or exact >= 1e-300:
             assert abs(got - exact) <= tol * exact, (n, got, exact)
 
@@ -370,9 +370,42 @@ def test_t0_tail_keeps_relative_precision_at_small_q():
     for theta in (-0.5, 0.0, 0.5):
         for q in (1e-9, 1e-20):
             p, _ = validate_classify({"theta": theta, "a": 0.5, "A": 2.0, "q": q})
-            assert _exact_tail(p, 0, 0) == q
+            assert -_exact_gap(p, 0, 0) == q
             errors[theta, q] = abs(absorption_tails(p).t0_tail(0) - q) / q
     assert max(errors.values()) <= 16 * EPS, errors
+
+
+@TAIL_LAW
+@given(TAIL_THETA, TAIL_A, TAIL_BIG_A, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_gap_is_the_iterate_less_q_inside_the_interval(theta, a, big_a, q):
+    # pgf's gap at s between 0 and q and between q and 1, not only at the ends
+    # the tails read. Rounding (A - q)/(A - s) costs about eps * A/|s - q|
+    # relative, so |s - q| >= 0.05 keeps it below 60 eps (400 drawn laws
+    # reached 23 eps/min(1, |theta|))
+    try:
+        p, _ = validate_classify({"theta": theta, "a": a, "A": big_a, "q": q})
+    except DomainError:  # A = q = 1 wants a >= 1
+        assume(False)
+    tol = 64 * EPS / min(1.0, abs(theta) or 1.0)
+    ns = np.array([0.0, 1.0, 5.0, 30.0])
+    for s in (q / 2.0, (q + 1.0) / 2.0):
+        if abs(s - q) >= 0.05:
+            got = _gap(p, ns, s)
+            for n, value in zip(ns, got):
+                exact = _exact_gap(p, n, s)
+                assert abs(value - exact) <= tol * abs(exact), (n, s, value, exact)
+
+
+@pytest.mark.parametrize("big_a", [1.0, 2.0])
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_gap_at_a_is_a_less_q(theta, big_a):
+    # f_n(A) = A for theta >= 0, where the expm1/log1p form reaches A only as
+    # a limit: at A = 1 its bracket diverges, and at theta = 0 log(0) raises
+    ns = [0.0, 1.0, 2.5, 30.0]
+    for a, q in ((0.5, 0.0), (0.3, 0.6), (0.9, 0.99)):
+        p, _ = validate_classify({"theta": theta, "a": a, "A": big_a, "q": q})
+        assert [float(_gap(p, n, big_a)) for n in ns] == [big_a - q] * 4
+        assert _gap(p, np.array(ns), big_a).tolist() == [big_a - q] * 4
 
 
 # 30 laws with theta in (-1, 0) off the -1/m lattice, where pmf takes the series

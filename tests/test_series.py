@@ -14,7 +14,7 @@ from scipy.special import binom as sp_binom
 from thetagw import validate_classify
 from thetagw.errors import NumericError, UnsupportedFormError
 from thetagw.pgf import fn_series
-from thetagw.series import _SCALAR_TERMS, Series, _exact_rows
+from thetagw.series import Series, _exact_rows
 
 from conftest import DESK_RAW
 
@@ -274,9 +274,9 @@ def test_pow_overflow_matches_generator(alpha, sign, u_40, warn, terms=15, u_j=3
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 @pytest.mark.parametrize("alpha", [-7.5, -1.0, 40.0])
 def test_sparse_pow_overflow_matches_generator(alpha, sign, u_40, warn):
-    # u_j = 30 * sign at j = 1, 2, 3, 5, 6, 7, 9, and u_40: at most
-    # _SCALAR_TERMS nonzero u_j, so every row is a generator
-    test_pow_overflow_matches_generator(alpha, sign, u_40, warn, terms=_SCALAR_TERMS - 1)
+    # u_j = 30 * sign at j = 1, 2, 3, 5, 6, 7, 9, and u_40: a sparse base takes
+    # the block route, whose zero u_j enter _exact_rows as exact zeros
+    test_pow_overflow_matches_generator(alpha, sign, u_40, warn, terms=7)
 
 
 @pytest.mark.parametrize("warn", ["error", "ignore"])
@@ -355,7 +355,7 @@ def test_dense_pow_and_mul_bitwise_across_blocks(name, monkeypatch):
     monkeypatch.setattr(Series, "pow", lambda s, alpha: calls.append((s.coeffs, alpha)) or real(s, alpha))
     fn_series(p, 1.0, 1100)
     monkeypatch.undo()
-    (u, alpha), = [(c, a) for c, a in calls if np.count_nonzero(c[1:]) > _SCALAR_TERMS]
+    (u, alpha), = [(c, a) for c, a in calls if np.count_nonzero(c[1:]) > 1]
     v = Series(u).pow(alpha).coeffs
     assert v.tobytes() == _pow_reference(u, alpha).tobytes()
     assert (Series(u) * Series(v)).coeffs.tobytes() == _mul_reference(u, v).tobytes()
