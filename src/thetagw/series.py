@@ -8,8 +8,9 @@ of a product or power is math.fsum of its row's terms, formed as a
 term-by-term loop forms them: fsum rounds the exact sum correctly, so the
 coefficients are bitwise the loop's and their error stays at rounding level
 even for K in the hundreds. A product takes one fsum of its k + 1 terms per
-row. A power's rows first go 32 at a time through _exact_rows, which leaves
-fsum a few floats a row with the same exact sum. A row of one term
+row. A power forms its rows 32 at a time: _exact_rows splits a row's terms on
+earlier blocks, sliced from Hankel views, into a few floats with the same exact
+sum, and the block's own terms reach fsum through map. A row of one term
 (an affine base's power or logarithm) is that term + 0.0, its fsum: -0.0
 turns +0.0, inf and nan pass. Every row is formed on Python floats; a row
 past the float range (** or fsum overflowing, inf - inf, or a coefficient
@@ -22,9 +23,9 @@ scaling.
 
 from __future__ import annotations
 
-import itertools
 import math
-from bisect import bisect_left, bisect_right
+import operator
+from bisect import bisect_left
 from typing import Iterable
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import NumericError, UnsupportedFormError
 
 __all__ = ["Series"]
 
-# rows per block of _exact_rows: its temporaries are _BLOCK * K floats
+# rows per block of Series.pow: its views and _exact_rows's temporaries are _BLOCK * K floats
 _BLOCK = 32
 
 
@@ -45,23 +46,23 @@ def _exact_rows(terms: np.ndarray) -> list[list[float]] | None:
     Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31 (2008)
     189-224): for sigma a power of two >= 2**M * max|r| and 2**M >= width + 2,
     q = (sigma + r) - sigma and r - q are exact and a row's q add up exactly.
-    Each pass keeps that sum and leaves residuals at least 2**(52 - M) times smaller.
-    The passes share one q and one residual array; terms is left as it is.
+    One sigma a pass, from the block's largest |r|, bounds every row and shrinks
+    residuals at least 2**(52 - M)-fold; passes share one q and r, terms untouched.
     """
     shift = (terms.shape[1] + 1).bit_length()  # M
-    big = np.maximum(terms.max(axis=1), -terms.min(axis=1))  # max|term|, nan on a nan
-    if not (big < 2.0 ** (1000 - shift)).all():
+    big = max(terms.max(), -terms.min())  # max|term|, nan on a nan
+    if not big < 2.0 ** (1000 - shift):
         return None
     parts, r, q = [], terms, np.empty_like(terms)
-    while big.any():
+    while big:
         if len(parts) == 60:
             return None
-        sigma = np.ldexp(1.0, np.frexp(big)[1] + shift)[:, None]
-        np.add(sigma, r, out=q)
+        sigma = math.ldexp(1.0, math.frexp(big)[1] + shift)
+        np.add(r, sigma, out=q)
         q -= sigma
         r = terms - q if r is terms else np.subtract(r, q, out=r)  # terms stay as they are
         parts.append(q.sum(axis=1))
-        big = np.maximum(r.max(axis=1), -r.min(axis=1))
+        big = max(r.max(), -r.min())
     return np.transpose(parts).tolist() if parts else [[]] * len(terms)
 
 
@@ -162,11 +163,11 @@ class Series:
         keeps its digits however small alpha is.
         With one nonzero u_j, as an affine base has, row m is its one term
         + 0.0, which is that term's fsum. Any other base works in blocks of
-        rows m0..m0+31: row m0 + r hands its terms j = r+1..r+m0 (on
-        v_(m0-1)..v_0, zeros kept) to _exact_rows and adds its terms j <= r in
-        its one fsum (all in one fsum if _exact_rows refuses). The rows are
-        formed on Python floats, bitwise as a generator forms them; a row past
-        the float range raises NumericError.
+        rows m0..m0+31: row m0 + r adds in one fsum _exact_rows's split of its
+        terms j = r+1..r+m0 (on v_(m0-1)..v_0, from Hankel views made once a
+        call; the terms if it refuses) and its terms j <= r, through map on
+        factors made once a block, 0.0 at a zero u_j. Rows are formed on Python
+        floats, bitwise as a generator forms them; NumericError past the range.
         """
         u = self.coeffs
         if not u[0] > 0.0:
@@ -175,25 +176,30 @@ class Series:
 
         def rows():
             v = [ul[0] ** alpha]
-            if len(js) == 1:  # one term a row, which fsum returns as term + 0.0
-                (j,), u0 = js, ul[0]
+            if len(js) < 2:  # one term a row, which fsum returns as term + 0.0 (none: j = n + 1)
+                (j,), u0 = js or [n + 1], ul[0]
                 v += [0.0] * (j - 1)  # rows m < j: fsum of no terms
                 for m in range(j, n + 1):
                     v.append(((j * alpha + (j - m)) * ul[j] * v[m - j] + 0.0) / (m * u0))
                 return v
+            # history views: row r, column i of a block holds the term j = r + 1 + i
+            up, ja = np.concatenate((u[1:], np.zeros(_BLOCK - 1))), np.arange(1, n + _BLOCK) * alpha
+            hja, hu, jm, vf = _windows(ja, n), _windows(up, n), np.arange(1.0 - n, 1.0), np.full(n + 1, v[0])
+            # in-block factors (j*alpha + (j - m)) * u_j, 0.0 where u_j = 0: row r, column j - 1
+            uin, jin = up[: _BLOCK - 1], ja[: _BLOCK - 1]
+            dj = np.arange(1, _BLOCK) - np.arange(_BLOCK)[:, None]  # j - r, and j - m = j - r - m0
             for m0 in range(1, n + 1, _BLOCK):
-                stop, parts = min(m0 + _BLOCK, n + 1), None  # parts: terms on v_0..v_(m0-1)
-                if js:  # _exact_rows refuses inf and nan
-                    # row m0 + r, column i: j = r + 1 + i, j - m = i + 1 - m0, m - j = m0 - 1 - i
-                    t = _windows(np.arange(1, stop) * alpha, m0) + np.arange(1 - m0, 1)
-                    t *= _windows(u[1:stop], m0)
-                    t *= v[::-1]
-                    parts = _exact_rows(t)
-                for m in range(m0, stop):
-                    c = bisect_right(js, m - m0 if parts else m)  # zero u_j leave an exact sum as it is
-                    terms = ((j * alpha + (j - m)) * ul[j] * v[m - j] for j in js[:c])
-                    terms = itertools.chain(parts[m - m0], terms) if parts else terms
-                    v.append(math.fsum(terms) / (m * ul[0]))
+                stop = min(m0 + _BLOCK, n + 1)
+                t = hja[: stop - m0, :m0] + jm[n - m0 :]
+                t *= hu[: stop - m0, :m0]
+                t *= vf[m0 - 1 :: -1]  # v_(m0-1)..v_0
+                cin = np.where(uin == 0.0, 0.0, (jin + (dj[: stop - m0] - m0)) * uin).tolist()
+                if (parts := _exact_rows(t)) is None:  # then all terms in one fsum, zero u_j out
+                    hist = np.where(hu[: stop - m0, :m0] == 0.0, 0.0, t).tolist()
+                for r, m in enumerate(range(m0, stop)):
+                    ins = map(operator.mul, cin[r], v[m - 1 : m0 - 1 : -1])  # j = 1..r
+                    v.append(math.fsum([*parts[r], *ins] if parts else [*ins, *hist[r]]) / (m * ul[0]))
+                vf[m0:stop] = v[m0:stop]
             return v
 
         return Series(_formed(rows, f"series**{alpha}"))
@@ -223,10 +229,7 @@ class Series:
     def deriv(self) -> "Series":
         """Coefficients of the derivative, truncated at order - 1."""
         n = self.order
-        if n == 0:
-            return Series(np.zeros(1))
-        k = np.arange(1, n + 1, dtype=float)
-        return Series(self.coeffs[1:] * k)
+        return Series(self.coeffs[1:] * np.arange(1.0, n + 1) if n else np.zeros(1))
 
     def scale_arg(self, r: float) -> "Series":
         """Substitute s -> r*s."""
@@ -235,10 +238,7 @@ class Series:
 
     def mul_s(self) -> "Series":
         """Multiply by s, dropping the top coefficient to keep the order."""
-        arr = np.empty_like(self.coeffs)
-        arr[0] = 0.0
-        arr[1:] = self.coeffs[:-1]
-        return Series(arr)
+        return Series(np.concatenate(([0.0], self.coeffs[:-1])))
 
     def __repr__(self) -> str:  # pragma: no cover
         head = ", ".join(f"{v:.6g}" for v in self.coeffs[:6])

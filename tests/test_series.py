@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 from scipy.special import binom as sp_binom
 
+import thetagw.series
 from thetagw import validate_classify
 from thetagw.errors import NumericError, UnsupportedFormError
 from thetagw.pgf import fn_series
@@ -361,6 +362,59 @@ def test_dense_pow_and_mul_bitwise_across_blocks(name, monkeypatch):
     assert (Series(u) * Series(v)).coeffs.tobytes() == _mul_reference(u, v).tobytes()
 
 
+def _inner_base(name, order, monkeypatch):
+    """(u, alpha) of fn_series's dense power for a desk law: the oracle's base."""
+    p, _ = validate_classify(DESK_RAW[name])
+    calls, real = [], Series.pow
+    monkeypatch.setattr(Series, "pow", lambda s, alpha: calls.append((s.coeffs, alpha)) or real(s, alpha))
+    fn_series(p, 1.0, order)
+    monkeypatch.undo()
+    (base,) = [(c, a) for c, a in calls if np.count_nonzero(c[1:]) > 1]
+    return base
+
+
+@pytest.mark.parametrize("name", ["case3", "case9b"])
+def test_refused_blocks_keep_generator_bytes(name, monkeypatch):
+    # with every block refused, each row adds its history terms, as the block
+    # formed them, and its in-block terms in one fsum
+    u, alpha = _inner_base(name, 200, monkeypatch)
+    monkeypatch.setattr(thetagw.series, "_exact_rows", lambda terms: None)
+    assert Series(u).pow(alpha).coeffs.tobytes() == _pow_reference(u, alpha).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+@pytest.mark.parametrize("order", [0, 1, 31, 32, 33, 64, 65])
+def test_pow_block_edges_bitwise_equal_generator(order, kind):
+    # orders at the edges of the 32-row blocks; at order 0, and for a sparse
+    # base at order 1, no u_j past u_0 is nonzero
+    u = _base(order, kind, order)
+    for alpha in (-0.5, 2.5, 7.0):
+        assert Series(u).pow(alpha).coeffs.tobytes() == _pow_reference(u, alpha).tobytes()
+
+
+def test_pow_rows_far_apart_in_one_block_bitwise_equal_generator():
+    # u_j = 2**(-220 - 40 j), zero from j = 22 on, and alpha = -4.5: v_m is near
+    # 2**(990 - 40 m), so the rows of the first block lie about 2**1240 apart,
+    # and the block's one sigma, set by its first row, splits its last in many passes
+    u = np.ldexp(1.0, -220 - 40 * np.arange(65))
+    ref = _pow_reference(u, -4.5)
+    assert np.isfinite(ref).all() and np.log2(abs(ref[1])) - np.log2(abs(ref[32])) > 1200
+    assert Series(u).pow(-4.5).coeffs.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1e307, -1e307])
+def test_zero_u_j_stay_out_of_overflowing_factors(alpha):
+    # j*alpha overflows from j = 18 on, where every u_j is zero, while the
+    # generator's rows, over u_1, u_2 and u_5 alone, stay finite: an inf factor
+    # times a zero u_j must make no nan, in the block's own terms nor in the
+    # history of a block that _exact_rows refuses
+    u = np.zeros(41)
+    u[[0, 1, 2, 5]] = 1.0, 1e-300, 1e-300, -1e-300
+    ref = _pow_reference(u, alpha)
+    assert np.isfinite(ref).all()
+    assert Series(u).pow(alpha).coeffs.tobytes() == ref.tobytes()
+
+
 def _block(rows, width, seed, spread, kind):
     """rows x width terms, magnitudes e**(-spread)..e**spread."""
     rng = np.random.default_rng(seed)
@@ -372,6 +426,9 @@ def _block(rows, width, seed, spread, kind):
         t[::2] = np.copysign(0.0, t[::2])
     elif kind == "subnormal":  # every other row scaled down to a largest term of 2**-1030
         t[::2] *= 2.0**-1030 / np.abs(t[::2]).max(axis=1, keepdims=True)
+    elif kind == "far":  # largest terms from 2**900 in the first row down to 2**-1000 in the last
+        t /= np.abs(t).max(axis=1, keepdims=True)
+        t *= np.ldexp(1.0, np.linspace(900, -1000, rows).astype(int))[:, None]
     return t
 
 
@@ -395,6 +452,25 @@ def test_exact_rows_sum_like_fsum(rows, width, seed, spread, kind):
     assert parts is not None and len(parts) == rows
     got = np.array([math.fsum(part) for part in parts])
     assert got.tobytes() == np.array([math.fsum(row) for row in t.tolist()]).tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(2, 32), st.integers(1, 1100), SEED, st.floats(0.0, 600.0))
+@example(32, 1100, 0, 600.0)
+@example(32, 1, 1, 0.0)
+def test_exact_rows_split_rows_far_below_the_blocks_sigma(rows, width, seed, spread):
+    # one sigma serves the block, set by its largest term near 2**900, so a row
+    # near 2**-1000 is split only once the passes come down to it. Each pass
+    # shrinks the residuals by at least 2**(52 - M), so the block needs at most
+    # (e + 1074) / (52 - M) + 1 passes, e the exponent of its largest term:
+    # a refusal is allowed only where that passes 60
+    t = _block(rows, width, seed, spread, "far")
+    parts = _exact_rows(t)
+    top = math.frexp(np.abs(t).max())[1]
+    assert parts is not None or (top + 1074) / (52 - (width + 1).bit_length()) + 1 > 60
+    if parts is not None:
+        got = np.array([math.fsum(part) for part in parts])
+        assert got.tobytes() == np.array([math.fsum(row) for row in t.tolist()]).tobytes()
 
 
 def test_exact_rows_refuses_what_it_cannot_split():
