@@ -262,12 +262,10 @@ def _cmd_absorb(opts):
     t0 = tails.t0_tail(n)
     t1 = tails.t1_tail(n)
     tt = tails.t_tail(n)
+    header = ["n", "t0_tail", "t1_tail", "t_tail"]
     payload = {
         **head,
-        "n": list(n),
-        "t0_tail": list(t0),
-        "t1_tail": list(t1),
-        "t_tail": list(tt),
+        **dict(zip(header, (list(n), list(t0), list(t1), list(tt)))),
         "expected": _record(expected_absorption(p)),
     }
     rows = [[int(k), t0[k], t1[k], tt[k]] for k in range(hor + 1)]
@@ -275,7 +273,7 @@ def _cmd_absorb(opts):
         f"n={k:4d}  t0={_fmt(r1)}  t1={_fmt(r2)}  t={_fmt(r3)}"
         for k, r1, r2, r3 in rows
     ) + "\n"
-    return payload, (["n", "t0_tail", "t1_tail", "t_tail"], rows), text, []
+    return payload, (header, rows), text, []
 
 
 @_command("gumbel", "near-critical explosion-time limit on the y-lattice", tabular=True,
@@ -289,14 +287,12 @@ def _cmd_gumbel(opts):
     big_a = opts["A"] if opts["A"] is not None else 1.0  # A = 1 as in validate_classify
     rec = gumbel_limit(a, q, theta=opts["theta"], big_a=big_a, r=opts["r"])
     rows = rec.lattice(opts["n"])
-    payload = {
-        **_record(rec, big_a="A"),
-        "rows": [{"y": y, "exact": e, "limit": l} for y, e, l in rows],
-    }
+    header = ["y", "exact", "limit"]
+    payload = {**_record(rec, big_a="A"), "rows": [dict(zip(header, row)) for row in rows]}
     text = "\n".join(
         f"y={_fmt(y)}  exact={_fmt(e)}  limit={_fmt(l)}" for y, e, l in rows
     ) + "\n"
-    return payload, (["y", "exact", "limit"], rows), text, []
+    return payload, (header, rows), text, []
 
 
 @_command("qprocess", "harmonic function and the three limit laws", k_max=(_rows, 50))
@@ -397,6 +393,7 @@ def _cmd_simulate(opts):
     tt = emp.tail("t")
     se = emp.se("t")
     rows = [[n, t0[n], t1[n], tt[n], se[n]] for n in range(cfg.n_max + 1)]
+    header = ["n", "emp_t0_tail", "emp_t1_tail", "emp_t_tail", "se"]
     summary = {
         "ks": _record(ks),
         "censored_fraction": emp.censored_fraction,
@@ -405,18 +402,14 @@ def _cmd_simulate(opts):
     payload = {
         **head,
         "replicates": cfg.replicates,
-        "rows": [
-            {"n": n, "emp_t0_tail": a_, "emp_t1_tail": b_, "emp_t_tail": c_, "se": d_}
-            for n, a_, b_, c_, d_ in rows
-        ],
+        "rows": [dict(zip(header, row)) for row in rows],
         **summary,
     }
     text = (
         f"replicates={cfg.replicates} censored={_fmt(emp.censored_fraction)}\n"
         "ks: " + " ".join(f"{k}={_fmt(v)}" for k, v in summary["ks"].items()) + "\n"
     )
-    csv_spec = (["n", "emp_t0_tail", "emp_t1_tail", "emp_t_tail", "se"], rows)
-    return payload, csv_spec, text, [], _json_doc(summary)
+    return payload, (header, rows), text, [], _json_doc(summary)
 
 
 @_command("verify", "cross-module identity suite (one set per case by default)",

@@ -1,6 +1,7 @@
 """Offspring distribution: exact masses, the coefficient triangle, sampling.
 
-Four disjoint pmf routes, dispatched on theta:
+Four disjoint pmf routes; _route(p) picks p's route, dispatched on theta, and
+its cap, the largest order that route computes:
 
 - theta in (0, 1]: p_0 and p_1 in closed form, then
   p_n = a * A^(1-n) * (a + c*A^theta)^(-(1+theta)/theta) / n! *
@@ -25,8 +26,8 @@ Four disjoint pmf routes, dispatched on theta:
 pmf_oracle is series extraction for every theta: an independent check of the
 other routes, and the series route itself. Sampling is inverse-CDF on an
 OffspringTable of masses, an escape mass and a cap. _pmf_table(p), a fresh
-table of escape 1 - f(1) and the largest order pmf computes (10^6 for the O(K)
-laws: theta = 0, -1 and -1/m; 10^4 for the rest), doubles on demand and raises
+table of escape 1 - f(1) capped at _route's cap (10^6 for the O(K) laws:
+theta = 0, -1 and -1/m; 10^4 for the rest), doubles on demand and raises
 TruncationError for a draw uncovered at the cap; simulate.py caches one per
 law, up to 2^21 boundaries in all.
 """
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -182,28 +184,26 @@ def _pmf_neg_recip(p: ThetaParams, order: int, m: int) -> np.ndarray:
     return probs
 
 
-def _k_max_of(p: ThetaParams) -> int:
-    """The largest order pmf computes for p: its route's cap."""
-    ratio = p.theta in (0.0, -1.0) or _neg_recip_m(p.theta) is not None
-    return K_MAX_RATIO if ratio else K_MAX_TRIANGLE
+def _route(p: ThetaParams):
+    """p's pmf route, masses(p, order) before the clamp, and its cap."""
+    if p.theta == 0.0:
+        return _pmf_theta0, K_MAX_RATIO
+    if (m := _neg_recip_m(p.theta)) is not None:
+        return partial(_pmf_neg_recip, m=m), K_MAX_RATIO
+    if p.theta < 0.0:  # theta = -1 included: fn_series is the affine (1-a)q + a*s, O(K)
+        cap = K_MAX_RATIO if p.theta == -1.0 else K_MAX_TRIANGLE
+        return (lambda p, order: fn_series(p, 1.0, order).coeffs), cap
+    return _pmf_triangle, K_MAX_TRIANGLE
 
 
 def pmf(p: ThetaParams, order: int) -> np.ndarray:
     """Offspring masses p_0..p_order up to the route's cap; clamped at 1e-12."""
     _integer("order", order, 0)
     case_of(p)
-    if order > _k_max_of(p):
-        raise DomainError(f"order {order} exceeds {_k_max_of(p)}, the largest this route computes")
-    m = _neg_recip_m(p.theta)
-    if p.theta == 0.0:
-        probs = _pmf_theta0(p, order)
-    elif m is not None:
-        probs = _pmf_neg_recip(p, order, m)
-    elif p.theta < 0.0:  # theta = -1 included: fn_series is the affine (1-a)q + a*s
-        probs = fn_series(p, 1.0, order).coeffs
-    else:
-        probs = _pmf_triangle(p, order)
-    return _clamp_masses(probs, "p")
+    masses, cap = _route(p)
+    if order > cap:
+        raise DomainError(f"order {order} exceeds {cap}, the largest this route computes")
+    return _clamp_masses(masses(p, order), "p")
 
 
 def pmf_oracle(p: ThetaParams, order: int) -> np.ndarray:
@@ -292,7 +292,7 @@ class OffspringTable:
 
 def _pmf_table(p: ThetaParams) -> OffspringTable:
     """The sampling table of p's offspring law, capped at its pmf route's cap."""
-    return OffspringTable(lambda k: pmf(p, k), scalar_summary(p).p_inf, _k_max_of(p))
+    return OffspringTable(lambda k: pmf(p, k), scalar_summary(p).p_inf, _route(p)[1])
 
 
 def sample_offspring(table: OffspringTable, rng: np.random.Generator) -> float:

@@ -171,14 +171,21 @@ def q_transition_matrix(p: ThetaParams, n: int, i_max: int, j_max: int) -> np.nd
     return rows
 
 
-def stationary_law(p: ThetaParams, order: int) -> LimitLaw:
-    """Coefficients of s*Q'(sq) with the Q'(q)=1 normalization, j = 1..order."""
+def _conditioned(p: ThetaParams, order: int) -> QFunction:
+    """p's Q for a law conditioned on never being absorbed, with order checked;
+    the critical family (Q vanishes) and q = 0 (no mass) have no such law."""
     _integer("order", order, 0)
     qf = q_function(p)
     if qf.trivial:
-        raise TrivialLawError("critical family has no stationary conditioned law")
+        raise TrivialLawError("critical family: Q vanishes, use critical_limit_w instead")
     if p.q <= 0.0:
         raise DomainError("q = 0: no mass to condition on")
+    return qf
+
+
+def stationary_law(p: ThetaParams, order: int) -> LimitLaw:
+    """Coefficients of s*Q'(sq) with the Q'(q)=1 normalization, j = 1..order."""
+    qf = _conditioned(p, order)
     theta, q, big_a = p.theta, p.q, p.big_a
     if qf.tag.case_id == "case1":
         # s * (1 + d*(1-s)^theta)^(-(1+theta)/theta), q = 1
@@ -195,22 +202,17 @@ def conditional_limit_b(p: ThetaParams, order: int) -> LimitLaw:
     """Limit law of the population at n given absorption later than n.
 
     gf 1 - Q(sq)/Q(0); independent of how Q is normalized. NumericError when
-    cancellation leaves Q(0) fewer than about 8 digits.
+    Q(0) = (1 + d)^(-1/theta) underflows to 0 (a > 1, A = q = 1), and when
+    cancellation leaves Q(0) fewer than about 8 digits (every other case).
     """
-    _integer("order", order, 0)
-    qf = q_function(p)
-    if qf.trivial:
-        raise TrivialLawError("critical family: use critical_limit_w instead")
-    if p.q <= 0.0:
-        raise DomainError("q = 0: conditioning event has probability 0")
+    qf = _conditioned(p, order)
     theta, q, big_a = p.theta, p.q, p.big_a
     q0 = qf.raw(0.0)
-    # refuse Q(0) once cancellation leaves it fewer than about 8 digits
-    if qf.tag.case_id == "case1":  # (1 + d)^(-1/theta) does not cancel
-        scale = 0.0
-    else:  # a difference of powers, or a log near 0 at theta = 0 (both powers 1)
-        scale = max(big_a ** (-theta), (big_a - q) ** (-theta))
-    if q0 == 0.0 or abs(q0) < 1e-8 * scale:
+    if qf.tag.case_id == "case1":  # (1 + d)^(-1/theta) does not cancel, but may underflow
+        if q0 == 0.0:
+            raise NumericError(f"Q(0) = (1 + d)^(-1/theta) underflows to 0.0 at d = {p.d}")
+    elif q0 == 0.0 or abs(q0) < 1e-8 * max(big_a ** (-theta), (big_a - q) ** (-theta)):
+        # a difference of powers, or a log near 0 at theta = 0 (both powers 1)
         raise NumericError(f"Q(0) = {q0} cancels at A = {big_a}: the law loses its digits")
     if qf.tag.case_id == "case1":
         qsq = Series.affine(1.0, -1.0, order).pow(-theta) + p.d

@@ -11,21 +11,21 @@ even for K in the hundreds. A product takes one fsum of its k + 1 terms per
 row. A power forms its rows 32 at a time: _exact_rows splits a row's terms on
 earlier blocks, sliced from Hankel views, into a few floats with the same exact
 sum, and the block's own terms reach fsum through map. A row of one term
-(an affine base's power or logarithm) is that term + 0.0, its fsum: -0.0
+(an affine base's power, any logarithm's) is that term + 0.0, its fsum: -0.0
 turns +0.0, inf and nan pass. Every row is formed on Python floats; a row
 past the float range (** or fsum overflowing, inf - inf, or a coefficient
 that is not finite) raises NumericError (_formed).
 
 Only what the closed forms of this family need is implemented: affine seeds,
-ring operations, real powers, logarithms, differentiation and argument
-scaling.
+ring operations (subtraction adds the negation), real powers, logarithms of a
+base with at most one nonzero term past the constant, differentiation and
+argument scaling.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from typing import Iterable
 
 import numpy as np
@@ -117,18 +117,15 @@ class Series:
 
     __radd__ = __add__
 
+    def __neg__(self) -> "Series":
+        return Series(-self.coeffs)
+
+    # x - y is x + (-y) in IEEE arithmetic, signed zeros included
     def __sub__(self, other: "Series | float") -> "Series":
-        if isinstance(other, Series):
-            self._check_order(other)
-            return Series(self.coeffs - other.coeffs)
-        arr = self.coeffs.copy()
-        arr[0] -= float(other)
-        return Series(arr)
+        return self + (-other)
 
     def __rsub__(self, other: float) -> "Series":
-        arr = -self.coeffs
-        arr[0] += float(other)
-        return Series(arr)
+        return (-self) + other
 
     def __mul__(self, other: "Series | float") -> "Series":
         """Cauchy product: row k is the fsum of all the terms a_j * b_(k-j),
@@ -205,22 +202,22 @@ class Series:
         return Series(_formed(rows, f"series**{alpha}"))
 
     def log(self) -> "Series":
-        """Logarithm via (log u)' * u = u', rows formed on Python floats, a
-        row of one term (an affine base) as that term + 0.0 without fsum;
-        needs a positive constant term, NumericError past the float range."""
+        """Logarithm via (log u)' * u = u' of a base with at most one nonzero u_i
+        past u_0: row k subtracts its one term (k - i) * log(u)_(k-i) * u_i,
+        formed as that term + 0.0 (its fsum), from k * u_k. Needs a positive
+        constant term; NumericError past the float range."""
         u = self.coeffs
         if not u[0] > 0.0:
             raise UnsupportedFormError(f"log(series) needs a positive constant term, got {u[0]}")
         nz, ul = (np.flatnonzero(u[1:]) + 1).tolist(), u.tolist()
+        if len(nz) > 1:
+            raise UnsupportedFormError(f"log(series) takes one nonzero term past u_0, got {len(nz)}")
 
         def rows():
+            (i,) = nz or [len(ul)]  # a constant: no term (i = order + 1)
             out = [math.log(ul[0])]
             for k in range(1, len(ul)):
-                if len(nz) == 1:  # as in pow: at most one term, its fsum is term + 0.0
-                    i = nz[0]
-                    acc = (k - i) * out[k - i] * ul[i] + 0.0 if k > i else 0.0
-                else:
-                    acc = math.fsum((k - i) * out[k - i] * ul[i] for i in nz[: bisect_left(nz, k)])
+                acc = (k - i) * out[k - i] * ul[i] + 0.0 if k > i else 0.0
                 out.append((k * ul[k] - acc) / (k * ul[0]))
             return out
 

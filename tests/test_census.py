@@ -60,6 +60,7 @@ DEFECTS = {
     "embed-flow-check-fails": ("embed", 5, r"^quad_residuals: .* FAIL$"),  # [7]
     "embed-s-outside-0-A": ("embed", 3, r"s must lie in \[0, A\]"),  # [7, 9]
     "qprocess-Q(0)-cancels": ("qprocess", 4, r"Q\(0\) = .* cancels"),  # [9]
+    "qprocess-Q(0)-underflows": ("qprocess", 4, r"Q\(0\) = .* underflows"),  # [9]
 }
 
 # the defects the checked-in draw meets, each a strict xfail below; a known
@@ -72,6 +73,7 @@ MET = (
     "embed-h(x)-x-rounds-to-0",
     "embed-flow-check-fails",
     "qprocess-Q(0)-cancels",
+    "qprocess-Q(0)-underflows",
 )
 
 

@@ -516,7 +516,7 @@ def _rendering_argvs() -> list[list[str]]:
     for head in (["gumbel", *desk("case5")], ["gumbel", *desk("case5b")],
                  ["gumbel", "--a=0.5", "--q=0", "--r=1"], sim):
         out += [[*head, "--format=text"], [*head, "--format=csv"]]
-    return out + [["verify", "--format=text"]]
+    return out + [[*sim, "--format=json"], ["verify", "--format=text"]]
 
 
 # " ".join(argv) -> sha256 of stdout, recorded before the CLI rendered the
@@ -592,6 +592,8 @@ RENDERING_DIGESTS = {
         "81da3c9bd2aac23e43956fa91c85159a27d7c7fd80d95142045f386b51088bf4",
     "simulate --theta=-1 --a=0.5 --q=0.3 --replicates=500 --n-max=20 --format=csv":
         "447953263acb4f23c9efc82c7bbee79558080f06b3b97b4fcd42edcc5714db67",
+    "simulate --theta=-1 --a=0.5 --q=0.3 --replicates=500 --n-max=20 --format=json":
+        "2a7fa6777a2dfea2545892281c9dcb6e08df3c461f6b6c86065b7d46985545eb",
     "verify --format=text":
         "36134d943c94a209b6ec8a5490854945279cfb9102a8bc668cd6eb7753fb132e",
 }

@@ -338,3 +338,27 @@ def test_neg_recip_tables_byte_identical(name):
     table._rebuild(10**6)
     h.update(table.boundaries.tobytes())
     assert h.hexdigest() == want
+
+
+# sha256 over pmf at orders 64, 4096 and 65536 on two theta = -1/m laws, and
+# how many of their prefactors C(m, j) a^j c^(m - j) underflow to 0; the route
+# skips those, which would only add exact zeros to masses that are never -0.0
+ZERO_PREFACTOR_DIGESTS = {
+    "m1000": ({"theta": -1.0 / 1000.0, "a": 1e-5, "q": 0.3}, 936,
+              "b5cf9406cda3fe0ab9ef871d3fffd5689c510919c871fc378581fe14bd2c75a1"),
+    "m600": ({"theta": -1.0 / 600.0, "a": 1e-3, "A": 2.0, "q": 0.5}, 493,
+             "f7efd47d2766d5ccae085c4d812b67750d916847594f360f234b3094c9cfd841"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_PREFACTOR_DIGESTS))
+def test_neg_recip_zero_prefactors_byte_identical(name):
+    raw, zeros, want = ZERO_PREFACTOR_DIGESTS[name]
+    p, _ = validate_classify(raw)
+    m = round(-1.0 / p.theta)
+    prefs = [math.comb(m, j) * p.a**j * p.c ** (m - j) for j in range(1, m + 1)]
+    assert prefs.count(0.0) == zeros
+    h = hashlib.sha256()
+    for order in (64, 4096, 65536):
+        h.update(pmf(p, order).tobytes())
+    assert h.hexdigest() == want
