@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, TruncationError
 from .params import K_MAX_RATIO, ThetaParams, _integer, _power, case_of, scalar_summary
-from .pgf import _clamp_masses, fn_series, series_coeffs
+from .pgf import _clamp_masses, _fn_series, eval_fn, series_coeffs
 
 __all__ = [
     "BTriangle",
@@ -192,7 +192,7 @@ def _route(p: ThetaParams):
         return partial(_pmf_neg_recip, m=m), K_MAX_RATIO
     if p.theta < 0.0:  # theta = -1 included: fn_series is the affine (1-a)q + a*s, O(K)
         cap = K_MAX_RATIO if p.theta == -1.0 else K_MAX_TRIANGLE
-        return (lambda p, order: fn_series(p, 1.0, order).coeffs), cap
+        return (lambda p, order: _fn_series(p, 1.0, order, eval_fn(p, 1.0, 1.0)).coeffs), cap
     return _pmf_triangle, K_MAX_TRIANGLE
 
 
@@ -208,7 +208,8 @@ def pmf(p: ThetaParams, order: int) -> np.ndarray:
 
 def pmf_oracle(p: ThetaParams, order: int) -> np.ndarray:
     """Series extraction of the pgf coefficients: independent of every pmf route
-    but the series one (theta in [-1, 0) off the -1/m lattice), which is it."""
+    but the series one (theta in [-1, 0) off the -1/m lattice), which is it.
+    Masses past those that hold all of f(1) but 2**-41 are not formed (series_coeffs)."""
     return series_coeffs(p, order).coeffs
 
 

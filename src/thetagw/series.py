@@ -14,7 +14,8 @@ sum, and the block's own terms reach fsum through map. A row of one term
 (an affine base's power, any logarithm's) is that term + 0.0, its fsum: -0.0
 turns +0.0, inf and nan pass. Every row is formed on Python floats; a row
 past the float range (** or fsum overflowing, inf - inf, or a coefficient
-that is not finite) raises NumericError (_formed).
+that is not finite) raises NumericError (_formed). A private hook may end a
+power's blocks early: pgf's mass extraction stops once its masses hold f_t(1).
 
 Only what the closed forms of this family need is implemented: affine seeds,
 ring operations (subtraction adds the negation), real powers, logarithms of a
@@ -151,7 +152,7 @@ class Series:
 
     # -- analytic operations -------------------------------------------
 
-    def pow(self, alpha: float) -> "Series":
+    def pow(self, alpha: float, _done=None) -> "Series":
         """Real power via the Miller recurrence; needs a positive constant term.
 
         With v = u**alpha the identity u*v' = alpha*u'*v pins every
@@ -165,6 +166,7 @@ class Series:
         call; the terms if it refuses) and its terms j <= r, through map on
         factors made once a block, 0.0 at a zero u_j. Rows are formed on Python
         floats, bitwise as a generator forms them; NumericError past the range.
+        _done(v) at a block end but the last may end the rows: the rest read 0.0.
         """
         u = self.coeffs
         if not u[0] > 0.0:
@@ -197,6 +199,8 @@ class Series:
                     ins = map(operator.mul, cin[r], v[m - 1 : m0 - 1 : -1])  # j = 1..r
                     v.append(math.fsum([*parts[r], *ins] if parts else [*ins, *hist[r]]) / (m * ul[0]))
                 vf[m0:stop] = v[m0:stop]
+                if stop <= n and _done is not None and _done(v):
+                    return v + [0.0] * (n + 1 - stop)
             return v
 
         return Series(_formed(rows, f"series**{alpha}"))

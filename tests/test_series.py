@@ -18,15 +18,18 @@ from thetagw import (
     conditional_limit_b,
     critical_limit_w,
     h_coeffs,
+    pmf,
     pmf_oracle,
     stationary_law,
     validate_classify,
 )
-from thetagw.errors import DomainError, NumericError, UnsupportedFormError
+from thetagw.errors import ConditioningWarning, DomainError, NumericError, ThetaGWError, UnsupportedFormError
+from thetagw.offspring import _neg_recip_m
 from thetagw.pgf import fn_series
 from thetagw.series import Series, _exact_rows
 
 from conftest import DESK_RAW
+from test_census import _laws
 
 
 def test_constructors():
@@ -412,6 +415,72 @@ def test_refused_blocks_keep_generator_bytes(name, monkeypatch):
     u, alpha = _inner_base(name, 200, monkeypatch)
     monkeypatch.setattr(thetagw.series, "_exact_rows", lambda terms: None)
     assert Series(u).pow(alpha).coeffs.tobytes() == _pow_reference(u, alpha).tobytes()
+
+
+def _formed_blocks(call, monkeypatch, full=False):
+    """(call()'s bytes, or its refusal's class and message; the 32-row blocks of
+    dense power rows it formed). full=True forms every row: no room fits
+    pgf._TAU = 1.0 below the clamp."""
+    blocks, real = [], thetagw.series._exact_rows
+    with monkeypatch.context() as m:
+        m.setattr(thetagw.series, "_exact_rows", lambda terms: blocks.append(1) or real(terms))
+        if full:
+            m.setattr(thetagw.pgf, "_TAU", 1.0)
+        try:
+            out = call().tobytes()
+        except ThetaGWError as exc:
+            out = (type(exc).__name__, str(exc))
+    return out, len(blocks)
+
+
+@pytest.mark.parametrize("order", [50, 256, 1024])
+def test_stopped_extraction_keeps_every_byte(order, monkeypatch):
+    # every third law of a 300-law census draw: pmf_oracle, and pmf where it
+    # takes the series route, give the bytes or refusal of a full formation
+    stopped = refused = 0
+    for raw in _laws(300, 7)[::3]:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                p, _ = validate_classify(raw)
+        except ThetaGWError:
+            continue
+        calls = [pmf_oracle]
+        if -1.0 < p.theta < 0.0 and _neg_recip_m(p.theta) is None:  # pmf's series route
+            calls.append(pmf)
+        for call in calls:
+            got, blocks = _formed_blocks(lambda: call(p, order), monkeypatch)
+            want, all_blocks = _formed_blocks(lambda: call(p, order), monkeypatch, full=True)
+            assert got == want, (raw, call.__name__)
+            stopped += blocks < all_blocks
+            refused += isinstance(got, tuple)
+    assert stopped > 0 and refused > 0
+
+
+@pytest.mark.parametrize("name", ["case5", "case4"])
+def test_heavy_tails_form_every_row(name, monkeypatch):
+    # case5's masses fall like k^(-3/2) and stay above the clamp; case4 takes
+    # no dense power at all
+    p, _ = validate_classify(DESK_RAW[name])
+    got, blocks = _formed_blocks(lambda: pmf_oracle(p, 1024), monkeypatch)
+    assert (got, blocks) == _formed_blocks(lambda: pmf_oracle(p, 1024), monkeypatch, full=True)
+    assert blocks == (32 if name == "case5" else 0)
+
+
+@pytest.mark.parametrize("name", ["case3", "case9b"])
+def test_light_tails_stop_by_row_128(name, monkeypatch):
+    p, _ = validate_classify(DESK_RAW[name])
+    got, blocks = _formed_blocks(lambda: pmf_oracle(p, 1024), monkeypatch)
+    assert (got, 32) == _formed_blocks(lambda: pmf_oracle(p, 1024), monkeypatch, full=True)
+    assert blocks <= 4
+
+
+def test_no_room_below_the_clamp_forms_every_row(monkeypatch):
+    # A/|theta| = 2000: f(1) may round by up to 8 eps*A/|theta| = 3.6e-12, more
+    # than the clamp leaves, so no stop, though only 5 masses of 1025 are nonzero
+    p, _ = validate_classify({"theta": -0.5, "a": 0.5, "A": 1000.0, "q": 0.5})
+    got, blocks = _formed_blocks(lambda: pmf_oracle(p, 1024), monkeypatch)
+    assert blocks == 32 and np.count_nonzero(np.frombuffer(got)) == 5
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
