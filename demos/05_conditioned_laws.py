@@ -11,10 +11,9 @@ harmonic function has a closed form, and so do the limiting laws.
 import numpy as np
 
 from thetagw import (
+    QFunction,
     conditional_limit_b,
     eval_f,
-    gamma_of,
-    q_function,
     q_transition_matrix,
     stationary_law,
     validate_classify,
@@ -23,8 +22,8 @@ from thetagw import (
 # supercritical case conditioned on eventual extinction:
 # the harmonic function satisfies Q(f(s)) = gamma * Q(s)
 p3, tag3 = validate_classify({"theta": 1.0, "a": 0.5, "q": 0.5})
-qf = q_function(p3)
-gamma = gamma_of(p3)
+qf = QFunction(p3)
+gamma = qf.gamma
 grid = np.linspace(0.0, 0.99, 20)
 
 resid = float(np.max(np.abs(qf.raw(eval_f(p3, grid)) - gamma * qf.raw(grid))))

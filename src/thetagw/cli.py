@@ -325,7 +325,8 @@ def _cmd_qprocess(opts):
 def _cmd_embed(opts):
     p, tag, head = _params_from(opts)
     import numpy as np
-    from .embedding import build_embedding, h_coeffs, semigroup_F
+    from .embedding import build_embedding, h_coeffs
+    from .pgf import eval_fn
     from .verify import _IDENTITY_TOL, _QUAD_TOL, _check
     from .verify import _embed_one_step_err, _embed_quad_residuals
     order = opts["k_max"]
@@ -335,8 +336,8 @@ def _cmd_embed(opts):
     one_step = _embed_one_step_err(e, grid)
     semi = 0.0
     for t1, t2 in ((0.5, 0.5), (1.0, 1.5), (0.25, 2.0)):
-        direct = semigroup_F(e, t1 + t2, grid)
-        nested = semigroup_F(e, t1, semigroup_F(e, t2, grid))
+        direct = eval_fn(p, t1 + t2, grid)
+        nested = eval_fn(p, t1, eval_fn(p, t2, grid))
         semi = max(semi, float(np.max(np.abs(direct - nested))))
     times = [0.5, 1.0, 2.0]
     if opts["t"] is not None:

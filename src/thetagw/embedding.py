@@ -47,7 +47,6 @@ __all__ = [
     "build_embedding",
     "h_eval",
     "h_coeffs",
-    "semigroup_F",
     "integral_residual",
 ]
 
@@ -184,11 +183,6 @@ def h_coeffs(e: Embedding, order: int) -> SeriesTruncation:
     return SeriesTruncation(coeffs=coeffs, tail_mass_bound=tail)
 
 
-def semigroup_F(e: Embedding, t: float, s):
-    """F_t(s) for real t >= 0, else DomainError; F_0 = id, F_1 the one-step pgf."""
-    return eval_fn(e.params, t, s)
-
-
 def integral_residual(e: Embedding, t: float, s: float) -> float:
     """integral_s^{F_t(s)} dx/(h(x)-x) minus lambda*t; magnitude ~ 0 when the
     flow, the rate, and h are mutually consistent."""
@@ -199,7 +193,7 @@ def integral_residual(e: Embedding, t: float, s: float) -> float:
     if abs(s - q) <= 1e-12:
         raise SingularPathError(f"s = {s} sits at the zero of h(x)-x at {q}")
     target = e.lam * float(t)
-    upper = float(semigroup_F(e, float(t), s))
+    upper = float(eval_fn(e.params, float(t), s))
     lo, hi = min(s, upper), max(s, upper)
     if lo - 1e-12 <= q <= hi + 1e-12:
         raise SingularPathError(

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, TruncationError
 from .params import K_MAX_RATIO, ThetaParams, _integer, _power, case_of, scalar_summary
-from .pgf import _clamp_masses, _fn_series, eval_fn, series_coeffs
+from .pgf import _clamp_masses, eval_fn, fn_series, series_coeffs
 
 __all__ = [
     "BTriangle",
@@ -51,7 +51,6 @@ __all__ = [
     "pmf_oracle",
     "theta0_scaled_tail",
     "OffspringTable",
-    "sample_offspring",
     "INFINITE",
 ]
 
@@ -192,7 +191,7 @@ def _route(p: ThetaParams):
         return partial(_pmf_neg_recip, m=m), K_MAX_RATIO
     if p.theta < 0.0:  # theta = -1 included: fn_series is the affine (1-a)q + a*s, O(K)
         cap = K_MAX_RATIO if p.theta == -1.0 else K_MAX_TRIANGLE
-        return (lambda p, order: _fn_series(p, 1.0, order, eval_fn(p, 1.0, 1.0)).coeffs), cap
+        return (lambda p, order: fn_series(p, 1.0, order, _total=eval_fn(p, 1.0, 1.0)).coeffs), cap
     return _pmf_triangle, K_MAX_TRIANGLE
 
 
@@ -295,12 +294,3 @@ def _pmf_table(p: ThetaParams) -> OffspringTable:
     """The sampling table of p's offspring law, capped at its pmf route's cap."""
     return OffspringTable(lambda k: pmf(p, k), scalar_summary(p).p_inf, _route(p)[1])
 
-
-def sample_offspring(table: OffspringTable, rng: np.random.Generator) -> float:
-    """One offspring draw: a nonnegative integer count, or INFINITE.
-
-    Consumes exactly one uniform. Draws beyond the covered mass extend the
-    table (doubling up to k_max) and abort loudly with TruncationError rather
-    than silently truncating.
-    """
-    return table.lookup(float(rng.random()))

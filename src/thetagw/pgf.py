@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, OverflowGuardError
-from .params import ThetaParams, _integer, case_of, scalar_summary
+from .params import ThetaParams, _integer, case_of
 from .series import Series
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "fn_series",
     "SeriesTruncation",
     "series_coeffs",
-    "gamma_of",
 ]
 
 #: how far outside [0, A] (and, for theta > 0, below A) s is read as the end point
@@ -43,7 +42,7 @@ _EDGE_SNAP = 1e-14
 #: masses and coefficients within this of zero are clamped to exactly zero
 _MASS_CLAMP = 1e-12
 
-#: how much of f_t(1) the coefficients _fn_series forms may leave out when it stops
+#: how much of f_t(1) the coefficients fn_series forms may leave out when it stops
 _TAU = 2.0**-41
 
 
@@ -198,17 +197,13 @@ def compose_iterate(p: ThetaParams, n: int, s):
     return float(out) if np.ndim(s) == 0 else out
 
 
-def fn_series(p: ThetaParams, t: float, order: int) -> Series:
+def fn_series(p: ThetaParams, t: float, order: int, _total: float | None = None) -> Series:
     """Taylor coefficients at 0 of the t-fold iterate, by series arithmetic.
 
     Built from generalized-binomial expansions of (A - s) powers (and its
-    logarithm for theta = 0), never from numerical differentiation.
+    logarithm for theta = 0), never from numerical differentiation. Given
+    _total = f_t(1), the dense power stops as series_coeffs says.
     """
-    return _fn_series(p, t, order)
-
-
-def _fn_series(p: ThetaParams, t: float, order: int, total: float | None = None) -> Series:
-    """fn_series; given total = f_t(1), the dense power stops as series_coeffs says."""
     _integer("order", order, 0)
     a_t, c_t = _iterated_constants(p, t)
     if math.isinf(a_t):
@@ -221,14 +216,14 @@ def _fn_series(p: ThetaParams, t: float, order: int, total: float | None = None)
     if theta == -1.0:
         return Series.affine((1.0 - a_t) * q, a_t, order)
     inner = base.pow(-theta) * a_t + c_t
-    if total is None or not float(t).is_integer() or _TAU + 8 * 2.0**-52 * big_a / abs(theta) >= _MASS_CLAMP:
+    if _total is None or not float(t).is_integer() or _TAU + 8 * 2.0**-52 * big_a / abs(theta) >= _MASS_CLAMP:
         return big_a - inner.pow(-1.0 / theta)
     seen, held = 0, big_a  # held: fsum of the coefficients A - v_0, -v_1, ... formed so far
 
     def enough(v):
         nonlocal seen, held
         held, seen = math.fsum([held, *(-x for x in v[seen:])]), len(v)
-        return held >= total - _TAU
+        return held >= _total - _TAU
 
     return big_a - inner.pow(-1.0 / theta, enough)
 
@@ -257,13 +252,8 @@ def series_coeffs(p: ThetaParams, order: int, t: float = 1.0) -> SeriesTruncatio
     """
     case_of(p)  # reject unclassifiable bundles before doing work
     total = float(eval_fn(p, t, 1.0))
-    coeffs = _clamp_masses(_fn_series(p, t, order, total).coeffs.copy(), "f_t coefficient")
+    coeffs = _clamp_masses(fn_series(p, t, order, _total=total).coeffs.copy(), "f_t coefficient")
     tail = total - float(np.sum(coeffs))
     if tail < -1e-9:
         raise NumericError(f"coefficient sum exceeds f_t(1) by {-tail}")
     return SeriesTruncation(coeffs=coeffs, tail_mass_bound=max(tail, 0.0))
-
-
-def gamma_of(p: ThetaParams) -> float:
-    """f'(q): the decay rate of conditioned survival, a**(-1/theta) in case1, else a."""
-    return scalar_summary(p).gamma

@@ -9,9 +9,9 @@ with gamma = f'(q). Per case:
     theta = 0:              Q(s) = log((A-s)/(A-q))
     otherwise:              Q(s) = (A-s)^(-theta) - (A-q)^(-theta)
 
-The closed forms are stored raw together with the normalizer 1/Q'(q), since
-the stationary law needs Q'(q) = 1 while the other limit laws are invariant
-to scaling.
+QFunction keeps the raw closed form; normalized scales it to Q'(q) = 1.
+The stationary law needs that normalization and forms it in its own series,
+while the other limit laws are invariant to scaling.
 
 Derived distributions, all extracted as power series:
   - transition generating function of the conditioned chain,
@@ -39,7 +39,6 @@ from .series import Series
 
 __all__ = [
     "QFunction",
-    "q_function",
     "q_transition_gf",
     "q_transition_matrix",
     "LawKind",
@@ -115,10 +114,6 @@ class QFunction:
         return normalizer * self.raw(s)
 
 
-def q_function(p: ThetaParams) -> QFunction:
-    return QFunction(p)
-
-
 def _slope_at_q(p: ThetaParams, n: int) -> float:
     """f_n'(q), the kernel's normalizer; it underflows to 0 for a > 1 and
     large n, and below 1/DBL_MAX for subnormal a, where 1/f_n'(q) overflows."""
@@ -175,7 +170,7 @@ def _conditioned(p: ThetaParams, order: int) -> QFunction:
     """p's Q for a law conditioned on never being absorbed, with order checked;
     the critical family (Q vanishes) and q = 0 (no mass) have no such law."""
     _integer("order", order, 0)
-    qf = q_function(p)
+    qf = QFunction(p)
     if qf.trivial:
         raise TrivialLawError("critical family: Q vanishes, use critical_limit_w instead")
     if p.q <= 0.0:

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .absorption import absorption_tails
-from .embedding import Embedding, build_embedding, integral_residual, semigroup_F
+from .embedding import Embedding, build_embedding, integral_residual
 from .errors import SingularPathError
 from .offspring import pmf, pmf_oracle
 from .params import CaseTag, ThetaParams, case_of, validate_classify
 from .pgf import compose_iterate, eval_f, eval_fn
-from .qprocess import q_function
+from .qprocess import QFunction
 from .simulate import SimConfig, estimate_tails
 
 __all__ = ["VerifyCheck", "CANONICAL_SETS", "verify_set", "verify_suite"]
@@ -73,7 +73,7 @@ def _safe_s_points(q: float) -> tuple[float, ...]:
 
 def _embed_one_step_err(e: Embedding, grid: np.ndarray) -> float:
     """Sup over grid of |F_1 - f|: the interpolated flow against the one-step pgf."""
-    return float(np.max(np.abs(semigroup_F(e, 1.0, grid) - eval_f(e.params, grid))))
+    return float(np.max(np.abs(eval_fn(e.params, 1.0, grid) - eval_f(e.params, grid))))
 
 
 def _embed_quad_residuals(e: Embedding, times) -> list[float]:
@@ -118,7 +118,7 @@ def verify_set(p: ThetaParams, tag: CaseTag | None = None) -> list[VerifyCheck]:
         )
     out.append(_check("absorption_vs_iteration", cid, worst, _IDENTITY_TOL))
 
-    qf = q_function(p)
+    qf = QFunction(p)
     s = np.linspace(0.0, p.q, 40) if p.q > 0.0 else np.zeros(1)
     lhs = qf.raw(eval_f(p, s))
     rhs = qf.gamma * qf.raw(s)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from thetagw import (
+    QFunction,
     QualityWarning,
     SimConfig,
     absorption_tails,
@@ -33,8 +34,6 @@ from thetagw import (
     ks_distance,
     pmf,
     pmf_oracle,
-    q_function,
-    semigroup_F,
     theta0_scaled_tail,
     validate_classify,
 )
@@ -245,7 +244,7 @@ def test_criterion_10_harmonic_function_and_limit_law(desk):
         if name == "case2":
             continue
         p, _ = desk[name]
-        qf = q_function(p)
+        qf = QFunction(p)
         s = np.linspace(0.0, p.q, 40) if p.q > 0.0 else np.zeros(1)
         dev = float(np.max(np.abs(qf.raw(eval_f(p, s)) - qf.gamma * qf.raw(s))))
         worst = max(worst, dev)
@@ -265,10 +264,10 @@ def test_criterion_11_continuous_time_embedding(desk):
         p, _ = desk[name]
         e = build_embedding(p)
         s = np.linspace(0.0, 1.0, 50)
-        worst_f = max(worst_f, float(np.max(np.abs(semigroup_F(e, 1.0, s) - eval_f(p, s)))))
+        worst_f = max(worst_f, float(np.max(np.abs(eval_fn(e.params, 1.0, s) - eval_f(p, s)))))
         for ta, tb in ((0.5, 0.5), (1.0, 1.5), (0.25, 2.0)):
-            direct = semigroup_F(e, ta + tb, s)
-            nested = semigroup_F(e, ta, semigroup_F(e, tb, s))
+            direct = eval_fn(e.params, ta + tb, s)
+            nested = eval_fn(e.params, ta, eval_fn(e.params, tb, s))
             worst_semi = max(worst_semi, float(np.max(np.abs(direct - nested))))
         if p.q == 0.0:
             pts = (0.3, 0.6)

@@ -1,4 +1,4 @@
-"""A refusal census: five analytic subcommands on 100 drawn laws, every exit
+"""A refusal census: six analytic subcommands on 100 drawn laws, every exit
 sorted by its cause.
 
 The laws come from one fixed draw (default_rng(2026)):
@@ -8,14 +8,16 @@ The laws come from one fixed draw (default_rng(2026)):
 - the rest with theta negated (floored at -0.999) half the time,
   a = 10^U(-18, log10 0.999), A = 1 or 10^U(0, 10), and q = 1 or 10^U(-25, 0).
 
-`pmf`, `absorb`, `embed`, `qprocess` and `iterate` run on each law through
-`cli.main`, in process. A correct refusal is an exit 3 for a law the paper
-excludes: A = q = 1 with a < 1, which `classify` refuses, or an embedding that
-does not exist. Every other exit 3, every exit 4 and every exit 5 is a defect
-of a known cause, and so is a `pmf` that exits 0 with p_0 above q. Each defect
-the draw meets has a strict xfail that asserts it never occurs and reports its
-count, so a fix flips its own xfail. An exit of no listed cause, or of a known
-defect the draw did not meet before, fails the plain test.
+`pmf`, `absorb`, `embed`, `qprocess`, `iterate` and `verify` run on each law
+through `cli.main`, in process. A correct refusal is an exit 3 for a law the
+paper excludes: A = q = 1 with a < 1, which `classify` refuses, or an embedding
+that does not exist. `verify` then runs none of its other checks either, so
+its refusal counts as a cause of its own. Every other exit 3, every exit 4 and
+every exit 5 is a defect of a known cause, and so is a `pmf` that exits 0 with
+p_0 above q. Each defect the draw meets has a strict xfail that asserts it
+never occurs and reports its count over every command, so a fix flips its own
+xfail. An exit of no listed cause, or of a known defect the draw did not meet
+before, fails the plain test.
 
 Run as a script (PYTHONPATH=src python tests/test_census.py), it prints one
 line per (command, exit, cause) with its count.
@@ -40,28 +42,44 @@ COMMANDS = {
     "embed": ["--k-max=5"],
     "qprocess": ["--k-max=10"],
     "iterate": [],
+    "verify": [],
 }
 
 # exits that answer the law correctly: name -> (command or None for any, exit,
 # pattern in stderr)
+NO_EMBEDDING = r"offspring mean parameter .* outside \(0, 1\+1/theta\]"
 CORRECT = {
     "A=q=1-with-a<1": (None, 3, r"A = 1 with q = 1 requires a >= 1"),
-    "no-embedding": ("embed", 3, r"offspring mean parameter .* outside \(0, 1\+1/theta\]"),
+    "no-embedding": ("embed", 3, NO_EMBEDDING),
+    "verify-no-embedding": ("verify", 3, NO_EMBEDDING),
 }
 
-# the known defects: name -> (command, exit, pattern in stderr or stdout); the
-# item of ROADMAP.md that takes each up is in brackets
-DEFECTS = {
-    "pmf-p0-clamp": ("pmf", 4, r"p_0 = .* is negative beyond the 1e-12 clamp"),  # [9]
-    "pmf-p0-above-q": ("pmf", 0, None),  # [9]: p_0 > q (1 + 1e-12), read by _cause
-    "embed-h(q)!=q": ("embed", 4, r"h\(.*\) = .* != q"),  # [9]
-    "embed-linear-coefficient": ("embed", 4, r"linear coefficient .* did not cancel"),  # [9]
-    "embed-h(x)-x-rounds-to-0": ("embed", 4, r"h\(x\) - x on the integration path"),  # [7]
-    "embed-flow-check-fails": ("embed", 5, r"^quad_residuals: .* FAIL$"),  # [7]
-    "embed-s-outside-0-A": ("embed", 3, r"s must lie in \[0, A\]"),  # [7, 9]
-    "qprocess-Q(0)-cancels": ("qprocess", 4, r"Q\(0\) = .* cancels"),  # [9]
-    "qprocess-Q(0)-underflows": ("qprocess", 4, r"Q\(0\) = .* underflows"),  # [9]
-}
+# the known defects, one row per command and exit a defect shows in: (name,
+# command, exit, pattern in stderr or stdout). A defect is named after the
+# command that met it first; the item of ROADMAP.md that takes each up is in
+# brackets
+P0_CLAMP = r"p_0 = .* is negative beyond the 1e-12 clamp"
+H_Q = r"h\(.*\) = .* != q"
+H_X_X = r"h\(x\) - x on the integration path"
+DEFECTS = (
+    ("pmf-p0-clamp", "pmf", 4, P0_CLAMP),  # [9]
+    ("pmf-p0-clamp", "verify", 4, P0_CLAMP),  # [9]
+    ("pmf-p0-above-q", "pmf", 0, None),  # [9]: p_0 > q (1 + 1e-12), read by _cause
+    ("embed-h(q)!=q", "embed", 4, H_Q),  # [9]
+    ("embed-h(q)!=q", "verify", 4, H_Q),  # [9]
+    ("embed-linear-coefficient", "embed", 4, r"linear coefficient .* did not cancel"),  # [9]
+    ("embed-h(x)-x-rounds-to-0", "embed", 4, H_X_X),  # [7]
+    ("embed-h(x)-x-rounds-to-0", "verify", 4, H_X_X),  # [7]
+    ("embed-flow-check-fails", "embed", 5, r"^quad_residuals: .* FAIL$"),  # [7]
+    ("embed-flow-check-fails", "verify", 5, r"^FAIL  embed_quadrature "),  # [7]
+    ("embed-s-outside-0-A", "embed", 3, r"s must lie in \[0, A\]"),  # [7, 9]
+    ("qprocess-Q(0)-cancels", "qprocess", 4, r"Q\(0\) = .* cancels"),  # [9]
+    ("qprocess-Q(0)-underflows", "qprocess", 4, r"Q\(0\) = .* underflows"),  # [9]
+    ("verify-coefficient-sum-exceeds-f_t(1)", "verify", 4,
+     r"coefficient sum exceeds f_t\(1\)"),  # [12]
+    ("verify-iterate-left-0-A", "verify", 4, r"iterate left \[0, A\]"),  # [12]
+    ("verify-iterate-identity-fails", "verify", 5, r"^FAIL  iterate_identity "),  # [12]
+)
 
 # the defects the checked-in draw meets, each a strict xfail below; a known
 # defect met outside this list fails test_every_exit_has_a_known_cause
@@ -74,6 +92,9 @@ MET = (
     "embed-flow-check-fails",
     "qprocess-Q(0)-cancels",
     "qprocess-Q(0)-underflows",
+    "verify-coefficient-sum-exceeds-f_t(1)",
+    "verify-iterate-left-0-A",
+    "verify-iterate-identity-fails",
 )
 
 
@@ -108,7 +129,8 @@ def _cause(command, code, out, err, law):
         return "pmf-p0-above-q" if p0 > law.get("q", 1.0) * (1.0 + 1e-12) else "ok"
     if code == 0:
         return "ok"
-    for name, (cmd, want, pattern) in {**CORRECT, **DEFECTS}.items():  # code != 0 here
+    rows = [(name, *row) for name, row in CORRECT.items()] + list(DEFECTS)
+    for name, cmd, want, pattern in rows:  # code != 0 here
         if cmd in (None, command) and code == want and re.search(pattern, err + out, re.M):
             return name
     return "unknown"

@@ -170,7 +170,32 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert "replicate" in r.stderr and "seed" in r.stderr
 
 
+def test_config_must_hold_an_object(tmp_path, capsys):
+    # valid JSON that is not an object names no option: a parameter error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert cli.main(["classify", "--config", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "config file must hold a JSON object" in err
+
+
 P6 = ["--theta", "-1", "--a", "0.5", "--q", "0.3"]
+
+
+def test_embed_t_adds_a_residual_time(tmp_path, capsys):
+    # --t appends a fourth time to the residual times 0.5, 1 and 2, and the
+    # same option read from --config prints the same bytes
+    argv = ["embed", *P6, "--k-max", "3"]
+    assert cli.main(argv) == 0
+    base = json.loads(capsys.readouterr().out)["checks"]["quad_residuals"]
+    assert cli.main([*argv, "--t", "3"]) == 0
+    out = capsys.readouterr().out
+    residuals = json.loads(out)["checks"]["quad_residuals"]
+    assert len(residuals) == 4 and residuals[:3] == base
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t": 3}))
+    assert cli.main([*argv, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == out
 GUMBEL = ["gumbel", "--theta", "-0.5", "--a", "0.5", "--q", "0.3"]
 
 

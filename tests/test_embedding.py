@@ -9,11 +9,12 @@ from thetagw import (
     DomainError,
     SingularPathError,
     build_embedding,
+    compose_iterate,
     eval_f,
+    eval_fn,
     h_coeffs,
     h_eval,
     integral_residual,
-    semigroup_F,
 )
 
 
@@ -22,7 +23,7 @@ def test_time_one_skeleton_is_f(per_case):
     name, p, tag = per_case
     e = build_embedding(p)
     s = np.linspace(0.0, 1.0, 50)
-    assert np.max(np.abs(semigroup_F(e, 1.0, s) - eval_f(p, s))) < 1e-10, name
+    assert np.max(np.abs(eval_fn(e.params, 1.0, s) - eval_f(p, s))) < 1e-10, name
 
 
 def test_semigroup_property(per_case):
@@ -30,8 +31,8 @@ def test_semigroup_property(per_case):
     e = build_embedding(p)
     s = np.linspace(0.0, 1.0, 50)
     for t, u in ((0.5, 0.5), (0.3, 1.2), (2.0, 0.25)):
-        direct = semigroup_F(e, t + u, s)
-        nested = semigroup_F(e, t, semigroup_F(e, u, s))
+        direct = eval_fn(e.params, t + u, s)
+        nested = eval_fn(e.params, t, eval_fn(e.params, u, s))
         assert np.max(np.abs(direct - nested)) < 1e-10, (name, t, u)
 
 
@@ -133,7 +134,7 @@ def test_flow_monotone_toward_q(per_case):
     e = build_embedding(p)
     if p.q > 0.0:
         s = p.q / 2.0
-        vals = [float(semigroup_F(e, t, s)) for t in (0.0, 1.0, 4.0, 16.0)]
+        vals = [float(eval_fn(e.params, t, s)) for t in (0.0, 1.0, 4.0, 16.0)]
         assert all(b >= a_ - 1e-12 for a_, b in zip(vals, vals[1:]))
         # critical convergence is only algebraic, 1 - F_t ~ 1/(2 + t)
         close = 0.06 if tag.criticality.value == "Critical" else 1e-3
@@ -142,10 +143,8 @@ def test_flow_monotone_toward_q(per_case):
 
 def test_real_time_matches_discrete_iterates(per_case):
     # F_n at integer n is exactly the n-fold discrete iterate
-    from thetagw import eval_fn
-
     name, p, tag = per_case
     e = build_embedding(p)
     s = np.linspace(0.0, 1.0, 20)
-    for n in (2.0, 5.0):
-        assert np.max(np.abs(semigroup_F(e, n, s) - eval_fn(p, n, s))) < 1e-10
+    for n in (2, 5):
+        assert np.max(np.abs(eval_fn(e.params, float(n), s) - compose_iterate(p, n, s))) < 1e-10

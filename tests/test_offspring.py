@@ -16,7 +16,6 @@ from thetagw import (
     h_coeffs,
     pmf,
     pmf_oracle,
-    sample_offspring,
     scalar_summary,
     theta0_scaled_tail,
     validate_classify,
@@ -296,7 +295,7 @@ def test_sample_offspring_statistics(desk):
     p, _ = desk["case6"]
     table = _pmf_table(p)
     rng = np.random.default_rng(7)
-    draws = np.array([sample_offspring(table, rng) for _ in range(40000)])
+    draws = np.array([table.lookup(float(rng.random())) for _ in range(40000)])
     assert set(np.unique(draws)) == {0.0, 1.0, INFINITE}
     assert abs((draws == 0.0).mean() - 0.15) < 0.01
     assert abs((draws == 1.0).mean() - 0.5) < 0.01
@@ -309,7 +308,7 @@ def test_sample_offspring_escape_rate(desk):
     table = _pmf_table(p)
     s = scalar_summary(p)
     rng = np.random.default_rng(11)
-    draws = np.array([sample_offspring(table, rng) for _ in range(40000)])
+    draws = np.array([table.lookup(float(rng.random())) for _ in range(40000)])
     assert abs(np.isinf(draws).mean() - s.p_inf) < 0.01
 
 

@@ -18,11 +18,9 @@ from thetagw import (
     eval_fn,
     eval_fn_prime,
     fn_series,
-    gamma_of,
     h_eval,
     q_transition_gf,
     scalar_summary,
-    semigroup_F,
     series_coeffs,
     validate_classify,
 )
@@ -89,11 +87,12 @@ def test_prime_matches_difference_quotient(per_case):
 def test_prime_at_fixed_point_is_gamma(per_case):
     # f'(q) drives all conditioned limits; case1 is the a**(-1/theta) outlier
     name, p, tag = per_case
-    assert abs(eval_fn_prime(p, 1.0, p.q) - gamma_of(p)) < 1e-12
+    gamma = scalar_summary(p).gamma
+    assert abs(eval_fn_prime(p, 1.0, p.q) - gamma) < 1e-12
     if name == "case1":
-        assert gamma_of(p) == p.a ** (-1.0 / p.theta)
+        assert gamma == p.a ** (-1.0 / p.theta)
     else:
-        assert gamma_of(p) == p.a
+        assert gamma == p.a
 
 
 def test_series_matches_pointwise(per_case):
@@ -139,13 +138,11 @@ def test_domain_rejections(desk):
     lambda p: eval_fn(p, 1.0, math.nan),
     lambda p: eval_f(p, math.nan),
     lambda p: series_coeffs(p, 5, t=math.nan),
-    lambda p: semigroup_F(build_embedding(p), math.nan, 0.5),
     lambda p: absorption_tails(p).t0_tail(math.nan),
     lambda p: h_eval(build_embedding(p), math.nan),
     lambda p: q_transition_gf(p, 1, 2, math.nan),
 ], ids=[
-    "eval_fn_t", "eval_fn_s", "eval_f", "series_coeffs", "semigroup_F", "t0_tail", "h_eval",
-    "q_transition_gf",
+    "eval_fn_t", "eval_fn_s", "eval_f", "series_coeffs", "t0_tail", "h_eval", "q_transition_gf",
 ])
 def test_nan_fails_domain_guards(desk, call):
     # a guard written as x < 0 lets NaN through to a NaN result

@@ -15,6 +15,7 @@ from thetagw import (
     ConditioningWarning,
     DomainError,
     NumericError,
+    QFunction,
     SingularPathError,
     ThetaParams,
     absorption_tails,
@@ -33,7 +34,6 @@ from thetagw import (
     h_eval,
     integral_residual,
     pmf,
-    q_function,
     q_transition_matrix,
     scalar_summary,
     serialize,
@@ -248,7 +248,7 @@ def test_conditional_limit_b_is_the_yaglom_limit(theta, a, big_a, q):
         f_n = fn_series(p, float(n), 20).coeffs
         yaglom = q ** np.arange(1, 21) * f_n[1:] / absorption_tails(p).t0_tail(n)
     scale = max(1.0, big_a ** -theta, (big_a - q) ** -theta)
-    cancel = 2.0**-50 * scale / abs(q_function(p).raw(0.0))
+    cancel = 2.0**-50 * scale / abs(QFunction(p).raw(0.0))
     tol = 1e-10 + _closed_form_rounding(p) + cancel
     assert np.max(np.abs(yaglom - b)) <= tol, (n, tol)
 

@@ -10,12 +10,11 @@ from thetagw import (
     DomainError,
     NumericError,
     OverflowGuardError,
+    QFunction,
     TrivialLawError,
     conditional_limit_b,
     critical_limit_w,
     eval_f,
-    gamma_of,
-    q_function,
     q_transition_gf,
     q_transition_matrix,
     scalar_summary,
@@ -28,7 +27,7 @@ from thetagw.qprocess import LawKind
 def test_functional_equation(per_case):
     # Q(f(s)) = gamma Q(s) on [0, q] is what makes Q the harmonic function
     name, p, tag = per_case
-    qf = q_function(p)
+    qf = QFunction(p)
     if qf.trivial:
         return
     s = np.linspace(0.0, p.q, 40) if p.q > 0.0 else np.zeros(1)
@@ -39,7 +38,7 @@ def test_functional_equation(per_case):
 
 def test_q_vanishes_at_fixed_point(per_case):
     name, p, tag = per_case
-    qf = q_function(p)
+    qf = QFunction(p)
     if qf.trivial:
         return
     assert abs(qf.raw(p.q)) < 1e-14
@@ -51,7 +50,7 @@ def test_q_vanishes_at_fixed_point(per_case):
 
 
 def test_trivial_critical_family(desk):
-    qf = q_function(desk["case2"][0])
+    qf = QFunction(desk["case2"][0])
     assert qf.trivial
     assert qf.raw(0.3) == 0.0
     with pytest.raises(TrivialLawError):
@@ -64,7 +63,7 @@ def test_trivial_critical_family(desk):
 
 def test_gamma_values(per_case):
     name, p, tag = per_case
-    assert q_function(p).gamma == gamma_of(p)
+    assert QFunction(p).gamma == scalar_summary(p).gamma
 
 
 def test_conditional_limit_b_case3(desk):
