@@ -13,17 +13,17 @@ of a generator built per replicate.
 
 Both simulators run one batch loop: batches of up to _BATCH = 4096
 replicates are stepped together, each reading its streams through one
-_DrawAhead, and sample through an OffspringTable. Each replicate reads its
-stream through a row of _ROW = 64 uniforms drawn ahead, so a batch holds
-4096 x 64 of them (2 MiB). The discrete one steps a generation at a time:
-the live replicates' draws are gathered with one index, mapped through the
-table in one call and reduced per replicate. A step holds at most
+_DrawAhead, and sample through an OffspringTable. The discrete one reads each
+replicate's stream through a row of _ROW = 64 uniforms drawn ahead, so a
+batch holds 4096 x 64 of them (2 MiB), and steps a generation at a time: the
+live replicates' draws are gathered with one index, mapped through the table
+in one call and reduced per replicate. A step holds at most
 _STEP_DRAWS = 2**18 uniforms; a bigger generation is stepped in slices of
 live replicates, a replicate that alone needs more being its own slice. The
 continuous-time one steps 64 events a block through a table of h's
-coefficients; one take gathers 128 uniforms per live run, so a block holds
-4096 x 128 of them plus their int64 index (8 MiB). So memory is bounded by
-the batch, not by the replicate count.
+coefficients. It reads each live run's next 128 uniforms straight off its
+stream, with no row and no index, so a block holds 4096 x 128 of them
+(4 MiB). So memory is bounded by the batch, not by the replicate count.
 
 Tables come from one per-process cache keyed by the law (ThetaParams) or the
 Embedding. A table keeps the order it grew to, so only builds warn; row k of
@@ -68,6 +68,7 @@ __all__ = [
 
 _CT_ORDER = 4096
 _CT_BLOCK = 64
+_CT_STEPS = ((0, 16), (16, _CT_BLOCK))  # event ranges a block steps in turn
 _CT_EVENT_CAP = 1_000_000  # a whole number of _CT_BLOCK-event blocks
 _BATCH = 4096  # replicates stepped together
 _STEP_DRAWS = 2**18  # uniforms one generation step holds, but for a lone big replicate
@@ -190,6 +191,19 @@ class _DrawAhead:
                 self._gen.random(p % 4)  # the draws before p, dropped
             self._gen.random(out=u[s : s + r])
             self._gen.random(out=self._rows[j])
+        return u
+
+    def read(self, part: np.ndarray, at: int, width: int) -> np.ndarray:
+        """Row i holds the width uniforms of replicate lo + part[i] from
+        stream position at on, read straight off its stream and not through
+        the rows; at must be a multiple of 4, so re-keying there drops no draw."""
+        u = np.empty((part.size, width))
+        state = self._state["state"]
+        state["counter"][0] = at // 4
+        for j, row in zip(part.tolist(), u):
+            state["key"][1] = self._lo + j
+            self._bits.state = self._state
+            self._gen.random(out=row)
         return u
 
 
@@ -428,36 +442,41 @@ def ks_distance(emp: EmpiricalTails, analytic: AbsorptionTails, n_range) -> KSRe
 def _ct_batch(cfg: SimConfig, ahead: _DrawAhead, e: Embedding, dt: float):
     """(outcome, key) of the continuous-time replicates of a batch, for _tally.
 
-    The live runs step 64 events a block. One take gathers each live run's
-    next 128 uniforms: 64 waiting times, then 64 offspring draws. The
-    population before each event and the time after it are cumulative sums in
-    event order, so they are a per-event loop's own floats. A run ends at its
-    first event that is out of time, explodes, lands beyond the capped table,
-    empties or passes z_cap; its later events divide by populations that mean
-    nothing. Absorbed at time t: key = ceil(t/dt); censored knowing T > t: the
-    largest bin n with n*dt < t.
+    The live runs step 64 events a block. One read takes each live run's
+    next 128 uniforms off its stream: 64 waiting times, then 64 offspring
+    draws. The table covers all 64 offspring draws of every live run before
+    the block steps events 0-15, then events 16-63 of the runs still live
+    (most runs end within a few events). The population before each event and
+    the time after it are cumulative sums in event order, so they are a
+    per-event loop's own floats. A run ends at its first event that is out of
+    time, explodes, lands beyond the capped table, empties or passes z_cap;
+    its later events divide by populations that mean nothing. Absorbed at
+    time t: key = ceil(t/dt); censored knowing T > t: the largest bin n with
+    n*dt < t.
     """
     table, lam, count = _table(e), e.lam, ahead.count
     width = 2 * _CT_BLOCK  # uniforms a run reads per block
     outcome = np.full(count, _CAP, dtype=np.int8)  # what outliving _CT_EVENT_CAP means
     t_end, live = np.empty(count), np.arange(count)
     z, t = np.ones(count, dtype=np.int64), np.zeros(count)  # of the live runs
-    for _ in range(_CT_EVENT_CAP // _CT_BLOCK):
-        u = ahead.take(live, np.full(live.size, width), np.arange(live.size) * width)
-        u = u.reshape(live.size, width)
+    for b in range(_CT_EVENT_CAP // _CT_BLOCK):
+        u = ahead.read(live, width * b, width)
         table.ensure_coverage(float(u[:, _CT_BLOCK:].max()))
-        kids = _counts(table.boundaries, u[:, _CT_BLOCK:])
-        after = z[:, None] + np.cumsum(kids - 1, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -np.log(u[:, :_CT_BLOCK]) / (lam * (after - kids + 1))
-            times = np.cumsum(np.column_stack((t, step)), axis=1)[:, 1:]
-        out = times > cfg.n_max * dt
-        stop = out | (kids < 0) | (kids > table.order) | (after == 0) | (after > cfg.z_cap)
-        end = np.arange(live.size), stop.argmax(axis=1)
-        ended = stop[end]
-        code = np.select([out[end], kids[end] < 0, after[end] == 0], [_HOR, _EXP, _EXT], _CAP)
-        outcome[live[ended]], t_end[live[ended]] = code[ended], times[end][ended]
-        live, z, t = live[~ended], after[~ended, -1], times[~ended, -1]
+        for lo, hi in _CT_STEPS:
+            kids = _counts(table.boundaries, u[:, _CT_BLOCK + lo : _CT_BLOCK + hi])
+            after = z[:, None] + np.cumsum(kids - 1, axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = -np.log(u[:, lo:hi]) / (lam * (after - kids + 1))
+                times = np.cumsum(np.column_stack((t, step)), axis=1)[:, 1:]
+            out = times > cfg.n_max * dt
+            stop = out | (kids < 0) | (kids > table.order) | (after == 0) | (after > cfg.z_cap)
+            end = np.arange(live.size), stop.argmax(axis=1)
+            ended = stop[end]
+            code = np.select([out[end], kids[end] < 0, after[end] == 0], [_HOR, _EXP, _EXT], _CAP)
+            outcome[live[ended]], t_end[live[ended]] = code[ended], times[end][ended]
+            live, z, t, u = live[~ended], after[~ended, -1], times[~ended, -1], u[~ended]
+            if not live.size:
+                break
         if not live.size:
             break
     t_end[live] = t
@@ -473,7 +492,7 @@ def simulate_ct_skeleton(e: Embedding, cfg: SimConfig, dt: float) -> EmpiricalTa
     _CT_ORDER = 4096), and the escape mass 1 - h(1) is an instantaneous
     Infinite draw. The budget is n_max*dt; time or population overruns
     censor, never fail. Replicate i reads the same stream as in the discrete
-    simulator, in 128-draw blocks; e embeds cfg.params.
+    simulator, straight off it in 128-draw blocks; e embeds cfg.params.
     """
     if not 0.0 < dt < math.inf:
         raise DomainError(f"dt must lie in (0, inf), got {dt}")

@@ -22,6 +22,7 @@ from thetagw import (
     estimate_tails,
     h_coeffs,
     ks_distance,
+    series_coeffs,
     simulate_ct_skeleton,
     simulate_trajectory,
     validate_classify,
@@ -216,6 +217,22 @@ def test_rekeyed_streams_match_fresh_generators(desk, seed):
         assert np.array_equal(read, _fresh_stream(seed, 6 + j, 400)[: read.size])
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_block_reads_match_fresh_generators(desk, seed):
+    # a continuous-time block reads each listed replicate's 128 uniforms from
+    # one stream position, straight off a re-keyed stream; replicates 6 and 7
+    # also as the first two of a batch that starts at 6
+    cfg = SimConfig(params=desk["case6"][0], master_seed=seed)
+    fresh = {rep: _fresh_stream(seed, rep, 384) for rep in (0, 1, 6, 7)}
+    for lo, count, part in ((0, 8, [0, 1, 6, 7]), (6, 2, [0, 1])):
+        ahead = _DrawAhead(cfg, lo, count)
+        for at in (0, 128, 256):
+            u = ahead.read(np.array(part), at, 128)
+            assert u.shape == (len(part), 128)
+            for row, j in zip(u, part):
+                assert np.array_equal(row, fresh[lo + j][at : at + 128])
+
+
 def test_memory_bounded_by_batch(desk):
     # replicates are stepped in batches, so a 4x longer call holds no more
     p, _ = desk["case6"]
@@ -278,8 +295,9 @@ def test_trajectories_match_sequential_reference(desk, name, kw):
 ])
 def test_counts_independent_of_batch_and_step_bounds(desk, monkeypatch, name, kw):
     # tiny batches, steps and draw-ahead force many batches, sliced
-    # generations, one-replicate slices and, in continuous time, blocks that
-    # overrun every row; the counts must not move
+    # generations and one-replicate slices, and in continuous time a block
+    # steps its 64 events in one step or one at a time; the counts must not
+    # move
     ct = name.startswith("ct-")
     p = desk[name.removeprefix("ct-")][0]
     cfg = SimConfig(params=p, replicates=600, master_seed=11, **{"z_cap": 10**6, **kw})
@@ -292,6 +310,11 @@ def test_counts_independent_of_batch_and_step_bounds(desk, monkeypatch, name, kw
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QualityWarning)
         want = counts_digest(run())
+        if ct:  # at full batches, as one step per event and batch is slow
+            for steps in (((0, 64),), tuple((k, k + 1) for k in range(64))):
+                with monkeypatch.context() as m:
+                    m.setattr(simulate, "_CT_STEPS", steps)
+                    assert counts_digest(run()) == want
         monkeypatch.setattr(simulate, "_BATCH", 7)
         monkeypatch.setattr(simulate, "_STEP_DRAWS", 40)
         monkeypatch.setattr(simulate, "_ROW", 5)
@@ -306,6 +329,27 @@ def test_counts_independent_of_batch_and_step_bounds(desk, monkeypatch, name, kw
         monkeypatch.setattr(_DrawAhead, "take", checked)
         assert counts_digest(run()) == want
 
+
+
+@pytest.mark.parametrize("name", ["case3", "case5", "case6", "case7b", "case9b"])
+def test_population_law_matches_series(desk, name):
+    # the Monte Carlo law of Z_4 against the coefficients of f_4: the KS
+    # distance of the distribution functions over k < 60, at the 5% level
+    # of 4000 runs (seed and bound fixed before the first run). An exploded
+    # or capped run lies above every k. case4 is left out: its heavy tail
+    # takes about 6 s at these settings, ten times any of the five here.
+    p = desk[name][0]
+    cfg = SimConfig(params=p, replicates=4000, n_max=4, z_cap=10**6, master_seed=3)
+    z4 = []
+    for i in range(cfg.replicates):
+        r = simulate_trajectory(cfg, i)
+        if r.status is Status.EXTINCT:
+            z4.append(0)
+        elif r.status is Status.CENSORED_HORIZON:
+            z4.append(r.sizes[-1])
+    emp = np.cumsum(np.bincount(np.minimum(z4, 60), minlength=61)[:60]) / cfg.replicates
+    exact = np.cumsum(series_coeffs(p, 400, t=4).coeffs[:60])
+    assert np.max(np.abs(emp - exact)) < 1.36 / math.sqrt(cfg.replicates)
 
 def test_single_replicate_step_function(desk):
     cfg = cfg_for(desk, "case6", replicates=1)
