@@ -11,7 +11,13 @@ here, so expectations come out exact instead of simulated.
 import math
 import warnings
 
-from thetagw import ConditioningWarning, absorption_tails, expected_absorption, validate_classify
+from thetagw import (
+    ConditioningWarning,
+    absorption_tails,
+    compose_iterate,
+    expected_absorption,
+    validate_classify,
+)
 
 # regular cases never explode, so the explosion column is a nan we ignore
 warnings.simplefilter("ignore", ConditioningWarning)
@@ -32,7 +38,8 @@ print(f"expected times (die | finite, explode | finite, either): "
 n_check = 50
 gap = 0.0
 for n in range(n_check + 1):
-    it0, it1 = tails.via_iteration(n)
+    it0 = p6.q - compose_iterate(p6, n, 0.0)
+    it1 = compose_iterate(p6, n, 1.0) - p6.q
     gap = max(gap, abs(tails.t0_tail(n) - it0), abs(tails.t1_tail(n) - it1))
 print(f"closed tails vs {n_check}-step iteration: sup gap {gap:.3e}")
 print()

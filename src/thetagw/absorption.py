@@ -7,7 +7,7 @@ through pgf's gap, gap(n, s) = f_n(s) - q: P(n < T_0 < infinity) = -gap(n, 0)
 and P(n < T_1 < infinity) = gap(n, 1). The gap is written in expm1/log1p form
 so that tails of size 1e-300 keep full relative precision. It needs a < 1, so
 case1 and case2 (where A - q = 0) keep power forms of their own for T_0. The
-n-fold composition is exposed as an independent oracle.
+independent oracle is pgf.compose_iterate, the n-fold composition of f.
 
 Expected absorption times are tail sums E = sum_{n>=0} P(. > n). The case
 says which diverge: the critical T_0 tail (1 + cn)^(-1/theta) at theta = 1,
@@ -34,7 +34,7 @@ import numpy as np
 from ._quadpack import quad
 from .errors import ConditioningWarning, DomainError, NumericError, RegimeError
 from .params import CaseTag, ThetaParams, _integer, case_of, validate_classify
-from .pgf import _g, _gap, compose_iterate
+from .pgf import _g, _gap
 
 __all__ = [
     "AbsorptionTails",
@@ -62,7 +62,7 @@ def _ret(n, value):
 
 
 class AbsorptionTails:
-    """Per-case closed-form tails, plus the composition oracle.
+    """Per-case closed-form tails; pgf.compose_iterate is their oracle.
 
     t0_tail(n) = q - f_n(0) = P(n < T_0 < infinity)
     t1_tail(n) = f_n(1) - q, the mass still above the extinction limit. For
@@ -124,14 +124,6 @@ class AbsorptionTails:
                     (1.0 - an * g0) ** (-1.0 / theta) - (1.0 - an * g1) ** (-1.0 / theta)
                 )
         return _ret(n, val)
-
-    # -- oracle ----------------------------------------------------------
-
-    def via_iteration(self, n: int) -> tuple[float, float]:
-        """(q - f_n(0), f_n(1) - q) by n actual compositions of f."""
-        n = _integer("n", n, 0)
-        p = self.params
-        return p.q - compose_iterate(p, n, 0.0), compose_iterate(p, n, 1.0) - p.q
 
 
 def absorption_tails(p: ThetaParams) -> AbsorptionTails:

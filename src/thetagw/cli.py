@@ -9,8 +9,8 @@ only so stdout stays reproducible.
 Exit codes: 0 ok, 2 usage, 3 domain/parameter, 4 numeric or truncation,
 5 a named check failed, 1 anything unexpected.
 
-Each subcommand imports the library code it runs, after its own parameter
-checks: ``classify`` and refused inputs never load numpy.
+Each subcommand checks its flags and law before it imports the library code it
+runs, so ``classify`` and those refusals never load numpy; the library's do.
 """
 
 from __future__ import annotations
@@ -80,11 +80,11 @@ def _json_doc(obj: dict) -> str:
     return _json_value(obj) + "\n"
 
 
-def _csv_doc(header: list[str], rows: list[list]) -> str:
+def _csv_doc(header: list[str], rows: list[list], trailer: str = "") -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + trailer
 
 
 def _real(text: str) -> float:
@@ -323,31 +323,16 @@ def _cmd_qprocess(opts):
 @_command("embed", "continuous-time generator, coefficients and residuals",
           k_max=(_rows, 50), t=(_finite, None, "extra residual time"))
 def _cmd_embed(opts):
-    p, tag, head = _params_from(opts)
+    p, _, head = _params_from(opts)
     import numpy as np
     from .embedding import build_embedding, h_coeffs
-    from .pgf import eval_fn
-    from .verify import _IDENTITY_TOL, _QUAD_TOL, _check
-    from .verify import _embed_one_step_err, _embed_quad_residuals
-    order = opts["k_max"]
+    from .verify import _embed_checks
     e = build_embedding(p)
-    st = h_coeffs(e, order)
-    grid = np.linspace(0.0, 1.0, 50)
-    one_step = _embed_one_step_err(e, grid)
-    semi = 0.0
-    for t1, t2 in ((0.5, 0.5), (1.0, 1.5), (0.25, 2.0)):
-        direct = eval_fn(p, t1 + t2, grid)
-        nested = eval_fn(p, t1, eval_fn(p, t2, grid))
-        semi = max(semi, float(np.max(np.abs(direct - nested))))
+    st = h_coeffs(e, opts["k_max"])
     times = [0.5, 1.0, 2.0]
     if opts["t"] is not None:
         times.append(opts["t"])
-    residuals = _embed_quad_residuals(e, times)
-    checks = [
-        _check("embed_sup_err", tag.case_id, one_step, _IDENTITY_TOL),
-        _check("semigroup_sup_err", tag.case_id, semi, _IDENTITY_TOL),
-        _check("quad_residuals", tag.case_id, max(residuals), _QUAD_TOL),
-    ]
+    checks, values = _embed_checks(e, np.linspace(0.0, 1.0, 50), times)
     payload = {
         **head,
         "lambda": e.lam,
@@ -355,11 +340,7 @@ def _cmd_embed(opts):
         "h0": float(st.coeffs[0]),
         "h_coeffs": list(st.coeffs),
         "h_at_1": e.h_at_1,
-        "checks": {
-            "embed_sup_err": one_step,
-            "semigroup_sup_err": semi,
-            "quad_residuals": residuals,
-        },
+        "checks": values,
     }
     text = (
         f"lambda={_fmt(e.lam)} mu={_fmt(e.mu)} h0={_fmt(st.coeffs[0])}\n"
@@ -410,16 +391,16 @@ def _cmd_simulate(opts):
         f"replicates={cfg.replicates} censored={_fmt(emp.censored_fraction)}\n"
         "ks: " + " ".join(f"{k}={_fmt(v)}" for k, v in summary["ks"].items()) + "\n"
     )
-    return payload, (header, rows), text, [], _json_doc(summary)
+    return payload, (header, rows, _json_doc(summary)), text, []
 
 
 @_command("verify", "cross-module identity suite (one set per case by default)",
           seed=(int, 0))
 def _cmd_verify(opts):
     seed = opts["seed"]
-    law = _params_from(opts)[:2] if any(opts[k] is not None for k in _PARAM_KEYS) else None
+    p = _params_from(opts)[0] if any(opts[k] is not None for k in _PARAM_KEYS) else None
     from .verify import verify_set, verify_suite
-    checks = verify_suite(seed=seed) if law is None else verify_set(*law)
+    checks = verify_suite(seed=seed) if p is None else verify_set(p)
     check_dicts = [dataclasses.asdict(c) for c in checks]
     payload = {"checks": check_dicts, "seed": seed,
                "passed": all(c.passed for c in checks)}
@@ -452,17 +433,11 @@ def run_command(argv=None) -> int:
         print(f"thetagw: error: {command} has no csv form", file=sys.stderr)
         return _USAGE_EXIT
 
-    result = _HANDLERS[command](opts)
-    payload, csv_spec, text, checks = result[:4]
-    trailer = result[4] if len(result) > 4 else None
-
+    payload, csv_spec, text, checks = _HANDLERS[command](opts)
     if fmt == "json":
         doc = _json_doc({"command": command, **payload})
     elif fmt == "csv":
-        header, rows = csv_spec
-        doc = _csv_doc(header, rows)
-        if trailer is not None:
-            doc += trailer
+        doc = _csv_doc(*csv_spec)
     else:
         doc = text
     _write(opts["out"], doc)

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._quadpack import quad
 from .errors import DomainError, NumericError, SingularPathError
-from .params import CaseTag, ThetaParams, _integer, case_of
+from .params import ThetaParams, _integer, case_of
 from .pgf import _MASS_CLAMP, SeriesTruncation, _clamp_masses, _in_unit, eval_fn
 from .series import Series
 
@@ -54,7 +54,6 @@ __all__ = [
 @dataclass(frozen=True)
 class Embedding:
     params: ThetaParams
-    tag: CaseTag
     form: str  # "mu" | "aq" | "log" | "const"
     lam: float
     mu: float  # h'(1), may be inf; the mu of the mu form
@@ -68,9 +67,8 @@ class Embedding:
 
 
 def build_embedding(p: ThetaParams) -> Embedding:
-    tag = case_of(p)
     theta, a, q, big_a = p.theta, p.a, p.q, p.big_a
-    cid = tag.case_id
+    cid = case_of(p).case_id
     norm = math.nan
     if cid == "case6":
         form, lam, mu = "const", math.log(1.0 / a), 0.0
@@ -112,7 +110,7 @@ def build_embedding(p: ThetaParams) -> Embedding:
     # (A - s)^(1+theta) past the float range makes h(q) nan, refused just below;
     # A - 1 <= A - q, so h(1)'s powers are finite wherever h(q)'s are
     with np.errstate(over="ignore", invalid="ignore"):
-        e = Embedding(params=p, tag=tag, form=form, lam=lam, mu=mu, norm=norm)
+        e = Embedding(params=p, form=form, lam=lam, mu=mu, norm=norm)
         hq = h_eval(e, q)
     if not abs(hq - q) <= 1e-12:  # nan fails too
         raise NumericError(f"h({q}) = {hq} != q for {cid}")

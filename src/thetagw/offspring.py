@@ -75,12 +75,13 @@ class BTriangle:
     table: np.ndarray  # table[n, i]
 
     def value(self, i: int, n: int) -> float:
-        if not (2 <= n <= self.n_max and 1 <= i <= n - 1):
+        i = _integer("i", i, 1)
+        if _integer("n", n, i + 1) > self.n_max:
             raise DomainError(f"B_{{{i},{n}}} outside the triangle (n_max={self.n_max})")
         return float(self.table[n, i])
 
     def row(self, n: int) -> np.ndarray:
-        if not 2 <= n <= self.n_max:
+        if _integer("n", n, 2) > self.n_max:
             raise DomainError(f"row {n} outside 2..{self.n_max}")
         return self.table[n, 1:n].copy()
 
@@ -280,7 +281,9 @@ class OffspringTable:
         return True
 
     def lookup(self, u: float) -> float:
-        """Map one uniform draw to a count, Infinite, or raise TruncationError."""
+        """Map one uniform u in [0, 1) to a count, Infinite, or raise TruncationError."""
+        if not 0.0 <= u < 1.0:  # NaN fails too, before the table grows
+            raise DomainError(f"a uniform draw must lie in [0, 1), got {u}")
         if not self.ensure_coverage(u):
             raise TruncationError(
                 f"draw lands beyond k_max={self.k_max} "

@@ -67,7 +67,7 @@ class LimitLaw:
         return float(np.sum(self.probs))
 
     def prob(self, j: int) -> float:
-        if j < 1 or j > len(self.probs):
+        if _integer("j", j, 1) > len(self.probs):
             raise DomainError(f"j={j} outside the truncated support 1..{len(self.probs)}")
         return float(self.probs[j - 1])
 

@@ -24,7 +24,7 @@ from .absorption import absorption_tails
 from .embedding import Embedding, build_embedding, integral_residual
 from .errors import SingularPathError
 from .offspring import pmf, pmf_oracle
-from .params import CaseTag, ThetaParams, case_of, validate_classify
+from .params import ThetaParams, case_of, validate_classify
 from .pgf import compose_iterate, eval_f, eval_fn
 from .qprocess import QFunction
 from .simulate import SimConfig, estimate_tails
@@ -93,10 +93,30 @@ def _embed_quad_residuals(e: Embedding, times) -> list[float]:
     return out
 
 
-def verify_set(p: ThetaParams, tag: CaseTag | None = None) -> list[VerifyCheck]:
+def _embed_checks(e: Embedding, grid: np.ndarray, times) -> tuple[list[VerifyCheck], dict]:
+    """embed's three checks and the values it prints: the one-step error, the
+    semigroup error of F_{t1+t2} against F_{t1}(F_{t2}) and one residual per time."""
+    p = e.params
+    cid = case_of(p).case_id
+    one_step = _embed_one_step_err(e, grid)
+    semi = 0.0
+    for t1, t2 in ((0.5, 0.5), (1.0, 1.5), (0.25, 2.0)):
+        direct = eval_fn(p, t1 + t2, grid)
+        nested = eval_fn(p, t1, eval_fn(p, t2, grid))
+        semi = max(semi, float(np.max(np.abs(direct - nested))))
+    residuals = _embed_quad_residuals(e, times)
+    checks = [
+        _check("embed_sup_err", cid, one_step, _IDENTITY_TOL),
+        _check("semigroup_sup_err", cid, semi, _IDENTITY_TOL),
+        _check("quad_residuals", cid, max(residuals), _QUAD_TOL),
+    ]
+    values = {"embed_sup_err": one_step, "semigroup_sup_err": semi, "quad_residuals": residuals}
+    return checks, values
+
+
+def verify_set(p: ThetaParams) -> list[VerifyCheck]:
     """Identity checks for one parameter set."""
-    tag = tag or case_of(p)
-    cid = tag.case_id
+    cid = case_of(p).case_id
     out: list[VerifyCheck] = []
     grid = np.linspace(0.0, 1.0, 50)
 
@@ -145,6 +165,6 @@ def verify_suite(seed: int = 0) -> list[VerifyCheck]:
     Carlo smoke test."""
     out: list[VerifyCheck] = []
     for raw in CANONICAL_SETS:
-        out.extend(verify_set(*validate_classify(raw)))
+        out.extend(verify_set(validate_classify(raw)[0]))
     out.append(_case6_mc_smoke(seed))
     return out

@@ -36,6 +36,7 @@ from thetagw import (
     RegimeError,
     absorption_tails,
     case_of,
+    compose_iterate,
     conditional_t1_cdf,
     expected_absorption,
     gumbel_limit,
@@ -55,7 +56,8 @@ def test_tails_match_composition(tail_case):
     name, p, tag = tail_case
     tails = absorption_tails(p)
     for n in range(0, 51):
-        it0, it1 = tails.via_iteration(n)
+        it0 = p.q - compose_iterate(p, n, 0.0)
+        it1 = compose_iterate(p, n, 1.0) - p.q
         assert abs(tails.t0_tail(n) - it0) < 1e-10, (name, n)
         if not tag.regular:
             assert abs(tails.t1_tail(n) - it1) < 1e-10, (name, n)

@@ -232,6 +232,18 @@ def test_table_layout_and_lookup(desk):
     assert table.order > before
 
 
+@pytest.mark.parametrize("u", [math.nan, -0.5, 1.0, 1.5])
+def test_lookup_refuses_a_draw_outside_the_unit_interval(desk, u):
+    # refused before the table grows: a u of 1.5 would otherwise double
+    # case3's triangle table to its 10^4 cap before a TruncationError
+    table = _pmf_table(desk["case3"][0])
+    head = table.boundaries.copy()
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\)"):
+        table.lookup(u)
+    assert table.order == 256
+    assert np.array_equal(table.boundaries, head)
+
+
 def test_zero_mass_cell_skipped(desk):
     # case5 has p_0 = 0 exactly: the first draw above the escape mass is k=1
     p, _ = desk["case5"]

@@ -293,7 +293,7 @@ def _law(name):
     return validate_classify(DESK_RAW[name])[0]
 
 
-# each order or count argument, with a law it applies to
+# each order, count or index argument, with a law or table it applies to
 COUNT_ARGUMENTS = {
     "pmf": lambda k: thetagw.pmf(_law("case3"), k),
     "series_coeffs": lambda k: thetagw.series_coeffs(_law("case3"), k),
@@ -312,6 +312,10 @@ COUNT_ARGUMENTS = {
     "q_transition_gf-i": lambda k: thetagw.q_transition_gf(_law("case3"), k, 2, 0.3),
     "q_transition_gf-n": lambda k: thetagw.q_transition_gf(_law("case3"), 1, k, 0.3),
     "compose_iterate": lambda k: thetagw.compose_iterate(_law("case3"), k, 0.5),
+    "LimitLaw.prob": lambda k: thetagw.stationary_law(_law("case3"), 5).prob(k),
+    "BTriangle.value-i": lambda k: thetagw.b_triangle(0.5, 5).value(k, 4),
+    "BTriangle.value-n": lambda k: thetagw.b_triangle(0.5, 5).value(1, k),
+    "BTriangle.row": lambda k: thetagw.b_triangle(0.5, 5).row(k),
 }
 
 

@@ -583,7 +583,7 @@ def test_embedding_flow_check_passes(monkeypatch):
             e = build_embedding(p)
             worst = max(verify._embed_quad_residuals(e, (0.5, 1.0, 2.0)))
             if not worst < verify._QUAD_TOL:
-                failed[e.tag.case_id, p.theta, p.a, p.big_a, p.q] = worst
+                failed[case_of(p).case_id, p.theta, p.a, p.big_a, p.q] = worst
     assert not failed, (
         f"{len(failed)} of {len(EMBED_LAWS)} laws fail, and {len(skipped)} of "
         f"{len(points)} points were skipped: {failed}"

@@ -12,8 +12,8 @@ def test_canonical_sets_cover_all_nine():
 
 
 def test_verify_set_names(desk):
-    p, tag = desk["case6"]
-    checks = verify_set(p, tag)
+    p, _ = desk["case6"]
+    checks = verify_set(p)
     names = {c.name for c in checks}
     assert {"iterate_identity", "pmf_oracle", "absorption_vs_iteration",
             "embed_one_step", "embed_quadrature"} <= names
@@ -21,8 +21,8 @@ def test_verify_set_names(desk):
 
 
 def test_verify_set_pure_death():
-    p, tag = validate_classify({"theta": -1.0, "a": 0.5, "q": 1.0})
-    checks = verify_set(p, tag)
+    p, _ = validate_classify({"theta": -1.0, "a": 0.5, "q": 1.0})
+    checks = verify_set(p)
     assert len(checks) == 6
     assert all(c.passed for c in checks), checks
 
