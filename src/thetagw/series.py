@@ -12,10 +12,12 @@ row. A power forms its rows 32 at a time: _exact_rows splits a row's terms on
 earlier blocks, sliced from Hankel views, into a few floats with the same exact
 sum, and the block's own terms reach fsum through map. A row of one term
 (an affine base's power, any logarithm's) is that term + 0.0, its fsum: -0.0
-turns +0.0, inf and nan pass. Every row is formed on Python floats; a row
-past the float range (** or fsum overflowing, inf - inf, or a coefficient
-that is not finite) raises NumericError (_formed). A private hook may end a
-power's blocks early: pgf's mass extraction stops once its masses hold f_t(1).
+turns +0.0, inf and nan pass; one numpy pass forms the factors of all such
+rows, and only the chain through earlier coefficients loops. Every row has a
+Python float loop's bits; a row past the float range (** or fsum overflowing,
+inf - inf, or a coefficient that is not finite) raises NumericError (_formed).
+A private hook may end a power's blocks early: pgf's mass extraction stops
+once its masses hold f_t(1).
 
 Only what the closed forms of this family need is implemented: affine seeds,
 ring operations (subtraction adds the negation), real powers, logarithms of a
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -160,13 +163,14 @@ class Series:
         Spelled this way the factor at j = m is m*alpha rounded once, so it
         keeps its digits however small alpha is.
         With one nonzero u_j, as an affine base has, row m is its one term
-        + 0.0, which is that term's fsum. Any other base works in blocks of
-        rows m0..m0+31: row m0 + r adds in one fsum _exact_rows's split of its
-        terms j = r+1..r+m0 (on v_(m0-1)..v_0, from Hankel views made once a
-        call; the terms if it refuses) and its terms j <= r, through map on
-        factors made once a block, 0.0 at a zero u_j. Rows are formed on Python
-        floats, bitwise as a generator forms them; NumericError past the range.
-        _done(v) at a block end but the last may end the rows: the rest read 0.0.
+        + 0.0, its fsum; one numpy pass forms all the (j*alpha + (j - m)) * u_j
+        and m*u0. Any other base works in blocks of rows m0..m0+31: row m0 + r
+        adds in one fsum _exact_rows's split of its terms j = r+1..r+m0 (on
+        v_(m0-1)..v_0, from Hankel views made once a call; the terms if it
+        refuses) and its terms j <= r, through map on factors made once a block,
+        0.0 at a zero u_j. Rows get a Python float generator's bits;
+        NumericError past the range. _done(v) at a block end but the last may
+        end the rows: the rest read 0.0.
         """
         u = self.coeffs
         if not u[0] > 0.0:
@@ -175,11 +179,14 @@ class Series:
 
         def rows():
             v = [ul[0] ** alpha]
-            if len(js) < 2:  # one term a row, which fsum returns as term + 0.0 (none: j = n + 1)
-                (j,), u0 = js or [n + 1], ul[0]
+            if not js:  # a constant: rows m >= 1 are fsums of no terms
+                return v + [0.0] * n
+            if len(js) == 1:  # one term a row, which fsum returns as term + 0.0
+                (j,), m = js, np.arange(js[0], n + 1.0)
+                f = ((j * alpha + (j - m)) * ul[j]).tolist()  # (j*alpha + (j - m)) * u_j, as floats form it
                 v += [0.0] * (j - 1)  # rows m < j: fsum of no terms
-                for m in range(j, n + 1):
-                    v.append(((j * alpha + (j - m)) * ul[j] * v[m - j] + 0.0) / (m * u0))
+                for fm, dm, w in zip(f, (m * ul[0]).tolist(), v):  # w = v_(m-j), appended as the rows go
+                    v.append((fm * w + 0.0) / dm)
                 return v
             # history views: row r, column i of a block holds the term j = r + 1 + i
             up, ja = np.concatenate((u[1:], np.zeros(_BLOCK - 1))), np.arange(1, n + _BLOCK) * alpha
@@ -208,8 +215,9 @@ class Series:
     def log(self) -> "Series":
         """Logarithm via (log u)' * u = u' of a base with at most one nonzero u_i
         past u_0: row k subtracts its one term (k - i) * log(u)_(k-i) * u_i,
-        formed as that term + 0.0 (its fsum), from k * u_k. Needs a positive
-        constant term; NumericError past the float range."""
+        formed as that term + 0.0 (its fsum), from k * u_k; one numpy pass forms
+        all the k * u_k and k * u_0. Needs a positive constant term; NumericError
+        past the float range."""
         u = self.coeffs
         if not u[0] > 0.0:
             raise UnsupportedFormError(f"log(series) needs a positive constant term, got {u[0]}")
@@ -219,10 +227,11 @@ class Series:
 
         def rows():
             (i,) = nz or [len(ul)]  # a constant: no term (i = order + 1)
-            out = [math.log(ul[0])]
-            for k in range(1, len(ul)):
-                acc = (k - i) * out[k - i] * ul[i] + 0.0 if k > i else 0.0
-                out.append((k * ul[k] - acc) / (k * ul[0]))
+            k = np.arange(float(len(ul)))
+            ku, kd = (k * u).tolist(), (k * ul[0]).tolist()
+            out = [math.log(ul[0]), *map(operator.truediv, ku[1 : i + 1], kd[1 : i + 1])]  # k <= i: no term
+            for a, b, d, w in zip(ku[i + 1 :], (k[i + 1 :] - i).tolist(), kd[i + 1 :], islice(out, 1, None)):
+                out.append((a - (b * w * ul[i] + 0.0)) / d)  # w = log(u)_(k-i), appended as the rows go
             return out
 
         return Series(_formed(rows, "log(series)"))

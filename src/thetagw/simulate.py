@@ -11,19 +11,19 @@ count, chunking, batching or scheduling order.
 One Philox per batch reaches any (replicate, position) by re-keying, instead
 of a generator built per replicate.
 
-Both simulators run one batch loop: batches of up to _BATCH = 4096
-replicates are stepped together, each reading its streams through one
-_DrawAhead, and sample through an OffspringTable. The discrete one reads each
-replicate's stream through a row of _ROW = 64 uniforms drawn ahead, so a
-batch holds 4096 x 64 of them (2 MiB), and steps a generation at a time: the
-live replicates' draws are gathered with one index, mapped through the table
-in one call and reduced per replicate. A step holds at most
-_STEP_DRAWS = 2**18 uniforms; a bigger generation is stepped in slices of
+Both simulators run one batch loop: batches of up to _BATCH = 4096 replicates
+are stepped together, each reading its streams through one _DrawAhead, and
+sample through an OffspringTable. The discrete one reads each replicate's
+stream through a row of _ROW = 64 uniforms drawn ahead, the first read off it
+at the batch's start, so a batch holds 4096 x 64 of them (2 MiB), and steps a
+generation at a time: the live replicates' draws are gathered with one index,
+mapped through the table in one call and reduced per replicate. A step holds at
+most _STEP_DRAWS = 2**18 uniforms; a bigger generation is stepped in slices of
 live replicates, a replicate that alone needs more being its own slice. The
-continuous-time one steps 64 events a block through a table of h's
-coefficients. It reads each live run's next 128 uniforms straight off its
-stream, with no row and no index, so a block holds 4096 x 128 of them
-(4 MiB). So memory is bounded by the batch, not by the replicate count.
+continuous-time one steps 64 events a block through a table of h's coefficients
+and holds no rows: it reads each live run's next 128 uniforms straight off its
+stream, so a block holds 4096 x 128 of them (4 MiB). So memory is bounded by
+the batch, not by the replicate count.
 
 Tables come from one per-process cache keyed by the law (ThetaParams) or the
 Embedding. A table keeps the order it grew to, so only builds warn; row k of
@@ -136,13 +136,13 @@ class _DrawAhead:
     reads a plain list key through float64 once the seed passes 2^63 - 1, and
     that can name another stream.
 
-    Replicate lo + j reads rows[j] from off[j] on; pos[j] is its stream
-    position after the row. A replicate whose need runs past the end of its
-    row re-keys the Philox once at pos[j], reads the rest of its need into
-    place and refills its row with the next _ROW uniforms. Re-keying sets the
-    counter to pos // 4 with an empty buffer, because numpy advances the
-    counter before it fills its four-draw buffer; so the pos % 4 draws before
-    pos are read and dropped.
+    Replicate lo + j reads rows[j], which fill reads from stream position 0,
+    from off[j] on; pos[j] is its stream position after the row. A replicate
+    whose need runs past the end of its row re-keys the Philox once at pos[j],
+    reads the rest of its need into place and refills its row with the next
+    _ROW uniforms. Re-keying sets the counter to pos // 4 with an empty buffer,
+    because numpy advances the counter before it fills its four-draw buffer; so
+    the pos % 4 draws before pos are read and dropped.
     """
 
     def __init__(self, cfg: SimConfig, lo: int, count: int):
@@ -157,11 +157,13 @@ class _DrawAhead:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._lo = lo
-        self.count = count
-        self._rows = np.empty((count, _ROW))
-        self._off = np.full(count, _ROW, dtype=np.int64)  # every row starts read out
-        self._pos = np.zeros(count, dtype=np.int64)
+        self._lo, self.count = lo, count
+
+    def fill(self) -> None:
+        """Read each replicate's first row (stream positions 0.._ROW-1) for take."""
+        self._rows = self.read(np.arange(self.count), 0, _ROW)
+        self._off = np.zeros(self.count, dtype=np.int64)
+        self._pos = np.full(self.count, _ROW, dtype=np.int64)
 
     def take(self, part: np.ndarray, need: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """One array holding the next need[i] uniforms of replicate lo + part[i]
@@ -236,6 +238,7 @@ def _run_batch(cfg: SimConfig, ahead: _DrawAhead, paths=None):
     """
     table = _table(cfg.params)
     count = ahead.count
+    ahead.fill()
     outcome = np.full(count, _HOR, dtype=np.int8)
     gen = np.full(count, cfg.n_max, dtype=np.int64)
     live = np.arange(count)

@@ -189,7 +189,7 @@ def _base(order, kind, seed):
 
 
 ORDER = st.integers(0, 300)
-KIND = st.sampled_from(["dense", "sparse", "signed_zero", 8, 9, "one"])
+KIND = st.sampled_from(["dense", "sparse", "signed_zero", 8, 9, "one", "constant"])
 SEED = st.integers(0, 2**32 - 1)
 # the integers, then what fn_series passes: -theta and -1/theta, and a_t > 0;
 # |theta| >= 0.01 keeps |alpha| <= 100, inside the bound of _base
@@ -213,6 +213,12 @@ BITWISE = settings(max_examples=60, derandomize=True, deadline=None)
 @example(40, "one", 5, 1.0)
 @example(60, "one", 0, 2.0)
 @example(40, "one", 3, 3.0)
+# a constant (every row m >= 1 an fsum of no terms) at orders 0, 1 and 300,
+# and one term at j = n, whose only row is the last
+@example(0, "constant", 0, 0.5)
+@example(1, "constant", 1, -2.0)
+@example(300, "constant", 2, 1e-17)
+@example(40, "one", 69, -0.5)
 def test_pow_bitwise_equals_generator(order, kind, seed, alpha):
     u = _base(order, kind, seed)
     ref = _pow_reference(u, alpha)
@@ -322,6 +328,7 @@ def test_one_term_pow_overflow_matches_generator(alpha, sign, u_40, warn):
 @given(ORDER, st.sampled_from(["affine", "one", "constant"]), SEED)
 @example(300, "affine", 0)
 @example(300, "one", 4)  # u_15 alone among signed zeros
+@example(40, "one", 69)  # u_40 alone at order 40: every row k <= i, and no chain
 @example(0, "constant", 5)
 @example(1, "constant", 6)
 @example(300, "constant", 7)

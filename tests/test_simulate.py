@@ -187,6 +187,12 @@ def test_rekeyed_streams_match_fresh_generators(desk, seed):
     def take(ahead, k):
         return ahead.take(np.array([0]), np.array([k]), np.array([0]))
 
+    def read_out(ahead, pos):
+        # the filled row marked read out, with the stream at position pos
+        ahead.fill()
+        ahead._off[0], ahead._pos[0] = 64, pos
+        return ahead
+
     for rep in (0, 1, 6, 7):
         w = _fresh_stream(seed, rep, 400)
         # a read-out row at stream position pos re-keys there, and the next
@@ -194,18 +200,25 @@ def test_rekeyed_streams_match_fresh_generators(desk, seed):
         # draws before them are read and dropped
         for pos in (0, 3, 4, 5, 8):
             for k in (1, 4, 7):
-                ahead = _DrawAhead(cfg, rep, 1)
-                ahead._pos[0] = pos
+                ahead = read_out(_DrawAhead(cfg, rep, 1), pos)
                 assert np.array_equal(take(ahead, k), w[pos : pos + k])
                 assert np.array_equal(take(ahead, 64), w[pos + k : pos + k + 64])
-        # a read of 3, one of 64 from the row, and one that re-keys at 67
+        # from a read-out row at 0: a read of 3, one of 64 from the row, and
+        # one that re-keys at 67
+        ahead = read_out(_DrawAhead(cfg, rep, 1), 0)
+        read = np.concatenate([take(ahead, k) for k in (3, 64, 7)])
+        assert np.array_equal(read, w[:74])
+        # from the filled row: a read of 3, one of 64 that re-keys at 64, and
+        # one from the refilled row
         ahead = _DrawAhead(cfg, rep, 1)
+        ahead.fill()
         read = np.concatenate([take(ahead, k) for k in (3, 64, 7)])
         assert np.array_equal(read, w[:74])
     # draw-ahead rows of replicates 6 and 7: takes of growing and shrinking
     # size cross several refills, exceed a row and (replicate 7, in the last
     # row) gather past the array's end, and still read each stream in order
     ahead = _DrawAhead(cfg, 6, 2)
+    ahead.fill()
     takes = [1, 1, 1, 1, 2, 5, 13, 40, 3, 1, 90, 1, 1, 200]
     got = {0: [], 1: []}
     for k in takes:
@@ -231,6 +244,43 @@ def test_block_reads_match_fresh_generators(desk, seed):
             assert u.shape == (len(part), 128)
             for row, j in zip(u, part):
                 assert np.array_equal(row, fresh[lo + j][at : at + 128])
+
+
+def test_first_rows_are_one_read_per_batch(desk, monkeypatch):
+    # a discrete batch reads every replicate's first row at stream position 0
+    # in one read, so generation 1's take (one draw each on case6) re-keys
+    # none of them; a continuous-time batch reads its blocks and holds no rows
+    p = desk["case6"][0]
+    cfg = SimConfig(params=p, replicates=300, n_max=30, master_seed=5)
+    want = counts_digest(estimate_tails(cfg))
+    reads, takes, aheads = [], [], []
+    read, take, init = _DrawAhead.read, _DrawAhead.take, _DrawAhead.__init__
+
+    def logged_read(ahead, part, at, width):
+        reads.append((ahead.count, part.tolist(), at, width))
+        return read(ahead, part, at, width)
+
+    def logged_take(ahead, part, need, starts):
+        pos = ahead._pos.copy()
+        u = take(ahead, part, need, starts)
+        takes.append(np.array_equal(ahead._pos, pos))
+        return u
+
+    def logged_init(ahead, *args):
+        init(ahead, *args)
+        aheads.append(ahead)
+
+    monkeypatch.setattr(_DrawAhead, "read", logged_read)
+    monkeypatch.setattr(_DrawAhead, "take", logged_take)
+    monkeypatch.setattr(_DrawAhead, "__init__", logged_init)
+    assert counts_digest(estimate_tails(cfg)) == want
+    assert reads == [(300, list(range(300)), 0, simulate._ROW)]
+    assert takes[0]  # generation 1 re-keys no replicate
+    reads.clear()
+    aheads.clear()
+    simulate_ct_skeleton(build_embedding(p), cfg, dt=0.5)
+    assert reads and all(at % (2 * simulate._CT_BLOCK) == 0 for _, _, at, _ in reads)
+    assert len(aheads) == 1 and not hasattr(aheads[0], "_rows")
 
 
 def test_memory_bounded_by_batch(desk):
