@@ -30,11 +30,18 @@ table of escape 1 - f(1) capped at _route's cap (10^6 for the O(K) laws:
 theta = 0, -1 and -1/m; 10^4 for the rest), doubles on demand and raises
 TruncationError for a draw uncovered at the cap; simulate.py caches one per
 law, up to 2^21 boundaries in all.
+
+_counts maps uniforms through a table's boundaries, splitting a big map across
+the cores the process may run on (see its docstring). estimate_tails's pool
+workers each map on their share of the cores (_share_cores), so the workers'
+threads do not outnumber the cores.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -59,6 +66,13 @@ INFINITE = math.inf
 
 #: largest pmf order per route; K_MAX_RATIO, in params, caps the O(K) ones
 K_MAX_TRIANGLE = 10**4  # the triangle, and the series route off theta = -1 (O(K^2))
+
+try:  # the cores this process may run on: its pool's clamp and its map's threads
+    _cores = len(os.sched_getaffinity(0))
+except AttributeError:  # a platform with no affinity mask
+    _cores = os.cpu_count() or 1
+_SPLIT = 2**15  # keys per map thread: a map of fewer than 2 * _SPLIT runs on one
+_CHUNK = 2**14  # keys a map thread maps at a time
 
 
 @dataclass(frozen=True)
@@ -239,10 +253,59 @@ def _cumulative(escape: float, masses: np.ndarray) -> np.ndarray:
     return bounds
 
 
-def _counts(bounds: np.ndarray, u):
+def _share_cores(n: int) -> None:
+    """Pool initializer: a worker maps on its share n of the cores."""
+    global _cores
+    _cores = n
+
+
+def _counts(bounds: np.ndarray, u) -> np.ndarray:
     """The inverse-CDF map: the count k of the cell holding each uniform u,
-    -1 in the escape cell and bounds.size - 1 beyond the table."""
-    return np.searchsorted(bounds, u, side="right") - 1
+    -1 in the escape cell and bounds.size - 1 beyond the table.
+
+    With n = min(_cores, u.size // _SPLIT) >= 2, u (1-D or 2-D) is split
+    along axis 0 into n parts: n - 1 helper threads and the caller each
+    write their part of one result, since searchsorted releases the GIL.
+    Each maps at most _CHUNK keys (or one row) at a time, which keeps the
+    helpers' malloc arenas, and so the peak memory, small. The helpers are
+    joined before the call returns, so none outlives it and a later fork is
+    safe, and a helper's exception is raised in the caller. A smaller map
+    is one searchsorted call on the caller's thread, where a thread's start
+    would cost more than it saves.
+    """
+    n = min(_cores, np.size(u) // _SPLIT)
+    if n < 2:
+        return np.searchsorted(bounds, u, side="right") - 1
+    out = np.empty(u.shape, dtype=np.intp)
+    rows = len(u)
+    step = max(1, _CHUNK * rows // u.size)  # rows a chunk maps
+    edges = [rows * i // n for i in range(n + 1)]
+    errors = []
+
+    def run(lo: int, hi: int) -> None:
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            np.subtract(np.searchsorted(bounds, u[a:b], side="right"), 1, out=out[a:b])
+
+    def helper(lo: int, hi: int) -> None:
+        try:
+            run(lo, hi)
+        except Exception as exc:  # raised in the caller, after the join
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            t = threading.Thread(target=helper, args=(lo, hi))
+            t.start()
+            helpers.append(t)
+        run(edges[0], edges[1])
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 class OffspringTable:

@@ -25,6 +25,10 @@ and holds no rows: it reads each live run's next 128 uniforms straight off its
 stream, so a block holds 4096 x 128 of them (4 MiB). So memory is bounded by
 the batch, not by the replicate count.
 
+The map through the table (offspring._counts) may split a big step across the
+cores the process may run on. estimate_tails's pool workers each map on their
+share of the cores, so the workers' threads do not outnumber them.
+
 Tables come from one per-process cache keyed by the law (ThetaParams) or the
 Embedding. A table keeps the order it grew to, so only builds warn; row k of
 pmf and h_coeffs does not depend on the order, so warm draws land as cold ones.
@@ -41,13 +45,13 @@ at that generation, which is sound because such draws are finite and positive.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import offspring
 from .absorption import AbsorptionTails
 from .embedding import Embedding, h_coeffs
 from .errors import DomainError, QualityWarning
@@ -406,15 +410,16 @@ def _assemble(cfg: SimConfig, h_ext, h_exp, h_cen, sum_y, sum_y2, dt=None):
 
 def estimate_tails(cfg: SimConfig, workers: int = 1) -> EmpiricalTails:
     """Aggregate all replicates into tail counts; identical for any workers,
-    of which at most os.cpu_count() run."""
-    workers = min(_integer("workers", workers, 1), os.cpu_count() or 1)
+    of which at most one per core this process may run on runs."""
+    workers = min(_integer("workers", workers, 1), offspring._cores)
     r = cfg.replicates
     if workers == 1 or r < 2 * workers:
         parts = [_chunk_hists(cfg, 0, r, _run_batch)]
     else:
         from concurrent.futures import ProcessPoolExecutor  # slow to import; rarely needed
         edges = np.linspace(0, r, min(4 * workers, r) + 1, dtype=int).tolist()
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        share = (max(1, offspring._cores // workers),)  # cores a worker maps on
+        with ProcessPoolExecutor(workers, initializer=offspring._share_cores, initargs=share) as ex:
             n = len(edges) - 1
             parts = list(ex.map(_chunk_hists, [cfg] * n, edges[:-1], edges[1:], [_run_batch] * n))
     return _assemble(cfg, *(sum(col) for col in zip(*parts)))

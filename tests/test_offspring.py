@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -250,6 +252,74 @@ def test_zero_mass_cell_skipped(desk):
     table = _pmf_table(p)
     assert table.boundaries[1] == table.boundaries[0]
     assert table.lookup(table.p_inf + 1e-12) == 1
+
+
+def _map_keys():
+    """Cells of a table with an escape mass and two zero masses, so some
+    boundaries repeat, and keys on every boundary, inside every cell, in
+    the escape cell and beyond the table, in a fixed shuffled order."""
+    bounds = offspring._cumulative(0.125, np.array([0.25, 0.0, 0.0, 0.125, 0.25, 0.0]))
+    inside = (bounds[:-1] + bounds[1:]) / 2.0
+    u = np.concatenate((bounds, inside, [0.0, 0.0625, 0.9, 0.999]))
+    return bounds, np.random.default_rng(5).permutation(np.tile(u, 7))
+
+
+def _tiny_split(monkeypatch, cores):
+    """Thread every map of 4 keys or more on up to cores threads, 3 keys a chunk."""
+    monkeypatch.setattr(offspring, "_cores", cores)
+    monkeypatch.setattr(offspring, "_SPLIT", 2)
+    monkeypatch.setattr(offspring, "_CHUNK", 3)
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_threaded_map_matches_searchsorted(monkeypatch, cores):
+    # 1-D and 2-D keys, rows narrower and wider than a chunk, a strided
+    # view, one key and none: the same bytes as one searchsorted call
+    _tiny_split(monkeypatch, cores)
+    bounds, u = _map_keys()
+    grid = u.reshape(-1, 7)
+    for keys in (u, u[:1], u[:0], u[:, None], grid, grid[:, 2:4], u.reshape(7, -1)[:, 1:]):
+        got = offspring._counts(bounds, keys)
+        want = np.searchsorted(bounds, keys, side="right") - 1
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_threaded_map_leaves_no_thread(monkeypatch):
+    _tiny_split(monkeypatch, 3)
+    bounds, u = _map_keys()
+    want = np.searchsorted(bounds, u, side="right") - 1
+    search, mappers = np.searchsorted, set()
+
+    def slow_helpers(*args, **kw):
+        mappers.add(threading.current_thread())
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.01)  # so a helper left unjoined is still running
+        return search(*args, **kw)
+
+    monkeypatch.setattr(np, "searchsorted", slow_helpers)
+    before = threading.active_count()
+    got = offspring._counts(bounds, u)
+    assert threading.active_count() == before
+    assert len(mappers) == 3  # the caller and two helpers mapped
+    assert got.tobytes() == want.tobytes()
+
+
+def test_threaded_map_raises_a_helpers_exception(monkeypatch):
+    _tiny_split(monkeypatch, 3)
+    bounds, u = _map_keys()
+    search = np.searchsorted
+
+    def fail_off_the_main_thread(*args, **kw):
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("a helper failed")
+        return search(*args, **kw)
+
+    monkeypatch.setattr(np, "searchsorted", fail_off_the_main_thread)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="a helper failed"):
+        offspring._counts(bounds, u)
+    assert threading.active_count() == before
 
 
 def test_table_extension_preserves_prefix(desk):

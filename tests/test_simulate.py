@@ -3,7 +3,7 @@
 import concurrent.futures
 import hashlib
 import math
-import os
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -345,9 +345,10 @@ def test_trajectories_match_sequential_reference(desk, name, kw):
 ])
 def test_counts_independent_of_batch_and_step_bounds(desk, monkeypatch, name, kw):
     # tiny batches, steps and draw-ahead force many batches, sliced
-    # generations and one-replicate slices, and in continuous time a block
-    # steps its 64 events in one step or one at a time; the counts must not
-    # move
+    # generations and one-replicate slices, in continuous time a block
+    # steps its 64 events in one step or one at a time, and a tiny split
+    # maps nearly every step on three threads, a few keys at a time; the
+    # counts must not move
     ct = name.startswith("ct-")
     p = desk[name.removeprefix("ct-")][0]
     cfg = SimConfig(params=p, replicates=600, master_seed=11, **{"z_cap": 10**6, **kw})
@@ -365,6 +366,11 @@ def test_counts_independent_of_batch_and_step_bounds(desk, monkeypatch, name, kw
                 with monkeypatch.context() as m:
                     m.setattr(simulate, "_CT_STEPS", steps)
                     assert counts_digest(run()) == want
+        with monkeypatch.context() as m:  # at full batches, as a tiny chunk is slow
+            m.setattr(offspring, "_cores", 3)
+            m.setattr(offspring, "_SPLIT", 2)
+            m.setattr(offspring, "_CHUNK", 3)
+            assert counts_digest(run()) == want
         monkeypatch.setattr(simulate, "_BATCH", 7)
         monkeypatch.setattr(simulate, "_STEP_DRAWS", 40)
         monkeypatch.setattr(simulate, "_ROW", 5)
@@ -511,12 +517,14 @@ def test_input_guards(desk, call, expected):
 
 
 def test_workers_clamped_to_cpu_count(desk, monkeypatch):
-    # a fake pool records its size and maps in-process: no process starts
+    # a fake pool records its size and its workers' share of the cores and
+    # maps in-process: no process starts
     sizes = []
 
     class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            assert initializer is offspring._share_cores
+            sizes.append((max_workers, *initargs))
 
         def __enter__(self):
             return self
@@ -530,11 +538,27 @@ def test_workers_clamped_to_cpu_count(desk, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     # and under the module's own name, should it bind one at import
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", FakePool, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(offspring, "_cores", 4)  # the cores this process may run on
     cfg = cfg_for(desk, "case6", replicates=400)
-    many = estimate_tails(cfg, workers=20000)
-    assert sizes == [3]
-    assert counts_digest(many) == counts_digest(estimate_tails(cfg))
+    many, two = estimate_tails(cfg, workers=20000), estimate_tails(cfg, workers=2)
+    assert sizes == [(4, 1), (2, 2)]  # (workers, cores each maps on)
+    assert counts_digest(many) == counts_digest(two) == counts_digest(estimate_tails(cfg))
+
+
+def test_real_pool_after_a_threaded_map(desk, monkeypatch):
+    # the parent maps on two threads first; they are joined before the call
+    # returns, so the pool forks no half-held lock, and its workers, which
+    # map on one core each here, give the counts of one process
+    monkeypatch.setattr(offspring, "_cores", 2)
+    bounds = _pmf_table(desk["case5"][0]).boundaries
+    u = np.random.default_rng(0).random(4 * offspring._SPLIT)
+    before = threading.active_count()
+    assert np.array_equal(offspring._counts(bounds, u), np.searchsorted(bounds, u, side="right") - 1)
+    assert threading.active_count() == before
+    cfg = cfg_for(desk, "case5", replicates=600, n_max=30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QualityWarning)
+        assert counts_digest(estimate_tails(cfg, workers=2)) == counts_digest(estimate_tails(cfg))
 
 
 def test_ct_skeleton_rejects_other_params(desk):
