@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -264,47 +263,34 @@ def _counts(bounds: np.ndarray, u) -> np.ndarray:
     -1 in the escape cell and bounds.size - 1 beyond the table.
 
     With n = min(_cores, u.size // _SPLIT) >= 2, u (1-D or 2-D) is split
-    along axis 0 into n parts: n - 1 helper threads and the caller each
+    along axis 0 into n parts: a pool of n - 1 threads and the caller each
     write their part of one result, since searchsorted releases the GIL.
     Each maps at most _CHUNK keys (or one row) at a time, which keeps the
-    helpers' malloc arenas, and so the peak memory, small. The helpers are
-    joined before the call returns, so none outlives it and a later fork is
-    safe, and a helper's exception is raised in the caller. A smaller map
-    is one searchsorted call on the caller's thread, where a thread's start
-    would cost more than it saves.
+    threads' malloc arenas, and so the peak memory, small. The pool is shut
+    down, every thread joined, before the call returns, so no thread
+    outlives it and a later fork is safe, and a helper's exception is raised
+    in the caller. A smaller map is one searchsorted call on the caller's
+    thread, where a thread's start would cost more than it saves.
     """
     n = min(_cores, np.size(u) // _SPLIT)
     if n < 2:
         return np.searchsorted(bounds, u, side="right") - 1
+    from concurrent.futures import ThreadPoolExecutor
     out = np.empty(u.shape, dtype=np.intp)
     rows = len(u)
     step = max(1, _CHUNK * rows // u.size)  # rows a chunk maps
     edges = [rows * i // n for i in range(n + 1)]
-    errors = []
 
     def run(lo: int, hi: int) -> None:
         for a in range(lo, hi, step):
             b = min(a + step, hi)
             np.subtract(np.searchsorted(bounds, u[a:b], side="right"), 1, out=out[a:b])
 
-    def helper(lo: int, hi: int) -> None:
-        try:
-            run(lo, hi)
-        except Exception as exc:  # raised in the caller, after the join
-            errors.append(exc)
-
-    helpers = []
-    try:
-        for lo, hi in zip(edges[1:-1], edges[2:]):
-            t = threading.Thread(target=helper, args=(lo, hi))
-            t.start()
-            helpers.append(t)
+    with ThreadPoolExecutor(n - 1) as pool:
+        parts = [pool.submit(run, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
         run(edges[0], edges[1])
-    finally:
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[0]
+    for part in parts:  # the pool is shut down: a helper's exception, if any, is raised here
+        part.result()
     return out
 
 

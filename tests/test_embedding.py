@@ -120,8 +120,12 @@ def test_quadrature_guards(desk):
     p, _ = desk["case3"]
     e = build_embedding(p)
     assert integral_residual(e, 0.0, 0.25) == 0.0
-    with pytest.raises(SingularPathError):
-        integral_residual(e, 1.0, p.q)  # fixed point of the flow
+    # s = q is refused before the flow is evaluated: the integrand's pole
+    with pytest.raises(SingularPathError, match="zero of h"):
+        integral_residual(e, 1.0, p.q)
+    # case3 has F_t(1) = 1, a fixed point away from q: the path is empty
+    with pytest.raises(SingularPathError, match="fixed point"):
+        integral_residual(e, 1.0, 1.0)
     with pytest.raises(DomainError):
         integral_residual(e, 1.0, 1.5)
     with pytest.raises(DomainError):

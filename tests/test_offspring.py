@@ -196,14 +196,18 @@ def test_pmf_route_cap(desk, name, cap):
 
 
 @pytest.mark.parametrize("call, expected", [
-    (lambda desk: b_triangle(0.5, 4).row(1), DomainError),
+    # a refusal is a DomainError whose message matches the string
+    (lambda desk: b_triangle(0.5, 4).row(1), "must be >= 2"),
+    (lambda desk: b_triangle(0.5, 5).row(6), "outside"),
+    (lambda desk: b_triangle(0.5, 5).value(1, 6), "outside"),
     # row 0 at order 0, as at any order: a table's doubling relies on it
     (lambda desk: pmf(desk["case5b"][0], 0), lambda desk: pmf(desk["case5b"][0], 8)[:1]),
     (lambda desk: pmf(desk["case6"][0], 0), lambda desk: [0.15]),
-], ids=["triangle-row-1", "lattice-order-0", "two-point-order-0"])
+], ids=["triangle-row-1", "triangle-row-past-n-max", "triangle-value-past-n-max",
+        "lattice-order-0", "two-point-order-0"])
 def test_input_guards(desk, call, expected):
-    if isinstance(expected, type):
-        with pytest.raises(expected):
+    if isinstance(expected, str):
+        with pytest.raises(DomainError, match=expected):
             call(desk)
     else:
         assert np.array_equal(call(desk), expected(desk))

@@ -190,13 +190,15 @@ def test_q_zero_degenerate(desk):
         conditional_limit_b(p, 10)
 
 
-@pytest.mark.parametrize("call", [
-    lambda desk: stationary_law(desk["case3"][0], 5).prob(0),
-    lambda desk: q_transition_matrix(desk["case5"][0], 1, 3, 3),
-], ids=["limit-law-prob-0", "kernel-at-q-0"])
-def test_input_guards(desk, call):
-    # j counts from 1; q = 0 leaves nothing to condition the kernel on
-    with pytest.raises(DomainError):
+@pytest.mark.parametrize("call, match", [
+    (lambda desk: stationary_law(desk["case3"][0], 5).prob(0), "must be >= 1"),
+    (lambda desk: stationary_law(desk["case3"][0], 5).prob(6), "outside"),
+    (lambda desk: q_transition_matrix(desk["case5"][0], 1, 3, 3), "q = 0"),
+], ids=["limit-law-prob-0", "limit-law-prob-past-support", "kernel-at-q-0"])
+def test_input_guards(desk, call, match):
+    # j counts from 1 and stops at the truncated support; q = 0 leaves
+    # nothing to condition the kernel on
+    with pytest.raises(DomainError, match=match):
         call(desk)
 
 

@@ -561,6 +561,18 @@ def test_real_pool_after_a_threaded_map(desk, monkeypatch):
         assert counts_digest(estimate_tails(cfg, workers=2)) == counts_digest(estimate_tails(cfg))
 
 
+def test_real_pool_workers_split_their_searches(desk, monkeypatch):
+    # two workers of four cores map on two threads each; under the fork start
+    # method they see the lowered _SPLIT, so a search of 2^9 keys or more
+    # splits inside a worker, and the counts are those of one process
+    monkeypatch.setattr(offspring, "_cores", 4)
+    monkeypatch.setattr(offspring, "_SPLIT", 2**8)
+    cfg = cfg_for(desk, "case5", replicates=600, n_max=30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QualityWarning)
+        assert counts_digest(estimate_tails(cfg, workers=2)) == counts_digest(estimate_tails(cfg))
+
+
 def test_ct_skeleton_rejects_other_params(desk):
     e = build_embedding(desk["case6"][0])
     cfg = SimConfig(params=desk["case2"][0], replicates=10, n_max=4)
