@@ -166,7 +166,7 @@ def _resolve(command: str, given: dict) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise DomainError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise DomainError("config file must hold a JSON object")
@@ -419,7 +419,7 @@ def _write(dest: str | None, data: str) -> None:
     try:
         with open(dest, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(data)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DomainError(f"cannot write --out {dest}: {exc}") from exc
 
 

@@ -325,6 +325,15 @@ def test_gumbel_finite_r():
         gumbel_limit(0.5, 0.0, theta=theta, big_a=big_a, r=2.5)
 
 
+def test_gumbel_declared_r_infinite():
+    # A = 1 makes the path's r infinite, so a declared r = inf agrees with it
+    # and changes nothing; A = 1.5 gives a finite r, which it contradicts
+    rec = gumbel_limit(0.5, 0.0, theta=-0.1, big_a=1.0, r=math.inf)
+    assert rec == gumbel_limit(0.5, 0.0, theta=-0.1, big_a=1.0)
+    with pytest.raises(RegimeError, match="inconsistent"):
+        gumbel_limit(0.5, 0.0, theta=-0.1, big_a=1.5, r=math.inf)
+
+
 def test_gumbel_r_only_is_limit_only():
     rec = gumbel_limit(0.5, 0.2, r=1.0)
     rows = rec.lattice(50)

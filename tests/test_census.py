@@ -1,4 +1,4 @@
-"""A refusal census: six analytic subcommands on 100 drawn laws, every exit
+"""A refusal census: eight analytic subcommands on 100 drawn laws, every exit
 sorted by its cause.
 
 The laws come from one fixed draw (default_rng(2026)):
@@ -8,11 +8,14 @@ The laws come from one fixed draw (default_rng(2026)):
 - the rest with theta negated (floored at -0.999) half the time,
   a = 10^U(-18, log10 0.999), A = 1 or 10^U(0, 10), and q = 1 or 10^U(-25, 0).
 
-`pmf`, `absorb`, `embed`, `qprocess`, `iterate` and `verify` run on each law
-through `cli.main`, in process. A correct refusal is an exit 3 for a law the
-paper excludes: A = q = 1 with a < 1, which `classify` refuses, or an embedding
-that does not exist. `verify` then runs none of its other checks either, so
-its refusal counts as a cause of its own. Every other exit 3, every exit 4 and
+`pmf`, `absorb`, `embed`, `qprocess`, `iterate`, `verify`, `classify` and
+`gumbel` run on each law through `cli.main`, in process. A correct refusal is
+an exit 3 for a law the paper excludes: A = q = 1 with a < 1, which `classify`
+refuses, or an embedding that does not exist. `verify` then runs none of its
+other checks either, so its refusal counts as a cause of its own. `gumbel`
+reads its law as --a and --q with --theta and --A, so it correctly refuses a
+law given by c, and one outside the limit regime: q = 1, theta outside
+(-1, 0] or A outside [1, 2). Every other exit 3, every exit 4 and
 every exit 5 is a defect of a known cause, and so is a `pmf` that exits 0 with
 p_0 above q. Each defect the draw meets has a strict xfail that asserts it
 never occurs and reports its count over every command, so a fix flips its own
@@ -43,6 +46,8 @@ COMMANDS = {
     "qprocess": ["--k-max=10"],
     "iterate": [],
     "verify": [],
+    "classify": [],
+    "gumbel": ["--n=20"],
 }
 
 # exits that answer the law correctly: name -> (command or None for any, exit,
@@ -52,6 +57,10 @@ CORRECT = {
     "A=q=1-with-a<1": (None, 3, r"A = 1 with q = 1 requires a >= 1"),
     "no-embedding": ("embed", 3, NO_EMBEDDING),
     "verify-no-embedding": ("verify", 3, NO_EMBEDDING),
+    "gumbel-needs-a-and-q": ("gumbel", 3, r"gumbel needs --a and --q"),
+    "gumbel-q-outside-0-1": ("gumbel", 3, r"q must lie in \[0,1\)"),
+    "gumbel-theta-outside-regime": ("gumbel", 3, r"the limit regime needs theta in \(-1, 0\]"),
+    "gumbel-A-outside-regime": ("gumbel", 3, r"the limit regime needs A in \[1, 2\)"),
 }
 
 # the known defects, one row per command and exit a defect shows in: (name,

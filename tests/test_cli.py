@@ -170,13 +170,19 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert "replicate" in r.stderr and "seed" in r.stderr
 
 
-def test_config_must_hold_an_object(tmp_path, capsys):
-    # valid JSON that is not an object names no option: a parameter error
+@pytest.mark.parametrize("data, message", [
+    # valid JSON that is not an object names no option
+    (b"[1, 2]", "config file must hold a JSON object"),
+    (b'\xff\xfe{"k_max": 3}', "cannot read config"),  # not UTF-8
+    (b'{"k_max": ' + b"[" * 5000 + b"]" * 5000 + b"}", "cannot read config"),  # too deep to decode
+], ids=["json-array", "not-utf-8", "nested-5000-deep"])
+def test_config_must_hold_an_object(tmp_path, capsys, data, message):
+    # a config file that cannot be read as an object is a parameter error
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("[1, 2]")
+    cfg.write_bytes(data)
     assert cli.main(["classify", "--config", str(cfg)]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and "config file must hold a JSON object" in err
+    assert out == "" and message in err and "unexpected error" not in err
 
 
 P6 = ["--theta", "-1", "--a", "0.5", "--q", "0.3"]
@@ -370,9 +376,9 @@ def test_pmf_p0_is_zero_at_q_zero(capsys):
 
 
 def test_unwritable_out_exits_3(tmp_path, capsys):
-    # an --out in a missing directory, or naming a directory, is a parameter
-    # problem like an unreadable --config, not a crash
-    for dest in (tmp_path / "missing" / "x.json", tmp_path):
+    # an --out in a missing directory, naming a directory or holding a NUL
+    # byte is a parameter problem like an unreadable --config, not a crash
+    for dest in (tmp_path / "missing" / "x.json", tmp_path, "a\x00b"):
         code = cli.main(["classify", "--theta", "1", "--a", "2", "--c", "1", "--out", str(dest)])
         err = capsys.readouterr().err
         assert code == 3
@@ -400,8 +406,10 @@ def test_pmf_above_the_route_cap_exits_3(capsys):
      "--A=1.529916308085258e+237", "--k-max=3"],
     # the lattice route's p_0 = A - (a A^(1/m) + c)^m, a power past the float range
     ["pmf", "--theta=-0.001", "--a=1e-300", "--A=1.7976931348623157e308", "--q=0", "--k-max=3"],
+    # the rate (1 + 1/theta)(1 - q)^(-theta) - 1/theta rounds to 0
+    ["embed", "--theta=-1e-17", "--a=0.5", "--q=0.5", "--k-max=3"],
 ], ids=["qprocess-A-1e17", "qprocess-A-1e10", "qprocess-A-1e200", "embed-A-1e160", "embed-q-near-A",
-        "embed-theta-5e-324", "embed-h-of-q-nan", "pmf-lattice-p0"])
+        "embed-theta-5e-324", "embed-h-of-q-nan", "pmf-lattice-p0", "embed-rate-rounds-to-0"])
 def test_unrepresentable_values_exit_4(capsys, argv):
     # admissible laws whose values leave the float range end in the numeric
     # error exit, not in the unexpected-error exit 1, and no numpy
