@@ -137,7 +137,7 @@ def _pmf_triangle(p: ThetaParams, order: int) -> np.ndarray:
                     n * big_a
                 )
             try:
-                probs[n] = pref * math.fsum(w[1:n])
+                probs[n] = pref * math.fsum(w[1:n].tolist())
             except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
                 probs[n] = math.inf
             if not math.isfinite(probs[n]):

@@ -14,8 +14,10 @@ sum, and the block's own terms reach fsum through map. A row of one term
 (an affine base's power, any logarithm's) is that term + 0.0, its fsum: -0.0
 turns +0.0, inf and nan pass; one numpy pass forms the factors of all such
 rows, and only the chain through earlier coefficients loops. Every row has a
-Python float loop's bits; a row past the float range (** or fsum overflowing,
-inf - inf, or a coefficient that is not finite) raises NumericError (_formed).
+Python float loop's bits. The rows come back as one float64 array, which
+Series keeps uncopied and numpy checks for finiteness in one pass; a row past
+the float range (** or fsum overflowing, inf - inf, or a coefficient that is
+not finite) raises NumericError (_formed).
 A private hook may end a power's blocks early: pgf's mass extraction stops
 once its masses hold f_t(1).
 
@@ -70,15 +72,15 @@ def _exact_rows(terms: np.ndarray) -> list[list[float]] | None:
     return np.transpose(parts).tolist() if parts else [[]] * len(terms)
 
 
-def _formed(rows, what: str) -> list[float]:
-    """rows(), the coefficients of what, with numpy's inf and nan left to this
-    check: NumericError if forming them overflows or one is not finite."""
+def _formed(rows, what: str) -> np.ndarray:
+    """rows(), the coefficients of what, as one fresh float64 array checked in one
+    np.isfinite pass: NumericError if forming them overflows or one is not finite."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            v = rows()
+            v = np.array(rows(), dtype=float)
     except (OverflowError, ValueError):  # ** or fsum past the float range, or inf - inf
         v = None
-    if v is None or not all(map(math.isfinite, v)):
+    if v is None or not np.isfinite(v).all():
         raise NumericError(f"a coefficient of {what} passes the float range")
     return v
 
@@ -175,17 +177,17 @@ class Series:
         u = self.coeffs
         if not u[0] > 0.0:
             raise UnsupportedFormError(f"series**{alpha} needs a positive constant term, got {u[0]}")
-        n, alpha, js, ul = self.order, float(alpha), (np.flatnonzero(u[1:]) + 1).tolist(), u.tolist()
+        n, alpha, js, u0 = self.order, float(alpha), (np.flatnonzero(u[1:]) + 1).tolist(), float(u[0])
 
         def rows():
-            v = [ul[0] ** alpha]
+            v = [u0 ** alpha]
             if not js:  # a constant: rows m >= 1 are fsums of no terms
                 return v + [0.0] * n
             if len(js) == 1:  # one term a row, which fsum returns as term + 0.0
                 (j,), m = js, np.arange(js[0], n + 1.0)
-                f = ((j * alpha + (j - m)) * ul[j]).tolist()  # (j*alpha + (j - m)) * u_j, as floats form it
+                f = ((j * alpha + (j - m)) * u[j]).tolist()  # (j*alpha + (j - m)) * u_j, as floats form it
                 v += [0.0] * (j - 1)  # rows m < j: fsum of no terms
-                for fm, dm, w in zip(f, (m * ul[0]).tolist(), v):  # w = v_(m-j), appended as the rows go
+                for fm, dm, w in zip(f, (m * u0).tolist(), v):  # w = v_(m-j), appended as the rows go
                     v.append((fm * w + 0.0) / dm)
                 return v
             # history views: row r, column i of a block holds the term j = r + 1 + i
@@ -204,7 +206,7 @@ class Series:
                     hist = np.where(hu[: stop - m0, :m0] == 0.0, 0.0, t).tolist()
                 for r, m in enumerate(range(m0, stop)):
                     ins = map(operator.mul, cin[r], v[m - 1 : m0 - 1 : -1])  # j = 1..r
-                    v.append(math.fsum([*parts[r], *ins] if parts else [*ins, *hist[r]]) / (m * ul[0]))
+                    v.append(math.fsum([*parts[r], *ins] if parts else [*ins, *hist[r]]) / (m * u0))
                 vf[m0:stop] = v[m0:stop]
                 if stop <= n and _done is not None and _done(v):
                     return v + [0.0] * (n + 1 - stop)
@@ -221,17 +223,17 @@ class Series:
         u = self.coeffs
         if not u[0] > 0.0:
             raise UnsupportedFormError(f"log(series) needs a positive constant term, got {u[0]}")
-        nz, ul = (np.flatnonzero(u[1:]) + 1).tolist(), u.tolist()
+        nz, u0 = (np.flatnonzero(u[1:]) + 1).tolist(), float(u[0])
         if len(nz) > 1:
             raise UnsupportedFormError(f"log(series) takes one nonzero term past u_0, got {len(nz)}")
 
         def rows():
-            (i,) = nz or [len(ul)]  # a constant: no term (i = order + 1)
-            k = np.arange(float(len(ul)))
-            ku, kd = (k * u).tolist(), (k * ul[0]).tolist()
-            out = [math.log(ul[0]), *map(operator.truediv, ku[1 : i + 1], kd[1 : i + 1])]  # k <= i: no term
+            (i,) = nz or [u.size]  # a constant: no term (i = order + 1)
+            k, ui = np.arange(float(u.size)), float(u[i]) if nz else 0.0
+            ku, kd = (k * u).tolist(), (k * u0).tolist()
+            out = [math.log(u0), *map(operator.truediv, ku[1 : i + 1], kd[1 : i + 1])]  # k <= i: no term
             for a, b, d, w in zip(ku[i + 1 :], (k[i + 1 :] - i).tolist(), kd[i + 1 :], islice(out, 1, None)):
-                out.append((a - (b * w * ul[i] + 0.0)) / d)  # w = log(u)_(k-i), appended as the rows go
+                out.append((a - (b * w * ui + 0.0)) / d)  # w = log(u)_(k-i), appended as the rows go
             return out
 
         return Series(_formed(rows, "log(series)"))

@@ -324,6 +324,23 @@ def test_one_term_pow_overflow_matches_generator(alpha, sign, u_40, warn):
     test_pow_overflow_matches_generator(alpha, sign, u_40, warn, terms=1, u_j=1e10)
 
 
+@pytest.mark.parametrize("route", [
+    lambda: Series.affine(2.0, 0.0, 100).pow(-1.5),  # constant
+    lambda: Series.affine(2.0, -1.0, 100).pow(-1.5),  # one term, j = 1
+    lambda: Series(_base(100, "one", 0)).pow(0.5),  # one term, j = 15
+    lambda: Series(_base(100, "dense", 0)).pow(-0.5),
+    lambda: Series(_base(100, "dense", 0)).pow(-0.5, _done=lambda v: True),  # stops after one block
+    lambda: Series(_base(100, "one", 0)).log(),
+    lambda: Series(_base(100, "dense", 1)) * Series(_base(100, "dense", 2)),
+], ids=["constant", "one-term-j1", "one-term-j15", "dense", "dense-done", "log", "product"])
+def test_formed_rows_are_one_fresh_float64_array(route):
+    # _formed returns the rows as one array of their own, which Series keeps uncopied
+    s = route()
+    assert type(s.coeffs) is np.ndarray and s.coeffs.dtype == np.float64
+    assert s.coeffs.shape == (101,) and s.coeffs.flags.c_contiguous and s.coeffs.flags.owndata
+    assert np.isfinite(s.coeffs).all()
+
+
 @BITWISE
 @given(ORDER, st.sampled_from(["affine", "one", "constant"]), SEED)
 @example(300, "affine", 0)

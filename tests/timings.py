@@ -10,8 +10,8 @@ from functools import partial
 import numpy as np
 
 from conftest import DESK_RAW
-from thetagw import (SimConfig, build_embedding, estimate_tails, offspring, pmf,
-                     simulate_ct_skeleton, stationary_law, validate_classify)
+from thetagw import (SimConfig, build_embedding, conditional_limit_b, estimate_tails, offspring,
+                     pmf, simulate_ct_skeleton, stationary_law, validate_classify)
 from thetagw.series import Series
 
 
@@ -43,6 +43,8 @@ def rows(cores):
         yield f"Series.affine(2, -1, {k}).pow(0.5)", partial(base.pow, 0.5), 21
         yield f"Series.affine(2, -1, {k}).log()", base.log, 21
     yield "stationary_law(case1, 1024)", partial(stationary_law, law["case1"], 1024), 21
+    # the one-term Series.log route; with stationary_law, the ops at perfbench ct_series's median
+    yield "conditional_limit_b(case8, 1024)", partial(conditional_limit_b, law["case8"], 1024), 21
     # a discrete run whose rows start with one read per replicate
     cfg = SimConfig(params=law["case6"], replicates=2000, n_max=30)
     yield "estimate_tails, case6, 2000 replicates, n_max 30", partial(estimate_tails, cfg), 21
